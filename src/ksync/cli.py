@@ -21,13 +21,14 @@ from .disentangle import (
     good_subgraph,
     iterate_disentangle,
 )
-from .genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, theory_bounds
+from .genmodel import MixtureParams, theory_bounds
 from .harness import (
     ConfigError,
     ExperimentConfig,
     derive_setup2_probs,
     emit_plot,
     run_sweep,
+    sample_instance,
     simulate_once,
     validate_config,
     write_csv,
@@ -118,10 +119,6 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.command == "compare":
         overrides.setdefault("mode", "compare")
         overrides.setdefault("solvers", SOLVERS)
-    elif args.command in ("sweep", "simulate"):
-        pass
-    else:
-        overrides.setdefault("mode", args.command)
     if getattr(args, "config", None):
         return ExperimentConfig.from_json(args.config, overrides)
     return ExperimentConfig(**overrides)
@@ -150,14 +147,10 @@ def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
     errors = validate_config(dataclasses.replace(cfg, mode="setup1"))
     if errors:
         raise ConfigError(errors)
-    groups = sample_angles(cfg.n, cfg.k, child_seed(cfg.seed, 0, 0xA))
-    params = MixtureParams(n=cfg.n, k=cfg.k, lam=cfg.lam, p=cfg.p,
-                           seed=child_seed(cfg.seed, 0, 0xB))
-    graph = sample_er_mixture(params, groups)
-    initial = solve(graph, cfg.k, cfg.solvers[0] if cfg.solvers else EIG_H)
-    dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations,
-                             solver=cfg.solvers[0] if cfg.solvers else EIG_H,
-                             seed=cfg.seed)
+    groups, graph, _ = sample_instance(cfg, cfg.lam, cfg.p, (0,), (0,))
+    solver = cfg.solvers[0] if cfg.solvers else EIG_H
+    initial = solve(graph, cfg.k, solver)
+    dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations, solver=solver)
     states = iterate_disentangle(graph, dcfg, initial, truth=groups)
     lines = ["iteration,group,matched_corr,gamma_median,gamma_median_good,n_good,n_bad"]
     for st in states:
@@ -196,7 +189,7 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
         pc, radius=cfg.radius, min_overlap=cfg.min_overlap, sigma=cfg.sigma,
         p1=cfg.p1, p2=cfg.p2, seed=cfg.seed,
     )
-    dcfg = DisentangleConfig(k=2, iterations=cfg.iterations, seed=cfg.seed)
+    dcfg = DisentangleConfig(k=2, iterations=cfg.iterations)
     x_hat, y_hat, _ = grpmod.asap_recover(ps, graph, dcfg)
     err_x = grpmod.procrustes_error(pc.X, x_hat)
     err_y = grpmod.procrustes_error(pc.Y, y_hat)

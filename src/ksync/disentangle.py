@@ -10,21 +10,17 @@ always partition the edge set exactly.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
-from . import linalg
 from .core import (
     AngleGroups,
     MeasurementGraph,
-    build_measurement_matrix,
     circular_distance,
     connected_components,
-    correlation,
     wrap_angle,
 )
-from .sync import EIG_H, EIG_R, SyncEstimate, extract_angles
+from .sync import EIG_H, EIG_R, SyncEstimate, estimate_from_angles, evaluate, solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +39,6 @@ class DisentangleConfig:
     iterations: int = 20
     bad_fractions: tuple | None = None
     solver: str = EIG_H
-    seed: int = 0
     literal_noise_rule: bool = False
 
     def __post_init__(self):
@@ -132,13 +127,7 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str) -> tuple[
     sub = MeasurementGraph(
         n=comp.size, ii=index[ii[edge_in]], jj=index[jj[edge_in]], theta=g.theta[mask][edge_in]
     )
-    H = build_measurement_matrix(sub, diagonal=1.0)
-    if solver == EIG_R:
-        pairs = linalg.degree_normalized_eig(H, 1)
-    else:
-        pairs = linalg.top_k_eig(H, 1)
-    angles, _ = extract_angles(pairs.vectors)
-    theta[comp] = angles[0]
+    theta[comp] = solve(sub, 1, solver).theta_hat[0]
     return theta, disconnected
 
 
@@ -251,7 +240,9 @@ def iterate_disentangle(
 
         matched = None
         if truth is not None:
-            matched = tuple(_matched_correlations(truth, new_theta))
+            ev = evaluate(truth, estimate_from_angles(AngleGroups(theta=new_theta)),
+                          matching="exhaustive" if cfg.k <= 8 else "greedy")
+            matched = tuple(float(x) for x in ev.matched)
             history.append(matched)
         states.append(
             DisentangleState(
@@ -267,22 +258,6 @@ def iterate_disentangle(
         )
         theta = new_theta
     return states
-
-
-def _matched_correlations(truth: AngleGroups, theta_hat: np.ndarray) -> list[float]:
-    """Best-permutation per-group correlations (exhaustive for small k)."""
-    k = truth.k
-    corr = np.array(
-        [[correlation(truth.theta[l], theta_hat[j]) for j in range(k)] for l in range(k)]
-    )
-    if k <= 8:
-        best = max(
-            itertools.permutations(range(k)),
-            key=lambda perm: sum(corr[l, perm[l]] for l in range(k)),
-        )
-    else:
-        best = tuple(range(k))
-    return [float(corr[l, best[l]]) for l in range(k)]
 
 
 def classification_errors(g: MeasurementGraph, state: DisentangleState) -> dict:

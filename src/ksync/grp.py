@@ -31,7 +31,7 @@ from .disentangle import (
     iterate_disentangle,
 )
 from .genmodel import substream
-from .sync import EIG_R, normalized_spectral_ksync, spectral_ksync
+from .sync import solve
 
 NONCONGRUENCE_FLOOR = 0.01  # fraction of the diameter
 
@@ -358,9 +358,7 @@ def asap_recover(
     cfg = cfg or DisentangleConfig(k=2)
     if cfg.k != 2:
         raise ValueError("two-configuration recovery needs k = 2")
-    initial = (
-        normalized_spectral_ksync(g, 2) if cfg.solver == EIG_R else spectral_ksync(g, 2)
-    )
+    initial = solve(g, 2, cfg.solver)
     states = iterate_disentangle(g, cfg, initial)
     final = states[-1]
 

@@ -20,7 +20,7 @@ from .sync import EIG_H, SOLVERS, SdpBmConfig, evaluate, solve
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
 
-MODES = ("setup1", "setup2", "compare", "disentangle", "grp", "theory")
+MODES = ("setup1", "setup2", "compare")
 
 # substream tags so angle, graph, and auxiliary draws can never collide
 _TAG_ANGLES = 0xA
@@ -170,16 +170,26 @@ def _grid_points(cfg: ExperimentConfig, log) -> list:
     return points
 
 
-def _run_trial(cfg, gi, point, a, gidx):
-    lam, eta, p, _ = point
-    angle_seed = child_seed(cfg.seed, gi, a, _TAG_ANGLES)
-    graph_seed = child_seed(cfg.seed, gi, a, gidx, _TAG_GRAPH)
-    groups = sample_angles(cfg.n, cfg.k, angle_seed)
+def sample_instance(cfg: ExperimentConfig, lam: float, p, angle_key: tuple, graph_key: tuple):
+    """Sample one (groups, graph) instance; returns (groups, graph, graph_seed).
+
+    Angles and graph draw from the substreams ``angle_key`` and
+    ``graph_key`` of the master seed; the graph is Barabasi-Albert when
+    ``cfg.ba_attachment`` is set and Erdos-Renyi otherwise.
+    """
+    groups = sample_angles(cfg.n, cfg.k, child_seed(cfg.seed, *angle_key, _TAG_ANGLES))
+    graph_seed = child_seed(cfg.seed, *graph_key, _TAG_GRAPH)
     params = MixtureParams(n=cfg.n, k=cfg.k, lam=lam, p=p, seed=graph_seed)
     if cfg.ba_attachment is not None:
         graph = sample_ba_mixture(params, cfg.ba_attachment, groups)
     else:
         graph = sample_er_mixture(params, groups)
+    return groups, graph, graph_seed
+
+
+def _run_trial(cfg, gi, point, a, gidx):
+    lam, eta, p, _ = point
+    groups, graph, graph_seed = sample_instance(cfg, lam, p, (gi, a), (gi, a, gidx))
     out = {}
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, SdpBmConfig(seed=graph_seed))
@@ -213,17 +223,11 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
         for a in range(cfg.trials_angles)
         for gidx in range(cfg.trials_graphs)
     ]
-    results = {}
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for key, res in zip(
-                tasks,
-                pool.map(lambda t: _run_trial(cfg, t[0], points[t[0]], t[1], t[2]), tasks),
-            ):
-                results[key] = res
-    else:
-        for gi, a, gidx in tasks:
-            results[(gi, a, gidx)] = _run_trial(cfg, gi, points[gi], a, gidx)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = dict(zip(
+            tasks,
+            pool.map(lambda t: _run_trial(cfg, t[0], points[t[0]], t[1], t[2]), tasks),
+        ))
 
     rows = []
     diagnostics = {}
@@ -390,19 +394,12 @@ def simulate_once(cfg: ExperimentConfig):
     errors = validate_config(cfg)
     if errors:
         raise ConfigError(errors)
-    lam = cfg.lam
     if cfg.p is not None:
         p = cfg.p
     else:
         eta = cfg.eta_grid[0] if cfg.eta is None else cfg.eta
         p = derive_setup2_probs(cfg.k, eta, cfg.gamma)
-    groups = sample_angles(cfg.n, cfg.k, child_seed(cfg.seed, 0, _TAG_ANGLES))
-    params = MixtureParams(n=cfg.n, k=cfg.k, lam=lam, p=p,
-                           seed=child_seed(cfg.seed, 0, _TAG_GRAPH))
-    if cfg.ba_attachment is not None:
-        graph = sample_ba_mixture(params, cfg.ba_attachment, groups)
-    else:
-        graph = sample_er_mixture(params, groups)
+    groups, graph, _ = sample_instance(cfg, cfg.lam, p, (0,), (0,))
     report = {}
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, SdpBmConfig(seed=cfg.seed))

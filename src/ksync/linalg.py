@@ -96,15 +96,9 @@ def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
                       ties=_tie_indices(w, k, norm))
 
 
-def spectral_norm(M, tol: float = DEFAULT_TOL) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix.
-
-    The dense solver is accurate to machine precision, well inside any
-    reasonable ``tol``; the parameter is kept for interface stability.
-    """
+def spectral_norm(M) -> float:
+    """Largest absolute eigenvalue of a Hermitian matrix (dense, to machine precision)."""
     M = _as_hermitian(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if M.size == 0:
         return 0.0
     try:

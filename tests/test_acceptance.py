@@ -215,7 +215,7 @@ def test_09_disentangling_improvement_trend():
         groups = sample_angles(n, k, child_seed(99, seed, 0xA))
         params = MixtureParams(n=n, k=k, lam=lam, p=p, seed=child_seed(99, seed, 0xB))
         g = sample_er_mixture(params, groups)
-        cfg = DisentangleConfig(k=k, iterations=20, seed=seed)
+        cfg = DisentangleConfig(k=k, iterations=20)
         states = iterate_disentangle(g, cfg, spectral_ksync(g, k), truth=groups)
         first.append(states[0].matched_corr)
         last.append(states[-1].matched_corr)
@@ -234,7 +234,7 @@ def test_10_grp_noiseless_recovery_and_noise_monotonicity():
     t0 = time.time()
     pc0 = make_two_configurations(100, seed=0)
     ps0, g0 = build_patches(pc0, seed=0)
-    x_hat, y_hat, _ = asap_recover(ps0, g0, DisentangleConfig(k=2, iterations=20, seed=0))
+    x_hat, y_hat, _ = asap_recover(ps0, g0, DisentangleConfig(k=2, iterations=20))
     err_x = procrustes_error(pc0.X, x_hat)
     err_y = procrustes_error(pc0.Y, y_hat)
     exact = err_x < 1e-6 and err_y < 1e-6
@@ -244,7 +244,7 @@ def test_10_grp_noiseless_recovery_and_noise_monotonicity():
         for sigma in (0.0, 0.2, 0.4):
             pc = make_two_configurations(100, seed=seed)
             ps, g = build_patches(pc, sigma=sigma, seed=seed)
-            xh, yh, _ = asap_recover(ps, g, DisentangleConfig(k=2, iterations=20, seed=seed))
+            xh, yh, _ = asap_recover(ps, g, DisentangleConfig(k=2, iterations=20))
             errs.append((procrustes_error(pc.X, xh), procrustes_error(pc.Y, yh)))
         monotone &= errs[0][0] <= errs[1][0] <= errs[2][0]
         monotone &= errs[0][1] <= errs[1][1] <= errs[2][1]

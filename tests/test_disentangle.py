@@ -13,7 +13,7 @@ from ksync.disentangle import (
     residual_matrices,
 )
 from ksync.genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, substream
-from ksync.sync import estimate_from_angles, spectral_ksync
+from ksync.sync import estimate_from_angles, evaluate, spectral_ksync
 
 
 def mixture(n, p, lam, seed, k=None):
@@ -136,7 +136,7 @@ class TestIterateDisentangle:
             params = MixtureParams(n=100, k=2, lam=1.0, p=(0.45, 0.35),
                                    seed=child_seed(42, seed, 2))
             g = sample_er_mixture(params, groups)
-            cfg = DisentangleConfig(k=2, iterations=20, seed=seed)
+            cfg = DisentangleConfig(k=2, iterations=20)
             states = iterate_disentangle(g, cfg, spectral_ksync(g, 2), truth=groups)
             rates.append(classification_errors(g, states[-1])["total_misclassified"] / g.m)
         assert max(rates) < 0.10
@@ -148,6 +148,11 @@ class TestIterateDisentangle:
         assert states[-1].gamma_median_good <= states[0].gamma_median_good
         assert len(states[-1].history) == 10
         assert states[-1].history[0] == states[0].matched_corr
+        final = states[-1]
+        best = evaluate(groups, estimate_from_angles(AngleGroups(theta=final.theta_hat)),
+                        matching="exhaustive")
+        assert all(type(c) is float for c in final.matched_corr)
+        assert final.matched_corr == tuple(best.matched)
 
     def test_deterministic(self):
         groups, g = mixture(80, (0.4, 0.3), 0.9, 12)

@@ -151,7 +151,7 @@ class TestAsapRecover:
     def test_noiseless_default_instance_exact(self):
         pc = make_two_configurations(100, seed=0)
         ps, g = build_patches(pc, seed=0)
-        cfg = DisentangleConfig(k=2, iterations=20, seed=0)
+        cfg = DisentangleConfig(k=2, iterations=20)
         x_hat, y_hat, state = asap_recover(ps, g, cfg)
         assert procrustes_error(pc.X, x_hat) <= 1e-6
         assert procrustes_error(pc.Y, y_hat) <= 1e-6
@@ -160,7 +160,7 @@ class TestAsapRecover:
     def test_translation_residual_zero_at_sigma_zero(self):
         pc = make_two_configurations(100, seed=0)
         ps, g = build_patches(pc, seed=0)
-        cfg = DisentangleConfig(k=2, iterations=20, seed=0)
+        cfg = DisentangleConfig(k=2, iterations=20)
         x_hat, _, _ = asap_recover(ps, g, cfg)
         # recovered coordinates reproduce every patch equation exactly
         assert np.all(np.isfinite(x_hat))
@@ -196,7 +196,7 @@ class TestAsapRecover:
         for sigma in (0.0, 0.3):
             pc = make_two_configurations(100, seed=1)
             ps, g = build_patches(pc, sigma=sigma, seed=1)
-            cfg = DisentangleConfig(k=2, iterations=10, seed=1)
+            cfg = DisentangleConfig(k=2, iterations=10)
             x_hat, y_hat, _ = asap_recover(ps, g, cfg)
             errors.append(procrustes_error(pc.X, x_hat) + procrustes_error(pc.Y, y_hat))
         assert errors[0] <= errors[1]

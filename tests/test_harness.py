@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksync.cli import main as cli_main
+from ksync.core import load_graph
 from ksync.harness import (
     CSV_HEADER,
     ConfigError,
@@ -79,6 +80,13 @@ class TestRunSweep:
                                solvers=("EIG-X",))
         errors = validate_config(cfg)
         assert len(errors) >= 3
+        with pytest.raises(ConfigError):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("mode", ["disentangle", "grp", "theory"])
+    def test_non_sweep_modes_rejected(self, mode):
+        cfg = ExperimentConfig(mode=mode, n=24, k=2, trials_angles=1, trials_graphs=1)
+        assert any("mode" in e for e in validate_config(cfg))
         with pytest.raises(ConfigError):
             run_sweep(cfg)
 
@@ -193,6 +201,18 @@ class TestCli:
                          "--lam", "1.0", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("20 ")
+
+    def test_disentangle_honours_ba_attachment(self, tmp_path):
+        n, m = 60, 3
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ba_attachment": m}))
+        code = cli_main(["disentangle", "--config", str(config), "--n", str(n), "--k", "2",
+                         "--p", "0.5,0.3", "--lam", "0.5", "--iterations", "2",
+                         "--out", str(tmp_path / "d")])
+        assert code == 0
+        parts = ("d_G1.graph", "d_G2.graph", "d_W.graph")
+        edges = sum(load_graph(tmp_path / name)[0].m for name in parts)
+        assert edges == m * (m - 1) // 2 + m * (n - m)
 
     def test_theory_prints(self, capsys):
         code = cli_main(["theory", "--n", "50", "--k", "2", "--p", "0.3,0.2",
