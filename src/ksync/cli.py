@@ -174,6 +174,8 @@ def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_grp(cfg: ExperimentConfig, args) -> int:
     problems = []
+    if cfg.k != 2:
+        problems.append(f"grp recovers two configurations, so k must be 2 (got {cfg.k})")
     if cfg.n < 4:
         problems.append("n must be at least 4")
     if cfg.sigma < 0:

@@ -129,24 +129,28 @@ class MeasurementGraph:
 
 
 def connected_components(n: int, ii, jj) -> np.ndarray:
-    """Component root per node for the graph given by edge arrays (union-find)."""
+    """Component label per node: the smallest node index of its component.
+
+    Hook and compress: every pass hooks the larger root of each edge whose
+    endpoints have different roots onto the smaller one, then follows
+    pointers until every node points at a root.  Pointers only ever
+    decrease, so the surviving root of a component is its smallest node.
+    """
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
-    parent = np.arange(n)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(ii, jj):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(int(x)) for x in range(n)])
+    roots = np.arange(n)
+    while True:
+        ri, rj = roots[ii], roots[jj]
+        split = ri != rj
+        if not split.any():
+            return roots
+        ri, rj = ri[split], rj[split]
+        np.minimum.at(roots, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
 
 
 def build_measurement_matrix(g: MeasurementGraph, diagonal: float = 1.0) -> np.ndarray:

@@ -83,15 +83,19 @@ def _fractions_from_labels(labels: np.ndarray, k: int, literal: bool) -> tuple:
     return tuple(share / (c + share) if c + share > 0 else 0.0 for c in counts)
 
 
+def _residuals(theta_hat: np.ndarray, ii, jj, theta) -> np.ndarray:
+    """Circular distance of each edge offset from the one theta_hat predicts.
+
+    ``theta_hat`` is one angle vector or a k x n stack of them; the result
+    has one residual per edge (per row).
+    """
+    return circular_distance(theta, wrap_angle(theta_hat[..., ii] - theta_hat[..., jj]))
+
+
 def residual_matrices(g: MeasurementGraph, theta_hat: np.ndarray) -> np.ndarray:
     """Circular residuals psi[l, e] of every edge against every group estimate."""
     theta_hat = np.atleast_2d(np.asarray(theta_hat, dtype=float))
-    k = theta_hat.shape[0]
-    psi = np.empty((k, g.m))
-    for l in range(k):
-        predicted = wrap_angle(theta_hat[l, g.ii] - theta_hat[l, g.jj])
-        psi[l] = circular_distance(g.theta, predicted)
-    return psi
+    return _residuals(theta_hat, g.ii, g.jj, g.theta)
 
 
 def assign_edges(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +232,7 @@ def iterate_disentangle(
             m_l = int(mask.sum())
             if m_l == 0:
                 continue
-            predicted = wrap_angle(angles_l[g.ii[mask]] - angles_l[g.jj[mask]])
-            res = np.asarray(circular_distance(g.theta[mask], predicted))
+            res = _residuals(angles_l, g.ii[mask], g.jj[mask], g.theta[mask])
             n_bad = _bad_count(m_l, fractions[l])
             if n_bad == 0:
                 good[mask] = True

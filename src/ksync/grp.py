@@ -210,20 +210,16 @@ def build_patches(
     X, Y = pc.X, pc.Y
     n = pc.n
     diff = X[:, None, :] - X[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    members = []
-    centers = []
-    for i in range(n):
-        mem = np.nonzero(dist[i] <= radius)[0]
-        if mem.size < 3:
-            warnings.warn(f"dropping patch {i}: only {mem.size} members")
-            continue
-        members.append(mem)
-        centers.append(i)
-    if not members:
+    incidence = np.linalg.norm(diff, axis=2) <= radius  # patch x node
+    sizes = incidence.sum(axis=1)
+    for i in np.nonzero(sizes < 3)[0]:
+        warnings.warn(f"dropping patch {i}: only {sizes[i]} members")
+    centers = np.nonzero(sizes >= 3)[0]
+    if not centers.size:
         raise ValueError("no patch has 3 or more members")
+    incidence = incidence[centers]
+    members = [np.nonzero(row)[0] for row in incidence]
     N = len(members)
-    centers = np.array(centers, dtype=np.int64)
 
     rot_rng = substream(seed, 0x1)
     rotations = AngleGroups(theta=wrap_angle(TWO_PI * rot_rng.random((2, N))))
@@ -235,47 +231,31 @@ def build_patches(
         local_x.append(_local_embedding(X[mem], rotations.theta[0, idx], nx))
         local_y.append(_local_embedding(Y[mem], rotations.theta[1, idx], ny))
 
-    member_sets = [set(map(int, mem)) for mem in members]
-    type_rng = substream(seed, 0x3)
-    ii, jj, theta, labels = [], [], [], []
-    for a in range(N):
-        for b in range(a + 1, N):
-            common = member_sets[a] & member_sets[b]
-            if len(common) < min_overlap:
-                continue
-            common_idx = np.array(sorted(common), dtype=np.int64)
-            pos_a = np.searchsorted(members[a], common_idx)
-            pos_b = np.searchsorted(members[b], common_idx)
-            u = type_rng.random()
-            if u < p1:
-                label = 1
-                pa, pb = local_x[a][pos_a], local_x[b][pos_b]
-            elif u < p1 + p2:
-                label = 2
-                pa, pb = local_y[a][pos_a], local_y[b][pos_b]
-            else:
-                label = 0
-                pa, pb = local_x[a][pos_a], local_y[b][pos_b]
-            ii.append(a)
-            jj.append(b)
-            theta.append(procrustes_rotation(pa, pb))
-            labels.append(label)
+    # pairs in (a, b) lexicographic order, one type draw per pair in that order
+    weights = incidence.astype(float)
+    overlap = weights @ weights.T
+    ii, jj = np.nonzero(np.triu(overlap >= min_overlap, 1))
+    u = substream(seed, 0x3).random(ii.size)
+    labels = np.where(u < p1, 1, np.where(u < p1 + p2, 2, 0))
+    position = np.cumsum(incidence, axis=1) - 1  # index of a node within its patch
+    theta = np.empty(ii.size)
+    for e, (a, b) in enumerate(zip(ii, jj)):
+        common = np.nonzero(incidence[a] & incidence[b])[0]
+        first = local_y if labels[e] == 2 else local_x
+        second = local_x if labels[e] == 1 else local_y
+        theta[e] = procrustes_rotation(
+            first[a][position[a, common]], second[b][position[b, common]]
+        )
 
     ps = PatchSet(
         n_points=n,
         centers=centers,
-        members=tuple(np.asarray(m) for m in members),
+        members=tuple(members),
         local_x=tuple(local_x),
         local_y=tuple(local_y),
         rotations=rotations,
     )
-    g = MeasurementGraph(
-        n=N,
-        ii=np.array(ii, dtype=np.int64),
-        jj=np.array(jj, dtype=np.int64),
-        theta=np.array(theta, dtype=float),
-        labels=np.array(labels, dtype=np.int64),
-    )
+    g = MeasurementGraph(n=N, ii=ii, jj=jj, theta=theta, labels=labels)
     return ps, g
 
 
@@ -286,44 +266,31 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, locals_: list, angles: np.nda
     node = derotated_local + translation.  The first participating patch's
     translation is pinned to zero as the gauge.
     """
-    node_ids = sorted({int(m) for pid in patch_ids for m in ps.members[pid]})
-    node_index = {m: t for t, m in enumerate(node_ids)}
-    n_nodes = len(node_ids)
+    # one row per (patch, member) pair: its node's column and its patch's index
+    members = [ps.members[pid] for pid in patch_ids]
+    node_ids, node_col = np.unique(np.concatenate(members), return_inverse=True)
+    patch_of_row = np.repeat(np.arange(patch_ids.size), [m.size for m in members])
+    n_nodes = node_ids.size
     n_patch = patch_ids.size
 
     # connectivity of the patch-node membership bipartite graph
-    size = n_nodes + n_patch
-    edges_a, edges_b = [], []
-    for t, pid in enumerate(patch_ids):
-        for m in ps.members[pid]:
-            edges_a.append(node_index[int(m)])
-            edges_b.append(n_nodes + t)
-    roots = connected_components(
-        size, np.array(edges_a, dtype=np.int64), np.array(edges_b, dtype=np.int64)
-    )
+    roots = connected_components(n_nodes + n_patch, node_col, n_nodes + patch_of_row)
     if np.unique(roots).size > 1:
         comps = [np.nonzero(roots == r)[0].tolist() for r in np.unique(roots)]
         raise ValueError(f"translation system is disconnected: components {comps}")
 
-    rows = sum(ps.members[pid].size for pid in patch_ids)
-    cols = n_nodes + n_patch - 1
-    A = np.zeros((rows, cols))
-    rhs = np.zeros((rows, 2))
-    row = 0
-    for t, pid in enumerate(patch_ids):
-        angle = angles[t]
+    rows = np.arange(node_col.size)
+    A = np.zeros((rows.size, n_nodes + n_patch - 1))
+    A[rows, node_col] = 1.0
+    pinned = patch_of_row == 0
+    A[rows[~pinned], n_nodes + patch_of_row[~pinned] - 1] = -1.0
+    derotated = []
+    for local, angle in zip(locals_, angles):
         c, s = np.cos(angle), np.sin(angle)
-        derot = locals_[t] @ np.array([[c, s], [-s, c]]).T  # rotation by -angle
-        for pos, m in enumerate(ps.members[pid]):
-            A[row, node_index[int(m)]] = 1.0
-            if t > 0:
-                A[row, n_nodes + t - 1] = -1.0
-            rhs[row] = derot[pos]
-            row += 1
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        derotated.append(local @ np.array([[c, s], [-s, c]]).T)  # rotation by -angle
+    sol, *_ = np.linalg.lstsq(A, np.concatenate(derotated), rcond=None)
     out = np.full((ps.n_points, 2), np.nan)
-    for m, t in node_index.items():
-        out[m] = sol[t]
+    out[node_ids] = sol[:n_nodes]
     return out
 
 

@@ -124,6 +124,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
         if any(not 0.0 <= x <= 1.0 for x in cfg.lambda_grid):
             errors.append("lambda_grid values must lie in [0, 1]")
     if cfg.mode in ("setup2", "compare"):
+        if cfg.p is not None:
+            errors.append(f"{cfg.mode} derives p from eta_grid and gamma; p must not be set")
         if not cfg.eta_grid:
             errors.append("eta_grid must be non-empty")
         if any(not 0.0 <= x < 1.0 for x in cfg.eta_grid):
@@ -394,7 +396,7 @@ def simulate_once(cfg: ExperimentConfig):
     errors = validate_config(cfg)
     if errors:
         raise ConfigError(errors)
-    if cfg.p is not None:
+    if cfg.mode == "setup1":
         p = cfg.p
     else:
         eta = cfg.eta_grid[0] if cfg.eta is None else cfg.eta

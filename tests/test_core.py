@@ -1,3 +1,6 @@
+import time
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from ksync.core import (
     MeasurementGraph,
     build_measurement_matrix,
     circular_distance,
+    connected_components,
     correlation,
     load_graph,
     save_graph,
@@ -179,3 +183,58 @@ class TestGraphFile:
         loaded, k = load_graph(path)
         assert k == 0
         assert loaded.labels is None
+
+
+def bfs_components(n, ii, jj):
+    """Reference: label each component by its smallest node, found by BFS."""
+    adjacency = [[] for _ in range(n)]
+    for a, b in zip(ii, jj):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    labels = [-1] * n
+    for start in range(n):  # ascending, so each component's first node is its smallest
+        if labels[start] >= 0:
+            continue
+        labels[start] = start
+        queue = deque([start])
+        while queue:
+            for nxt in adjacency[queue.popleft()]:
+                if labels[nxt] < 0:
+                    labels[nxt] = start
+                    queue.append(nxt)
+    return np.array(labels, dtype=np.int64)
+
+
+class TestConnectedComponents:
+    def test_empty_edge_set(self):
+        assert connected_components(4, [], []).tolist() == [0, 1, 2, 3]
+        assert connected_components(0, [], []).size == 0
+
+    def test_isolated_nodes_keep_their_index(self):
+        roots = connected_components(6, [1, 2], [2, 4])
+        assert roots.tolist() == [0, 1, 1, 3, 1, 5]
+
+    def test_two_components_labelled_by_smallest_index(self):
+        # edges listed largest-first, in both orientations
+        roots = connected_components(6, [5, 3, 4, 0], [3, 1, 2, 2])
+        assert roots.tolist() == [0, 1, 0, 1, 0, 1]
+
+    def test_matches_bfs_on_random_small_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(250):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 2 * n))
+            ii = rng.integers(0, n, m)
+            jj = rng.integers(0, n, m)
+            np.testing.assert_array_equal(
+                connected_components(n, ii, jj), bfs_components(n, ii, jj)
+            )
+
+    def test_shuffled_long_path_is_fast(self):
+        n = 100_000
+        order = np.random.default_rng(5).permutation(n)
+        start = time.perf_counter()
+        roots = connected_components(n, order[:-1], order[1:])
+        elapsed = time.perf_counter() - start
+        assert np.all(roots == 0)
+        assert elapsed < 1.0

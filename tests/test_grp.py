@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ksync.core import TWO_PI, wrap_angle
+from ksync.core import TWO_PI, AngleGroups, wrap_angle
 from ksync.disentangle import DisentangleConfig, classification_errors, iterate_disentangle
 from ksync.genmodel import substream
 from ksync.sync import estimate_from_angles
 from ksync.grp import (
+    PatchSet,
     PointCloudPair,
+    _assemble,
     asap_recover,
     build_patches,
     make_two_configurations,
@@ -139,6 +141,44 @@ class TestBuildPatches:
         assert mixed and same
         assert min(mixed) > 10 * max(same)
 
+    def test_matches_set_based_pair_scan(self):
+        radius, min_overlap, p1, p2, seed = 2.5, 4, 0.5, 0.3, 8
+        pc = make_two_configurations(120, generator="uniform-square", seed=seed)
+        ps, g = build_patches(pc, radius=radius, min_overlap=min_overlap, sigma=0.05,
+                              p1=p1, p2=p2, seed=seed)
+
+        dist = np.linalg.norm(pc.X[:, None, :] - pc.X[None, :, :], axis=2)
+        members = [np.nonzero(dist[i] <= radius)[0] for i in range(pc.n)]
+        centers = [i for i in range(pc.n) if members[i].size >= 3]
+        np.testing.assert_array_equal(ps.centers, centers)
+        for got, i in zip(ps.members, centers):
+            np.testing.assert_array_equal(got, members[i])
+
+        # reference scan: every pair a < b in order, one scalar type draw per hit
+        member_sets = [set(map(int, m)) for m in ps.members]
+        type_rng = substream(seed, 0x3)
+        ii, jj, labels, theta = [], [], [], []
+        for a in range(ps.n_patches):
+            for b in range(a + 1, ps.n_patches):
+                common = np.array(sorted(member_sets[a] & member_sets[b]), dtype=np.int64)
+                if common.size < min_overlap:
+                    continue
+                pos_a = np.searchsorted(ps.members[a], common)
+                pos_b = np.searchsorted(ps.members[b], common)
+                u = type_rng.random()
+                label = 1 if u < p1 else 2 if u < p1 + p2 else 0
+                src_a = ps.local_y if label == 2 else ps.local_x
+                src_b = ps.local_x if label == 1 else ps.local_y
+                ii.append(a)
+                jj.append(b)
+                labels.append(label)
+                theta.append(procrustes_rotation(src_a[a][pos_a], src_b[b][pos_b]))
+        assert len(set(labels)) == 3
+        np.testing.assert_array_equal(g.ii, ii)
+        np.testing.assert_array_equal(g.jj, jj)
+        np.testing.assert_array_equal(g.labels, labels)
+        assert g.theta.tobytes() == np.array(theta).tobytes()
+
     def test_probability_validation(self):
         pc = make_two_configurations(64, seed=0)
         with pytest.raises(ValueError):
@@ -165,6 +205,19 @@ class TestAsapRecover:
         # recovered coordinates reproduce every patch equation exactly
         assert np.all(np.isfinite(x_hat))
         assert procrustes_error(pc.X, x_hat) <= 1e-9
+
+    def test_disjoint_patches_rejected(self):
+        local = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ps = PatchSet(
+            n_points=6,
+            centers=np.array([0, 3]),
+            members=(np.array([0, 1, 2]), np.array([3, 4, 5])),
+            local_x=(local, local),
+            local_y=(local, local),
+            rotations=AngleGroups(theta=np.zeros((2, 2))),
+        )
+        with pytest.raises(ValueError, match="translation system is disconnected"):
+            _assemble(ps, np.array([0, 1]), [local, local], np.zeros(2))
 
     def test_single_patch_trivially_exact(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

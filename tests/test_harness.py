@@ -90,6 +90,16 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("mode", ["setup2", "compare"])
+    def test_p_rejected_where_derived(self, mode):
+        cfg = ExperimentConfig(mode=mode, n=24, k=2, p=(0.4, 0.3), eta_grid=(0.2,),
+                               trials_angles=1, trials_graphs=1)
+        assert any("p must not be set" in e for e in validate_config(cfg))
+        with pytest.raises(ConfigError):
+            run_sweep(cfg)
+        with pytest.raises(ConfigError):
+            simulate_once(cfg)
+
     def test_setup1_eta_consistency_checked(self):
         cfg = ExperimentConfig(mode="setup1", n=10, k=2, p=(0.5, 0.3), eta=0.1)
         assert any("inconsistent" in e for e in validate_config(cfg))
@@ -187,6 +197,23 @@ class TestCli:
         code = cli_main(["sweep", "--mode", "setup1", "--n", "20", "--k", "2",
                          "--p", "0.5,0.6"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["sweep", "--mode", "setup2"], ["compare"]])
+    def test_p_with_derived_probabilities_exit_two(self, command, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = cli_main(command + ["--n", "20", "--k", "2", "--p", "0.4,0.3",
+                                   "--eta-grid", "0.2", "--trials-angles", "1",
+                                   "--trials-graphs", "1", "--out", str(out)])
+        assert code == 2
+        assert "p must not be set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grp_rejects_k_other_than_two(self, tmp_path, capsys):
+        code = cli_main(["grp", "--n", "16", "--k", "3", "--iterations", "1",
+                         "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert "k must be 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_runtime_error_exit_one(self, tmp_path):
         code = cli_main(["sweep", "--mode", "setup1", "--n", "20", "--k", "1",
