@@ -25,8 +25,8 @@ from .genmodel import MixtureParams, theory_bounds
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    derive_setup2_probs,
     emit_plot,
+    instance_probs,
     run_sweep,
     sample_instance,
     simulate_once,
@@ -34,11 +34,18 @@ from .harness import (
     write_csv,
     write_meta,
 )
-from .sync import EIG_H, SOLVERS, solve
+from .sync import EIG_H, EIG_R, SOLVERS, solve
 
 
-def _parse_floats(text):
-    return tuple(float(x) for x in text.split(",")) if text else None
+def _float_list(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+def _name_list(text):
+    return tuple(s.strip() for s in text.split(","))
+
+
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,38 +58,42 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--out", default=None, help="output path (CSV or prefix)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
         return p
 
     sim = common(sub.add_parser("simulate", help="one instance end-to-end"))
-    sim.add_argument("--p", type=str, default=None, help="comma-separated probabilities")
+    sim.add_argument("--out", default=None, help="write the sampled graph here")
+    sim.add_argument("--p", type=_float_list, default=None, help="comma-separated probabilities")
     sim.add_argument("--lam", type=float, default=None)
-    sim.add_argument("--solvers", type=str, default=None)
+    sim.add_argument("--solvers", type=_name_list, default=None)
 
     for name, help_text in (("sweep", "Monte-Carlo sweep (setup1 or setup2)"),
                             ("compare", "multi-solver setup2 sweep")):
         sw = common(sub.add_parser(name, help=help_text))
+        sw.add_argument("--out", default=None, help="CSV path (default sweep.csv)")
+        sw.add_argument("--threads", type=int, default=None, help="worker threads")
         sw.add_argument("--mode", default=None, choices=("setup1", "setup2", "compare"))
-        sw.add_argument("--p", type=str, default=None)
-        sw.add_argument("--lambda-grid", dest="lambda_grid", type=str, default=None)
-        sw.add_argument("--eta-grid", dest="eta_grid", type=str, default=None)
+        sw.add_argument("--p", type=_float_list, default=None)
+        sw.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, default=None)
+        sw.add_argument("--eta-grid", dest="eta_grid", type=_float_list, default=None)
         sw.add_argument("--gamma", type=float, default=None)
         sw.add_argument("--lam", type=float, default=None)
         sw.add_argument("--trials-angles", dest="trials_angles", type=int, default=None)
         sw.add_argument("--trials-graphs", dest="trials_graphs", type=int, default=None)
-        sw.add_argument("--solvers", type=str, default=None)
+        sw.add_argument("--solvers", type=_name_list, default=None)
         sw.add_argument("--plot", default=None, help="also write an SVG chart here")
 
     dis = common(sub.add_parser("disentangle", help="iterative graph disentangling"))
-    dis.add_argument("--p", type=str, default=None)
+    dis.add_argument("--out", default=None, help="prefix of the history and subgraph files")
+    dis.add_argument("--p", type=_float_list, default=None)
     dis.add_argument("--lam", type=float, default=None)
     dis.add_argument("--iterations", type=int, default=None)
-    dis.add_argument("--solver", default=None, choices=("EIG-H", "EIG-R"))
+    dis.add_argument("--solver", dest="solvers", type=lambda s: (s,), default=None,
+                     help="EIG-H or EIG-R")
 
     grp = common(sub.add_parser("grp", help="two-configuration graph realization"))
+    grp.add_argument("--out", default=None, help="prefix of the embedding files")
     grp.add_argument("--sigma", type=float, default=None)
     grp.add_argument("--radius", type=float, default=None)
     grp.add_argument("--p1", type=float, default=None)
@@ -90,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--iterations", type=int, default=None)
 
     theo = common(sub.add_parser("theory", help="print the theoretical bound report"))
-    theo.add_argument("--p", type=str, default=None)
+    theo.add_argument("--p", type=_float_list, default=None)
     theo.add_argument("--lam", type=float, default=None)
     theo.add_argument("--delta", type=float, default=None)
     theo.add_argument("--mu", type=float, default=None)
@@ -99,29 +110,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {}
-    for field in ("mode", "n", "k", "lam", "gamma", "seed", "out", "threads",
-                  "trials_angles", "trials_graphs", "iterations", "sigma",
-                  "radius", "p1", "p2", "delta", "mu", "epsilon"):
-        val = getattr(args, field, None)
-        if val is not None:
-            overrides[field] = val
-    for field in ("p", "lambda_grid", "eta_grid"):
-        val = getattr(args, field, None)
-        if val is not None:
-            overrides[field] = _parse_floats(val)
-    solvers = getattr(args, "solvers", None)
-    if solvers is not None:
-        overrides["solvers"] = tuple(s.strip() for s in solvers.split(","))
-    solver = getattr(args, "solver", None)
-    if solver is not None:
-        overrides["solvers"] = (solver,)
+    overrides = {key: val for key, val in vars(args).items()
+                 if key in _CONFIG_FIELDS and val is not None}
     if args.command == "compare":
         overrides.setdefault("mode", "compare")
         overrides.setdefault("solvers", SOLVERS)
-    if getattr(args, "config", None):
+    if args.config:
         return ExperimentConfig.from_json(args.config, overrides)
     return ExperimentConfig(**overrides)
+
+
+def _solver_problems(cfg: ExperimentConfig) -> list:
+    """disentangle and grp re-solve subgraphs with solvers[0]: EIG-H or EIG-R only."""
+    first = cfg.solvers[0] if cfg.solvers else None
+    if first in (EIG_H, EIG_R):
+        return []
+    return [f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}"]
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
@@ -144,11 +148,11 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
-    errors = validate_config(dataclasses.replace(cfg, mode="setup1"))
+    errors = validate_config(dataclasses.replace(cfg, mode="setup1")) + _solver_problems(cfg)
     if errors:
         raise ConfigError(errors)
     groups, graph, _ = sample_instance(cfg, cfg.lam, cfg.p, (0,), (0,))
-    solver = cfg.solvers[0] if cfg.solvers else EIG_H
+    solver = cfg.solvers[0]
     initial = solve(graph, cfg.k, solver)
     dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations, solver=solver)
     states = iterate_disentangle(graph, dcfg, initial, truth=groups)
@@ -184,6 +188,7 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
         problems.append("radius must be positive")
     if cfg.p1 < 0 or cfg.p2 < 0 or cfg.p1 + cfg.p2 > 1.0 + 1e-12:
         problems.append("need p1, p2 >= 0 with p1 + p2 <= 1")
+    problems += _solver_problems(cfg)
     if problems:
         raise ConfigError(problems)
     pc = grpmod.make_two_configurations(cfg.n, seed=cfg.seed)
@@ -191,7 +196,7 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
         pc, radius=cfg.radius, min_overlap=cfg.min_overlap, sigma=cfg.sigma,
         p1=cfg.p1, p2=cfg.p2, seed=cfg.seed,
     )
-    dcfg = DisentangleConfig(k=2, iterations=cfg.iterations)
+    dcfg = DisentangleConfig(k=2, iterations=cfg.iterations, solver=cfg.solvers[0])
     x_hat, y_hat, _ = grpmod.asap_recover(ps, graph, dcfg)
     err_x = grpmod.procrustes_error(pc.X, x_hat)
     err_y = grpmod.procrustes_error(pc.Y, y_hat)
@@ -208,8 +213,8 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_theory(cfg: ExperimentConfig, args) -> int:
     try:
-        p = cfg.p if cfg.p is not None else derive_setup2_probs(cfg.k, cfg.eta_grid[0], cfg.gamma)
-        params = MixtureParams(n=cfg.n, k=cfg.k, lam=cfg.lam, p=p, seed=cfg.seed)
+        params = MixtureParams(n=cfg.n, k=cfg.k, lam=cfg.lam, p=instance_probs(cfg),
+                               seed=cfg.seed)
         report = theory_bounds(params, cfg.delta, cfg.mu, cfg.epsilon)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc

@@ -192,7 +192,9 @@ class SyncEstimate:
     """Solver output: estimated angle groups plus the eigenpairs behind them.
 
     ``eigenvectors`` holds one unit-norm complex eigenvector per row, aligned
-    with ``eigenvalues`` (descending).  ``degenerate_entries`` lists (l, i)
+    with ``eigenvalues`` (descending); a solver that finds fewer than k
+    eigenvectors (SDP-BM when rank(V V^*) < k) fills the remaining rows with
+    zeros and their eigenvalues with 0.  ``degenerate_entries`` lists (l, i)
     positions where the source eigenvector entry had modulus below 1e-12 and
     the angle was therefore pinned to 0.  ``meta`` carries solver diagnostics
     (iteration counts, objectives, convergence flags).
@@ -213,8 +215,8 @@ class SyncEstimate:
         if vals.size > 1 and np.any(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         norms = np.linalg.norm(self.eigenvectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise ValueError("eigenvectors must have unit norm")
+        if np.any((np.abs(norms - 1.0) > 1e-10) & (norms != 0.0)):
+            raise ValueError("eigenvectors must have unit norm or be zero")
 
     @property
     def k(self) -> int:

@@ -29,17 +29,13 @@ class DisentangleConfig:
 
     ``bad_fractions`` gives, per group, the fraction of assigned edges to
     classify as bad each round.  When None it is derived from the graph's
-    ground-truth labels (see :func:`default_bad_fractions`); with
-    ``literal_noise_rule`` the fraction for group l is instead the
-    complement of that group's share of the whole edge set, computed from
-    the same labels.
+    ground-truth labels (see :func:`default_bad_fractions`).
     """
 
     k: int
     iterations: int = 20
     bad_fractions: tuple | None = None
     solver: str = EIG_H
-    literal_noise_rule: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -55,31 +51,22 @@ class DisentangleConfig:
             object.__setattr__(self, "bad_fractions", bf)
 
 
-def default_bad_fractions(p, eta: float | None = None) -> tuple:
+def default_bad_fractions(p) -> tuple:
     """Per-group bad fraction assuming outliers spread uniformly over groups.
 
-    With outlier mass eta split evenly, group l is expected to absorb
-    eta/k outliers next to its p_l good edges, so the bad share of its
-    assigned edges is (eta/k) / (p_l + eta/k).
+    With outlier mass eta = 1 - sum(p) split evenly, group l is expected to
+    absorb eta/k outliers next to its p_l good edges, so the bad share of
+    its assigned edges is (eta/k) / (p_l + eta/k).
     """
     p = [float(x) for x in np.atleast_1d(p)]
     k = len(p)
-    if eta is None:
-        eta = max(0.0, 1.0 - sum(p))
-    share = eta / k
+    share = max(0.0, 1.0 - sum(p)) / k
     return tuple(share / (pl + share) if pl + share > 0 else 0.0 for pl in p)
 
 
-def _fractions_from_labels(labels: np.ndarray, k: int, literal: bool) -> tuple:
+def _fractions_from_labels(labels: np.ndarray, k: int) -> tuple:
     counts = np.array([(labels == l).sum() for l in range(1, k + 1)], dtype=float)
-    outliers = float((labels == 0).sum())
-    total = counts.sum() + outliers
-    if total == 0:
-        return tuple(0.0 for _ in range(k))
-    if literal:
-        # global reading: everything outside group l's share counts as bad
-        return tuple(min(0.999, 1.0 - c / total) for c in counts)
-    share = outliers / k
+    share = float((labels == 0).sum()) / k
     return tuple(share / (c + share) if c + share > 0 else 0.0 for c in counts)
 
 
@@ -213,7 +200,7 @@ def iterate_disentangle(
             raise ValueError(
                 "bad_fractions not set and graph carries no ground-truth labels"
             )
-        fractions = _fractions_from_labels(g.labels, cfg.k, cfg.literal_noise_rule)
+        fractions = _fractions_from_labels(g.labels, cfg.k)
 
     theta = np.asarray(initial.theta_hat, dtype=float)
     states: list[DisentangleState] = []

@@ -102,6 +102,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
         errors.append("trial counts must be at least 1")
     if cfg.threads < 1:
         errors.append("threads must be at least 1")
+    if not cfg.solvers:
+        errors.append("solvers must be non-empty")
     for s in cfg.solvers:
         if s not in SOLVERS:
             errors.append(f"unknown solver {s!r}")
@@ -126,6 +128,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
     if cfg.mode in ("setup2", "compare"):
         if cfg.p is not None:
             errors.append(f"{cfg.mode} derives p from eta_grid and gamma; p must not be set")
+        if cfg.eta is not None:
+            errors.append(f"{cfg.mode} sweeps eta over eta_grid; eta must not be set")
         if not cfg.eta_grid:
             errors.append("eta_grid must be non-empty")
         if any(not 0.0 <= x < 1.0 for x in cfg.eta_grid):
@@ -150,6 +154,13 @@ def derive_setup2_probs(k: int, eta: float, gamma: float) -> tuple:
     if p[-1] <= 0.0:
         raise ValueError(f"smallest probability {p[-1]:.6g} is not positive")
     return p
+
+
+def instance_probs(cfg: ExperimentConfig) -> tuple:
+    """The p of a single instance: ``cfg.p`` if set, else setup2's p at eta_grid[0]."""
+    if cfg.p is not None:
+        return cfg.p
+    return derive_setup2_probs(cfg.k, cfg.eta_grid[0], cfg.gamma)
 
 
 def _grid_points(cfg: ExperimentConfig, log) -> list:
@@ -396,12 +407,7 @@ def simulate_once(cfg: ExperimentConfig):
     errors = validate_config(cfg)
     if errors:
         raise ConfigError(errors)
-    if cfg.mode == "setup1":
-        p = cfg.p
-    else:
-        eta = cfg.eta_grid[0] if cfg.eta is None else cfg.eta
-        p = derive_setup2_probs(cfg.k, eta, cfg.gamma)
-    groups, graph, _ = sample_instance(cfg, cfg.lam, p, (0,), (0,))
+    groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))
     report = {}
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, SdpBmConfig(seed=cfg.seed))

@@ -2,8 +2,9 @@
 
 Backed by LAPACK's dense Hermitian driver (numpy.linalg.eigh), which meets
 the residual contract ||H v - lambda v|| <= tol * ||H||_2 with large margin
-for the desk-scale matrices this library targets.  Callers must be invariant
-to the arbitrary global phase of each returned eigenvector.
+for the desk-scale matrices this library targets.  Every eigendecomposition
+in the package goes through this module.  Callers must be invariant to the
+arbitrary global phase of each returned eigenvector.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
     pairs = top_k_eig(S, k, tol=tol)
     vectors = dinv_sqrt[:, None] * pairs.vectors
     vectors = vectors / np.linalg.norm(vectors, axis=0)
-    R = H / d[:, None]
-    residuals = np.linalg.norm(R @ vectors - vectors * pairs.values, axis=0)
+    residuals = np.linalg.norm((H @ vectors) / d[:, None] - vectors * pairs.values, axis=0)
     scale = max(float(np.abs(pairs.values).max()), 1e-30)
     worst = float(residuals.max()) if residuals.size else 0.0
     if worst > tol * scale:

@@ -45,12 +45,13 @@ def extract_angles(vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
     return theta, degenerate
 
 
-def _estimate_from_pairs(pairs: linalg.EigenPairs, solver: str, meta=None) -> SyncEstimate:
-    theta_hat, degenerate = extract_angles(pairs.vectors)
+def _estimate_from_pairs(values: np.ndarray, vectors: np.ndarray, solver: str,
+                         meta=None) -> SyncEstimate:
+    theta_hat, degenerate = extract_angles(vectors)
     return SyncEstimate(
         theta_hat=theta_hat,
-        eigenvalues=pairs.values,
-        eigenvectors=pairs.vectors.T,
+        eigenvalues=values,
+        eigenvectors=vectors.T,
         solver=solver,
         degenerate_entries=degenerate,
         meta=meta or {},
@@ -80,7 +81,8 @@ def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
     H = build_measurement_matrix(g, diagonal=1.0)
-    return _estimate_from_pairs(linalg.top_k_eig(H, k), EIG_H)
+    pairs = linalg.top_k_eig(H, k)
+    return _estimate_from_pairs(pairs.values, pairs.vectors, EIG_H)
 
 
 def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
@@ -88,7 +90,8 @@ def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
     H = build_measurement_matrix(g, diagonal=1.0)
-    return _estimate_from_pairs(linalg.degree_normalized_eig(H, k), EIG_R)
+    pairs = linalg.degree_normalized_eig(H, k)
+    return _estimate_from_pairs(pairs.values, pairs.vectors, EIG_R)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,12 +141,15 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     """SDP-BM: Burer-Monteiro ascent on trace(H V V^*) with unit-norm rows.
 
     V starts from the top-r eigenvectors of H (rows normalized) and is
-    updated by V <- row_normalize((H + beta I) V), where the shift beta
-    makes the iteration matrix PSD; the shift adds the constant n*beta to
-    the objective, so ascent of the shifted objective is ascent of
-    trace(H V V^*) as well.  The objective sequence is checked to be
-    non-decreasing at every step.  Angles come from the top-k eigenvectors
-    of V V^*, obtained through the r x r Gram matrix.
+    updated by V <- row_normalize((H + beta I) V) with beta =
+    max(0, -lambda_min(H)), which makes the iteration matrix PSD; the shift
+    adds the constant n*beta to the objective, so ascent of the shifted
+    objective is ascent of trace(H V V^*) as well.  One product H V per
+    step gives the objective at V and the next iterate; the objective
+    sequence is checked to be non-decreasing.  Angles come from the top-k
+    eigenvectors of V V^* through the r x r Gram matrix; slots past its
+    rank get eigenvalue 0 and a zero vector, all of whose entries are
+    reported degenerate.
     """
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
@@ -155,23 +161,21 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     n = g.n
     r = min(r, n)
 
-    w, U = np.linalg.eigh(H)
-    shift = max(0.0, -float(w[0]))
+    w, U = linalg._eigh_descending(H)
+    shift = max(0.0, -float(w[-1]))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    V = _row_normalize(np.ascontiguousarray(U[:, ::-1][:, :r]), fallback)
+    V = _row_normalize(np.ascontiguousarray(U[:, :r]), fallback)
 
-    def objective(M):
-        return float(np.real(np.sum(np.conj(M) * (H @ M))))
-
-    obj = objective(V)
+    HV = H @ V
+    obj = float(np.real(np.sum(np.conj(V) * HV)))
     path = [obj]
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        W = H @ V + shift * V
-        V = _row_normalize(W, fallback)
-        new_obj = objective(V)
+        V = _row_normalize(HV + shift * V, fallback)
+        HV = H @ V
+        new_obj = float(np.real(np.sum(np.conj(V) * HV)))
         if new_obj < obj - 1e-9 * max(1.0, abs(obj)):
             raise RuntimeError(
                 f"objective decreased at iteration {iterations}: {obj} -> {new_obj}"
@@ -183,23 +187,16 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
             break
         obj = new_obj
 
-    gram = V.conj().T @ V
-    s, Wg = np.linalg.eigh(gram)
-    s, Wg = s[::-1], Wg[:, ::-1]
-    cols = []
-    for j in range(k):
-        if j < s.size and s[j] > 1e-30:
-            cols.append((V @ Wg[:, j]) / np.sqrt(s[j]))
-        else:
-            cols.append(np.zeros(n, dtype=complex))
-    vectors = np.column_stack(cols)
-    # zero columns (rank-deficient Upsilon) are still reported; their angles
-    # all come out degenerate
+    s, Wg = linalg._eigh_descending(V.conj().T @ V)
+    values = np.zeros(k)
+    vectors = np.zeros((n, k), dtype=complex)
+    for j in range(min(k, s.size)):
+        if s[j] > 1e-30:
+            values[j] = s[j]
+            vectors[:, j] = (V @ Wg[:, j]) / np.sqrt(s[j])
     norms = np.linalg.norm(vectors, axis=0)
     vectors = vectors / np.where(norms < 1e-30, 1.0, norms)
-    values = np.array([s[j] if j < s.size else 0.0 for j in range(k)])
 
-    theta_hat, degenerate = extract_angles(vectors)
     meta = {
         "iterations": iterations,
         "converged": converged,
@@ -208,14 +205,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
         "shift": shift,
         "rank": r,
     }
-    return SyncEstimate(
-        theta_hat=theta_hat,
-        eigenvalues=values,
-        eigenvectors=vectors.T,
-        solver=SDP_BM,
-        degenerate_entries=degenerate,
-        meta=meta,
-    )
+    return _estimate_from_pairs(values, vectors, SDP_BM, meta)
 
 
 def solve(g: MeasurementGraph, k: int, solver: str, cfg: SdpBmConfig | None = None) -> SyncEstimate:

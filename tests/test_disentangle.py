@@ -173,15 +173,6 @@ class TestIterateDisentangle:
         states = iterate_disentangle(g, cfg, estimate_from_angles(AngleGroups(theta=theta)))
         assert states[-1].disconnected == (True,)
 
-    def test_literal_noise_rule_discards_more(self):
-        groups, g = mixture(100, (0.45, 0.35), 1.0, 13)
-        exact = estimate_from_angles(groups)
-        model = iterate_disentangle(g, DisentangleConfig(k=2, iterations=1), exact)
-        literal = iterate_disentangle(
-            g, DisentangleConfig(k=2, iterations=1, literal_noise_rule=True), exact
-        )
-        assert (~literal[-1].good).sum() > (~model[-1].good).sum()
-
 
 class TestSubgraphEmission:
     def test_good_and_bad_subgraphs_round_trip(self, tmp_path):

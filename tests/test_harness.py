@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ksync import cli, harness
 from ksync.cli import main as cli_main
 from ksync.core import load_graph
 from ksync.harness import (
@@ -100,6 +101,23 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             simulate_once(cfg)
 
+    @pytest.mark.parametrize("mode", ["setup2", "compare"])
+    def test_eta_rejected_where_swept(self, mode):
+        cfg = ExperimentConfig(mode=mode, n=24, k=2, eta=0.9, eta_grid=(0.2,),
+                               trials_angles=1, trials_graphs=1)
+        assert any("eta must not be set" in e for e in validate_config(cfg))
+        with pytest.raises(ConfigError):
+            run_sweep(cfg)
+        with pytest.raises(ConfigError):
+            simulate_once(cfg)
+
+    def test_empty_solvers_rejected(self):
+        cfg = ExperimentConfig(mode="setup1", n=20, k=1, p=(1.0,), solvers=(),
+                               trials_angles=1, trials_graphs=1)
+        assert "solvers must be non-empty" in validate_config(cfg)
+        with pytest.raises(ConfigError):
+            run_sweep(cfg)
+
     def test_setup1_eta_consistency_checked(self):
         cfg = ExperimentConfig(mode="setup1", n=10, k=2, p=(0.5, 0.3), eta=0.1)
         assert any("inconsistent" in e for e in validate_config(cfg))
@@ -165,6 +183,25 @@ class TestSimulate:
         assert graph.n == 30 and groups.k == 1
         assert report["EIG-H"]["matched_by_index"][0] == pytest.approx(1.0, abs=1e-8)
 
+    def test_simulate_and_theory_share_p(self, tmp_path, monkeypatch, capsys):
+        data = {"mode": "setup2", "n": 40, "k": 2, "lam": 0.5, "gamma": 0.05,
+                "eta_grid": [0.3, 0.1]}
+        sampled = []
+        sample = harness.sample_instance
+
+        def spy(cfg, lam, p, *keys):
+            sampled.append(p)
+            return sample(cfg, lam, p, *keys)
+
+        monkeypatch.setattr(harness, "sample_instance", spy)
+        simulate_once(ExperimentConfig(**data))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(data))
+        assert cli_main(["theory", "--config", str(config)]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("p: "))
+        assert sampled == [derive_setup2_probs(2, 0.3, 0.05)]
+        assert line == f"p: {sampled[0]}"
+
 
 class TestConfigFile:
     def test_json_round_trip_with_overrides(self, tmp_path):
@@ -214,6 +251,50 @@ class TestCli:
         assert code == 2
         assert "k must be 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_grp_runs_with_eig_r(self, tmp_path, monkeypatch):
+        solvers = []
+        recover = cli.grpmod.asap_recover
+
+        def spy(ps, graph, dcfg):
+            solvers.append(dcfg.solver)
+            return recover(ps, graph, dcfg)
+
+        monkeypatch.setattr(cli.grpmod, "asap_recover", spy)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"solvers": ["EIG-R"]}))
+        code = cli_main(["grp", "--config", str(config), "--n", "64", "--iterations", "2",
+                         "--out", str(tmp_path / "g")])
+        assert code == 0
+        assert solvers == ["EIG-R"]
+        assert (tmp_path / "g_X.csv").exists() and (tmp_path / "g_Y.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["disentangle", "--p", "0.5,0.3", "--lam", "0.5", "--iterations", "1"],
+        ["grp", "--iterations", "1"],
+    ], ids=["disentangle", "grp"])
+    @pytest.mark.parametrize("solvers", [["SDP-BM"], ["SDP-BM", "EIG-H"], []],
+                             ids=["sdp", "sdp-first", "empty"])
+    def test_disentangling_solver_rule(self, command, solvers, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"solvers": solvers}))
+        code = cli_main(command + ["--config", str(config), "--n", "24", "--k", "2",
+                                   "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: disentangling needs solvers[0]" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--threads", "2"],
+        ["disentangle", "--threads", "2"],
+        ["grp", "--threads", "2"],
+        ["theory", "--threads", "2"],
+        ["theory", "--out", "t.txt"],
+    ], ids=" ".join)
+    def test_flags_a_command_ignores_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
 
     def test_runtime_error_exit_one(self, tmp_path):
         code = cli_main(["sweep", "--mode", "setup1", "--n", "20", "--k", "1",

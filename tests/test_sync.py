@@ -137,6 +137,16 @@ class TestSdpBm:
         assert est.meta["converged"] is False
         assert est.meta["iterations"] == 2
 
+    def test_rank_clipped_below_k_when_n_is_small(self):
+        g = MeasurementGraph(n=2, ii=[0], jj=[1], theta=[1.25])
+        est = sdp_bm_ksync(g, 3)
+        assert est.meta["rank"] == 2
+        assert np.all(est.eigenvectors[2] == 0)
+        assert est.eigenvalues[2] == 0
+        assert {(2, 0), (2, 1)} <= set(est.degenerate_entries)
+        offset = wrap_angle(est.theta_hat[0, 0] - est.theta_hat[0, 1])
+        assert offset == pytest.approx(1.25, abs=1e-10)
+
     def test_rank_below_k_rejected(self):
         _, g = mixture_instance(20, (0.5, 0.3), 1.0, 88)
         with pytest.raises(ValueError, match="rank"):
