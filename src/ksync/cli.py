@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        errors = validate_config(cfg) if args.command in ("sweep", "compare") else []
+        errors = validate_config(cfg) if args.command in ("sweep", "compare", "theory") else []
         if errors:
             raise ConfigError(errors)
     except ConfigError as exc:

@@ -1,10 +1,17 @@
 """Complex Hermitian eigen-routines with explicit accuracy contracts.
 
-Backed by LAPACK's dense Hermitian driver (numpy.linalg.eigh), which meets
-the residual contract ||H v - lambda v|| <= tol * ||H||_2 with large margin
-for the desk-scale matrices this library targets.  Every eigendecomposition
-in the package goes through this module.  Callers must be invariant to the
-arbitrary global phase of each returned eigenvector.
+:func:`top_k_eig` runs a block Lanczos iteration (block width k + 1, full
+reorthogonalization, fixed-seed start) on the dense matrix.  It returns the
+top-k Ritz pairs once they have converged and pair k + 1 has converged far
+enough to decide whether it ties with pair k; every returned pair is then
+checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken from
+the extreme Ritz values (an underestimate, so the check is never looser than
+with the exact norm).  The basis grows only as far as convergence needs; at
+dimension n it spans the whole space and the Ritz pairs are exact.
+:func:`spectral_norm` and the private :func:`_eigh_descending` used by the
+SDP solver stay on LAPACK's dense Hermitian driver (numpy.linalg.eigh).
+Every eigendecomposition in the package goes through this module.  Callers
+must be invariant to the arbitrary global phase of each returned eigenvector.
 """
 
 from __future__ import annotations
@@ -16,6 +23,12 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 TIE_REL_GAP = 1e-12
+LANCZOS_SEED = 0x4C414E
+# Lanczos stops when every estimated residual is below this share of tol
+LANCZOS_MARGIN = 0.1
+# a new direction whose norm after reorthogonalization is below this share
+# of ||A|| is rounding noise: the block has broken down there
+BREAKDOWN_REL = 1e-12
 
 
 class HermitianityError(ValueError):
@@ -37,13 +50,15 @@ class EigenPairs:
     ``residuals[j]`` is ||A v_j - values[j] v_j||_2 for the operator the
     pairs were computed from.  ``ties`` lists indices j where the gap to the
     next eigenvalue (within the full spectrum) is below 1e-12 * ||A||_2;
-    downstream ordering must not be trusted across a tie.
+    downstream ordering must not be trusted across a tie.  ``krylov_steps``
+    counts the block products with A the solver took.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     ties: tuple = ()
+    krylov_steps: int = 0
 
 
 def _as_hermitian(M) -> np.ndarray:
@@ -70,12 +85,117 @@ def _tie_indices(full_values: np.ndarray, k: int, norm: float) -> tuple:
     return tuple(int(j) for j in np.nonzero(gaps < TIE_REL_GAP * max(norm, 1e-30))[0])
 
 
+def _project_out(B: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """F minus its projection on the span of the orthonormal rows of B.
+
+    Rows hold conjugated vectors, so this is one classical Gram-Schmidt
+    pass for a row or a block of rows.
+    """
+    return F - (B @ F.conj().T).conj().T @ B
+
+
+def _append_rows(Q: np.ndarray, m: int, F: np.ndarray, rng, floor: float) -> int:
+    """Extend the orthonormal rows Q[:m] by the span of the rows of F.
+
+    F must already be orthogonal to Q[:m]; each row is orthogonalized
+    against the rows appended before it, and against the whole basis again
+    when that cancels more than 30% of it.  A row left with norm at most
+    ``floor`` lies in the span already (the block broke down there): it is
+    replaced by a fresh random row orthogonal to the basis, so the basis
+    grows by min(len(F), n - m) rows.  Returns the new row count.
+    """
+    n = Q.shape[1]
+    first = m
+    for f in F[: n - m]:
+        before = np.linalg.norm(f)
+        f = _project_out(Q[first:m], _project_out(Q[first:m], f))
+        after = np.linalg.norm(f)
+        if after < 0.7 * before:
+            f = _project_out(Q[:m], _project_out(Q[:m], f))
+            after = np.linalg.norm(f)
+        if after <= floor:
+            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            f = _project_out(Q[:m], _project_out(Q[:m], f))
+            after = np.linalg.norm(f)
+        Q[m] = f / after
+        m += 1
+    return m
+
+
+def _block_lanczos(H: np.ndarray, k: int, tol: float):
+    """Top min(k + 1, n) Ritz pairs of H by block Lanczos.
+
+    The block width is p = min(k + 1, n), so an eigenvalue of multiplicity
+    up to p is found in full; the start block comes from a fixed PCG64 seed.
+    The basis is kept as conjugated rows (row i holds conj(q_i)), so a step
+    is the product ``Q_block @ H`` = (H Q_block)^H, followed by two
+    Gram-Schmidt passes against the whole basis.  The projected matrix
+    T = Q^H H Q is built one column block per step; the residual of a Ritz
+    vector Q s is ||B s_last||, B the projection of the step's remainder on
+    the next block.  Stops when the top k residuals are below
+    LANCZOS_MARGIN * tol * max|Ritz value| and pair k + 1 has either met the
+    same bound or is certain to lie more than the tie gap below pair k
+    (theta_{k+1} + residual < theta_k - TIE_REL_GAP * norm), or when the
+    basis spans the whole space (then the pairs are exact).  Returns
+    (top p values, their vectors, all Ritz values, block steps), values in
+    descending order.
+    """
+    n = H.shape[0]
+    p = min(k + 1, n)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(LANCZOS_SEED)))
+    cap = min(n, 16 * p)
+    Q = np.empty((cap, n), dtype=complex)
+    T = np.zeros((cap, cap), dtype=complex)
+    m = _append_rows(Q, 0, rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n)),
+                     rng, 0.0)
+    start, scale, steps, check, last = 0, 0.0, 0, 1, (0, np.inf)
+    while True:
+        block = slice(start, m)
+        W = Q[block] @ H
+        steps += 1
+        scale = max(scale, float(np.linalg.norm(W, axis=1).max()))
+        C = Q[:m] @ W.conj().T
+        T[:m, block] = C
+        W = _project_out(Q[:m], W - C.conj().T @ Q[:m])
+        start = m
+        if m < n:
+            if m + W.shape[0] > cap:
+                cap = min(n, 2 * cap + W.shape[0])
+                Q = np.concatenate([Q[:m], np.empty((cap - m, n), dtype=complex)])
+                T = np.pad(T[:m, :m], ((0, cap - m), (0, cap - m)))
+            m = _append_rows(Q, m, W, rng, BREAKDOWN_REL * scale)
+            T[start:m, block] = Q[start:m] @ W.conj().T
+        if steps < check and start < n:
+            continue
+        Tm = T[:start, :start]
+        theta, S = _eigh_descending(0.5 * (Tm + Tm.conj().T))
+        top, values = S[:, :p], theta[:p]
+        est = np.linalg.norm(T[start:m, block] @ top[block], axis=0)
+        norm = float(max(abs(theta[0]), abs(theta[-1])))
+        bound = np.full(p, LANCZOS_MARGIN * tol * norm)
+        if p > k:
+            bound[k] = max(bound[k], values[k - 1] - values[k] - TIE_REL_GAP * norm)
+        if start == n or np.all(est <= bound):
+            return values, (top.conj().T @ Q[:start]).conj().T, theta, steps
+        # Rayleigh-Ritz costs O(m^3): check again when the log-linear trend
+        # of the worst residual since the last check says it will pass, but
+        # no later than a quarter of the steps so far
+        lag = float(np.max(np.log(est / bound)))
+        rate = (last[1] - lag) / (steps - last[0])
+        jump = max(1, steps // 4)
+        if lag < rate * jump:
+            jump = max(1, int(np.ceil(lag / rate)))
+        check = steps + jump
+        last = (steps, lag)
+
+
 def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
     """The k algebraically largest eigenpairs of a Hermitian matrix.
 
-    Raises :class:`HermitianityError` on non-Hermitian input and
-    :class:`EigenConvergenceError` if the residual contract
-    ||H v - lambda v|| <= tol * ||H||_2 cannot be met.
+    Computed by block Lanczos on the top min(k + 1, n) pairs, so ``ties``
+    sees the gap to pair k + 1.  Raises :class:`HermitianityError` on
+    non-Hermitian input and :class:`EigenConvergenceError` if the residual
+    contract ||H v - lambda v|| <= tol * ||H||_2 cannot be met.
     """
     H = _as_hermitian(H)
     n = H.shape[0]
@@ -83,10 +203,10 @@ def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w, V = _eigh_descending(H)
-    values = w[:k].copy()
+    top, V, ritz, steps = _block_lanczos(H, k, tol)
+    values = top[:k].copy()
     vectors = np.ascontiguousarray(V[:, :k])
-    norm = float(max(abs(w[0]), abs(w[-1])))
+    norm = float(max(abs(ritz[0]), abs(ritz[-1])))
     residuals = np.linalg.norm(H @ vectors - vectors * values, axis=0)
     worst = float(residuals.max()) if residuals.size else 0.0
     if worst > tol * max(norm, 1e-30):
@@ -94,7 +214,7 @@ def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
             f"residual {worst:.3e} exceeds {tol:.1e} * ||H||_2", best_residual=worst
         )
     return EigenPairs(values=values, vectors=vectors, residuals=residuals,
-                      ties=_tie_indices(w, k, norm))
+                      ties=_tie_indices(top, k, norm), krylov_steps=steps)
 
 
 def spectral_norm(M) -> float:
@@ -141,4 +261,4 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
             best_residual=worst,
         )
     return EigenPairs(values=pairs.values, vectors=vectors, residuals=residuals,
-                      ties=pairs.ties)
+                      ties=pairs.ties, krylov_steps=pairs.krylov_steps)

@@ -29,6 +29,8 @@ SDP_BM = "SDP-BM"
 SOLVERS = (EIG_H, EIG_R, SDP_BM)
 
 DEGENERATE_MODULUS = 1e-12
+# Gram eigenvalues of V V^* below this share of the largest are rounding noise
+GRAM_RANK_REL = 1e-12
 
 
 def extract_angles(vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -58,6 +60,15 @@ def _estimate_from_pairs(values: np.ndarray, vectors: np.ndarray, solver: str,
     )
 
 
+def _spectral_estimate(pairs: linalg.EigenPairs, solver: str) -> SyncEstimate:
+    meta = {
+        "eig_residual_max": float(pairs.residuals.max()),
+        "ties": pairs.ties,
+        "krylov_steps": pairs.krylov_steps,
+    }
+    return _estimate_from_pairs(pairs.values, pairs.vectors, solver, meta)
+
+
 def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
     """Wrap known angles as a SyncEstimate (solver tag "exact").
 
@@ -77,21 +88,26 @@ def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
 
 
 def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
-    """EIG-H: phases of the top-k eigenvectors of the measurement matrix."""
+    """EIG-H: phases of the top-k eigenvectors of the measurement matrix.
+
+    ``meta`` carries the eigensolve's worst residual (``eig_residual_max``),
+    its ``ties`` and its ``krylov_steps``.
+    """
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
     H = build_measurement_matrix(g, diagonal=1.0)
-    pairs = linalg.top_k_eig(H, k)
-    return _estimate_from_pairs(pairs.values, pairs.vectors, EIG_H)
+    return _spectral_estimate(linalg.top_k_eig(H, k), EIG_H)
 
 
 def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
-    """EIG-R: phases of the top-k eigenvectors of the degree-normalized operator."""
+    """EIG-R: phases of the top-k eigenvectors of the degree-normalized operator.
+
+    ``meta`` holds the same eigensolve diagnostics as :func:`spectral_ksync`.
+    """
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
     H = build_measurement_matrix(g, diagonal=1.0)
-    pairs = linalg.degree_normalized_eig(H, k)
-    return _estimate_from_pairs(pairs.values, pairs.vectors, EIG_R)
+    return _spectral_estimate(linalg.degree_normalized_eig(H, k), EIG_R)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,8 +164,9 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     step gives the objective at V and the next iterate; the objective
     sequence is checked to be non-decreasing.  Angles come from the top-k
     eigenvectors of V V^* through the r x r Gram matrix; slots past its
-    rank get eigenvalue 0 and a zero vector, all of whose entries are
-    reported degenerate.
+    numerical rank (eigenvalues at most 1e-12 times the largest) get
+    eigenvalue 0 and a zero vector, all of whose entries are reported
+    degenerate.
     """
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
@@ -191,7 +208,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     values = np.zeros(k)
     vectors = np.zeros((n, k), dtype=complex)
     for j in range(min(k, s.size)):
-        if s[j] > 1e-30:
+        if s[j] > GRAM_RANK_REL * s[0]:
             values[j] = s[j]
             vectors[:, j] = (V @ Wg[:, j]) / np.sqrt(s[j])
     norms = np.linalg.norm(vectors, axis=0)

@@ -322,6 +322,18 @@ class TestCli:
         edges = sum(load_graph(tmp_path / name)[0].m for name in parts)
         assert edges == m * (m - 1) // 2 + m * (n - m)
 
+    @pytest.mark.parametrize("config, message", [
+        ({"mode": "setup2", "eta": 0.4, "gamma": 0.05}, "eta must not be set"),
+        ({"mode": "bogus"}, "mode must be one of"),
+    ], ids=["eta-in-setup2", "unknown-mode"])
+    def test_theory_validates_config(self, config, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["theory", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: " in captured.err and message in captured.err
+        assert captured.out == ""
+
     def test_theory_prints(self, capsys):
         code = cli_main(["theory", "--n", "50", "--k", "2", "--p", "0.3,0.2",
                          "--lam", "1.0", "--delta", "0.1"])

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksync.core import AngleGroups, TWO_PI, build_measurement_matrix, correlation, wrap_angle
 from ksync.genmodel import (
@@ -25,6 +31,39 @@ def random_unit(n, seed):
     rng = substream(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def random_hermitian(n, seed):
+    rng = substream(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (A + A.conj().T) / 2
+
+
+def random_unitary(n, seed):
+    rng = substream(seed)
+    Z, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Z * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def dense_oracle(H, k):
+    """Top min(k + 1, n) eigenpairs (descending), the norm and the ties, from dense eigh."""
+    w, V = np.linalg.eigh(H)
+    w, V = w[::-1], V[:, ::-1]
+    norm = max(abs(w[0]), abs(w[-1]))
+    gaps = np.abs(np.diff(w[: k + 1]))
+    ties = tuple(int(j) for j in np.nonzero(gaps < 1e-12 * norm)[0])
+    return w, V, norm, ties
+
+
+def assert_matches_oracle(H, k, pairs):
+    w, V, norm, ties = dense_oracle(H, k)
+    assert np.max(np.abs(pairs.values - w[:k])) <= 1e-10 * norm
+    assert pairs.ties == ties
+    for j in range(k):
+        # the eigenvector is only defined up to phase, and only off ties
+        gap = min(abs(w[j] - w[i]) for i in (j - 1, j + 1) if 0 <= i < w.size) if w.size > 1 else np.inf
+        if gap > 1e-6 * norm:
+            assert abs(np.vdot(V[:, j], pairs.vectors[:, j])) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTopKEig:
@@ -85,6 +124,76 @@ class TestTopKEig:
         with pytest.raises(EigenConvergenceError) as err:
             top_k_eig(H, 2, tol=1e-30)
         assert err.value.best_residual > 0.0
+
+
+class TestKrylovAgainstDenseOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 300), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_random_hermitian(self, n, k, seed):
+        k = min(k, n)
+        H = random_hermitian(n, seed)
+        pairs = top_k_eig(H, k)
+        assert_matches_oracle(H, k, pairs)
+        assert pairs.vectors.shape == (n, k)
+        assert pairs.krylov_steps >= 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_k_equal_to_n_and_n_minus_one(self, n):
+        H = random_hermitian(n, 50 + n)
+        for k in {n, max(n - 1, 1)}:
+            assert_matches_oracle(H, k, top_k_eig(H, k))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_repeated_top_eigenvalue_found(self, k):
+        # spectrum (30, 30, 10, 9, bulk in [-5, 5]) hidden by a random unitary
+        n = 200
+        rng = substream(61)
+        w = np.concatenate([[30.0, 30.0, 10.0, 9.0], rng.uniform(-5.0, 5.0, n - 4)])
+        U = random_unitary(n, 62)
+        H = (U * w) @ U.conj().T
+        H = (H + H.conj().T) / 2
+        pairs = top_k_eig(H, k)
+        assert pairs.values == pytest.approx([30.0] * k, abs=1e-9)
+        assert pairs.ties == (0,)
+        top_space = U[:, :2]
+        captured = np.linalg.norm(top_space.conj().T @ pairs.vectors, axis=0)
+        assert captured == pytest.approx(np.ones(k), abs=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_block_diagonal_copy_doubles_every_eigenvalue(self, k):
+        groups = sample_angles(80, 2, 63)
+        params = MixtureParams(n=80, k=2, lam=0.6, p=(0.4, 0.3), seed=64)
+        H1 = build_measurement_matrix(sample_er_mixture(params, groups), diagonal=1.0)
+        H = np.zeros((160, 160), dtype=complex)
+        H[:80, :80] = H1
+        H[80:, 80:] = H1
+        pairs = top_k_eig(H, k)
+        assert_matches_oracle(H, k, pairs)
+        assert 0 in pairs.ties
+        w1 = np.linalg.eigvalsh(H1)[::-1]
+        assert pairs.values == pytest.approx(np.repeat(w1, 2)[:k], abs=1e-9 * abs(w1).max())
+
+
+def test_theta_hat_independent_of_blas_thread_count():
+    script = (
+        "import hashlib\n"
+        "from ksync.genmodel import MixtureParams, sample_angles, sample_er_mixture\n"
+        "from ksync.sync import spectral_ksync\n"
+        "groups = sample_angles(1000, 2, 5)\n"
+        "params = MixtureParams(n=1000, k=2, lam=0.2, p=(0.45, 0.35), seed=6)\n"
+        "est = spectral_ksync(sample_er_mixture(params, groups), 2)\n"
+        "print(hashlib.sha256(est.theta_hat.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 class TestSpectralNorm:

@@ -79,6 +79,15 @@ class TestSpectralKsync:
         with pytest.raises(ValueError):
             spectral_ksync(g, 1)
 
+    @pytest.mark.parametrize("solver", [spectral_ksync, normalized_spectral_ksync])
+    def test_meta_carries_eigensolve_diagnostics(self, solver):
+        _, g = mixture_instance(120, (0.4, 0.3), 0.8, 71)
+        est = solver(g, 2)
+        assert set(est.meta) == {"eig_residual_max", "ties", "krylov_steps"}
+        assert 0.0 <= est.meta["eig_residual_max"] <= 1e-10 * max(abs(est.eigenvalues))
+        assert est.meta["ties"] == ()
+        assert est.meta["krylov_steps"] >= 1
+
 
 class TestNormalizedSpectralKsync:
     def test_single_edge_exact_both_solvers(self):
@@ -146,6 +155,18 @@ class TestSdpBm:
         assert {(2, 0), (2, 1)} <= set(est.degenerate_entries)
         offset = wrap_angle(est.theta_hat[0, 0] - est.theta_hat[0, 1])
         assert offset == pytest.approx(1.25, abs=1e-10)
+
+    def test_rounding_noise_is_not_an_eigenvector(self):
+        # noiseless complete graph: V V^* has rank one, its second Gram
+        # eigenvalue is rounding noise (about 1e-17), so slot 2 is a zero slot
+        n = 10
+        ii, jj = np.triu_indices(n, 1)
+        g = MeasurementGraph(n=n, ii=ii, jj=jj, theta=np.zeros(ii.size))
+        est = sdp_bm_ksync(g, 2)
+        assert est.eigenvalues[0] == pytest.approx(n)
+        assert est.eigenvalues[1] == 0
+        assert np.all(est.eigenvectors[1] == 0)
+        assert set(est.degenerate_entries) == {(1, i) for i in range(n)}
 
     def test_rank_below_k_rejected(self):
         _, g = mixture_instance(20, (0.5, 0.3), 1.0, 88)
