@@ -74,7 +74,6 @@ from .sync import (
     SDP_BM,
     SOLVERS,
     EvalResult,
-    SdpBmConfig,
     angle_objective,
     estimate_from_angles,
     evaluate,

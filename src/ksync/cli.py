@@ -120,12 +120,15 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
-def _solver_problems(cfg: ExperimentConfig) -> list:
-    """disentangle and grp re-solve subgraphs with solvers[0]: EIG-H or EIG-R only."""
+def _disentangle_problems(cfg: ExperimentConfig) -> list:
+    """disentangle and grp run at least one round, re-solving with EIG-H or EIG-R."""
+    problems = []
     first = cfg.solvers[0] if cfg.solvers else None
-    if first in (EIG_H, EIG_R):
-        return []
-    return [f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}"]
+    if first not in (EIG_H, EIG_R):
+        problems.append(f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}")
+    if cfg.iterations < 1:
+        problems.append("iterations must be at least 1")
+    return problems
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
@@ -148,7 +151,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
-    errors = validate_config(dataclasses.replace(cfg, mode="setup1")) + _solver_problems(cfg)
+    errors = validate_config(dataclasses.replace(cfg, mode="setup1")) + _disentangle_problems(cfg)
     if errors:
         raise ConfigError(errors)
     groups, graph, _ = sample_instance(cfg, cfg.lam, cfg.p, (0,), (0,))
@@ -188,7 +191,9 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
         problems.append("radius must be positive")
     if cfg.p1 < 0 or cfg.p2 < 0 or cfg.p1 + cfg.p2 > 1.0 + 1e-12:
         problems.append("need p1, p2 >= 0 with p1 + p2 <= 1")
-    problems += _solver_problems(cfg)
+    if cfg.min_overlap < 3:
+        problems.append("min_overlap must be at least 3")
+    problems += _disentangle_problems(cfg)
     if problems:
         raise ConfigError(problems)
     pc = grpmod.make_two_configurations(cfg.n, seed=cfg.seed)

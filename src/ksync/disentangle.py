@@ -59,15 +59,18 @@ def default_bad_fractions(p) -> tuple:
     its assigned edges is (eta/k) / (p_l + eta/k).
     """
     p = [float(x) for x in np.atleast_1d(p)]
-    k = len(p)
-    share = max(0.0, 1.0 - sum(p)) / k
-    return tuple(share / (pl + share) if pl + share > 0 else 0.0 for pl in p)
+    return _outlier_shares(p, max(0.0, 1.0 - sum(p)))
 
 
 def _fractions_from_labels(labels: np.ndarray, k: int) -> tuple:
     counts = np.array([(labels == l).sum() for l in range(1, k + 1)], dtype=float)
-    share = float((labels == 0).sum()) / k
-    return tuple(share / (c + share) if c + share > 0 else 0.0 for c in counts)
+    return _outlier_shares(counts, float((labels == 0).sum()))
+
+
+def _outlier_shares(good, outliers: float) -> tuple:
+    """share / (good_l + share) per group, with the outliers split evenly."""
+    share = outliers / len(good)
+    return tuple(share / (c + share) if c + share > 0 else 0.0 for c in good)
 
 
 def _residuals(theta_hat: np.ndarray, ii, jj, theta) -> np.ndarray:
@@ -129,8 +132,7 @@ class DisentangleState:
     ``assignment`` maps every edge to a group (0-based); ``good`` marks the
     edges kept in that group's recovered subgraph, the rest being pooled as
     bad.  ``matched_corr`` holds per-group correlations against ground truth
-    when it was supplied, and ``history`` the sequence of those tuples up to
-    this round.
+    when it was supplied.
     """
 
     iteration: int
@@ -140,7 +142,6 @@ class DisentangleState:
     gamma: np.ndarray
     disconnected: tuple
     matched_corr: tuple | None = None
-    history: tuple = ()
 
     @property
     def gamma_median(self) -> float:
@@ -204,7 +205,6 @@ def iterate_disentangle(
 
     theta = np.asarray(initial.theta_hat, dtype=float)
     states: list[DisentangleState] = []
-    history: list[tuple] = []
     for r in range(1, cfg.iterations + 1):
         psi = residual_matrices(g, theta)
         assignment, gamma = assign_edges(psi)
@@ -231,9 +231,8 @@ def iterate_disentangle(
         matched = None
         if truth is not None:
             ev = evaluate(truth, estimate_from_angles(AngleGroups(theta=new_theta)),
-                          matching="exhaustive" if cfg.k <= 8 else "greedy")
+                          matching="best")
             matched = tuple(float(x) for x in ev.matched)
-            history.append(matched)
         states.append(
             DisentangleState(
                 iteration=r,
@@ -243,7 +242,6 @@ def iterate_disentangle(
                 gamma=gamma,
                 disconnected=tuple(flags),
                 matched_corr=matched,
-                history=tuple(history),
             )
         )
         theta = new_theta

@@ -53,16 +53,11 @@ def procrustes_rotation(a: np.ndarray, b: np.ndarray) -> float:
     return float(wrap_angle(np.angle(np.sum(ca * np.conj(cb)))))
 
 
-def procrustes_error(
-    A: np.ndarray,
-    B: np.ndarray,
-    allow_reflection: bool = False,
-    allow_scale: bool = False,
-) -> float:
+def procrustes_error(A: np.ndarray, B: np.ndarray) -> float:
     """Mean displacement after optimally aligning B onto A.
 
-    The fit is over rotation + translation; reflection and scale are off by
-    default and opt-in.
+    The fit is over rotation + translation; reflections and scaling are not
+    fitted, so a mirrored or rescaled B scores above zero.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -70,22 +65,11 @@ def procrustes_error(
         raise ValueError("A and B must be equal n x 2 arrays with n >= 2")
     ca = _as_complex(A)
     ca = ca - ca.mean()
-
-    def fit(cb):
-        cb = cb - cb.mean()
-        cross = np.sum(ca * np.conj(cb))
-        phase = cross / abs(cross) if abs(cross) > 0 else 1.0
-        if allow_scale:
-            denom = float(np.sum(np.abs(cb) ** 2))
-            scale = abs(cross) / denom if denom > 0 else 1.0
-        else:
-            scale = 1.0
-        return float(np.mean(np.abs(ca - scale * phase * cb)))
-
-    err = fit(_as_complex(B))
-    if allow_reflection:
-        err = min(err, fit(np.conj(_as_complex(B))))
-    return err
+    cb = _as_complex(B)
+    cb = cb - cb.mean()
+    cross = np.sum(ca * np.conj(cb))
+    phase = cross / abs(cross) if abs(cross) > 0 else 1.0
+    return float(np.mean(np.abs(ca - phase * cb)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .genmodel import MixtureParams, child_seed, sample_angles, sample_ba_mixture, sample_er_mixture
-from .sync import EIG_H, SOLVERS, SdpBmConfig, evaluate, solve
+from .sync import EIG_H, SOLVERS, evaluate, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -48,7 +48,6 @@ class ExperimentConfig:
     n: int = 500
     k: int = 2
     p: tuple | None = None
-    eta: float | None = None
     lambda_grid: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)
     gamma: float = 0.05
     eta_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -119,8 +118,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 MixtureParams(n=max(cfg.n, 1), k=len(cfg.p), lam=1.0, p=cfg.p)
             except ValueError as exc:
                 errors.append(f"invalid p: {exc}")
-            if cfg.eta is not None and abs(cfg.eta - (1.0 - sum(cfg.p))) > 1e-9:
-                errors.append("eta is inconsistent with 1 - sum(p)")
         if not cfg.lambda_grid:
             errors.append("lambda_grid must be non-empty")
         if any(not 0.0 <= x <= 1.0 for x in cfg.lambda_grid):
@@ -128,8 +125,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
     if cfg.mode in ("setup2", "compare"):
         if cfg.p is not None:
             errors.append(f"{cfg.mode} derives p from eta_grid and gamma; p must not be set")
-        if cfg.eta is not None:
-            errors.append(f"{cfg.mode} sweeps eta over eta_grid; eta must not be set")
         if not cfg.eta_grid:
             errors.append("eta_grid must be non-empty")
         if any(not 0.0 <= x < 1.0 for x in cfg.eta_grid):
@@ -205,7 +200,7 @@ def _run_trial(cfg, gi, point, a, gidx):
     groups, graph, graph_seed = sample_instance(cfg, lam, p, (gi, a), (gi, a, gidx))
     out = {}
     for solver in cfg.solvers:
-        est = solve(graph, cfg.k, solver, SdpBmConfig(seed=graph_seed))
+        est = solve(graph, cfg.k, solver, seed=graph_seed)
         ev = evaluate(groups, est, matching="by-index")
         diag = {
             "degenerate": len(est.degenerate_entries),
@@ -224,6 +219,8 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
     trials_angles x trials_graphs runs, plus aggregated solver diagnostics.
     """
     errors = validate_config(cfg)
+    if cfg.mode == "setup1" and cfg.ba_attachment is not None:
+        errors.append("setup1 sweeps lambda_grid, but the Barabasi-Albert sampler ignores lambda")
     if errors:
         raise ConfigError(errors)
     messages = []
@@ -410,9 +407,9 @@ def simulate_once(cfg: ExperimentConfig):
     groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))
     report = {}
     for solver in cfg.solvers:
-        est = solve(graph, cfg.k, solver, SdpBmConfig(seed=cfg.seed))
+        est = solve(graph, cfg.k, solver, seed=cfg.seed)
         ev_idx = evaluate(groups, est, matching="by-index")
-        ev_best = evaluate(groups, est, matching="exhaustive" if cfg.k <= 8 else "greedy")
+        ev_best = evaluate(groups, est, matching="best")
         report[solver] = {
             "matched_by_index": [float(x) for x in ev_idx.matched],
             "matched_best": [float(x) for x in ev_best.matched],

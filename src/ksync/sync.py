@@ -29,6 +29,9 @@ SDP_BM = "SDP-BM"
 SOLVERS = (EIG_H, EIG_R, SDP_BM)
 
 DEGENERATE_MODULUS = 1e-12
+# SDP-BM ascent: step cap and relative objective change that counts as converged
+SDP_MAX_ITERS = 1000
+SDP_REL_TOL = 1e-8
 # Gram eigenvalues of V V^* below this share of the largest are rounding noise
 GRAM_RANK_REL = 1e-12
 
@@ -110,27 +113,6 @@ def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     return _spectral_estimate(linalg.degree_normalized_eig(H, k), EIG_R)
 
 
-@dataclasses.dataclass(frozen=True)
-class SdpBmConfig:
-    """Low-rank factorization settings for the SDP solver.
-
-    ``rank`` defaults to k + 2 (strictly above k avoids the rank-deficient
-    saddle).  ``seed`` only matters when an initial row has zero norm and
-    must be filled randomly.
-    """
-
-    rank: int | None = None
-    max_iters: int = 1000
-    rel_tol: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
 def _row_normalize(V: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(V, axis=1)
     dead = norms < 1e-300
@@ -153,16 +135,21 @@ def angle_objective(H: np.ndarray, theta_hat: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(V) * (H @ V))))
 
 
-def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) -> SyncEstimate:
+def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     """SDP-BM: Burer-Monteiro ascent on trace(H V V^*) with unit-norm rows.
 
-    V starts from the top-r eigenvectors of H (rows normalized) and is
+    V is n x r with r = min(k + 2, n): rank k + 2 is strictly above k,
+    which avoids the rank-deficient saddle (Boumal-Voroninski-Bandeira
+    2016).  V starts from the top-r eigenvectors of H (rows normalized; a
+    zero row is filled from a random stream seeded by ``seed``) and is
     updated by V <- row_normalize((H + beta I) V) with beta =
     max(0, -lambda_min(H)), which makes the iteration matrix PSD; the shift
     adds the constant n*beta to the objective, so ascent of the shifted
     objective is ascent of trace(H V V^*) as well.  One product H V per
     step gives the objective at V and the next iterate; the objective
-    sequence is checked to be non-decreasing.  Angles come from the top-k
+    sequence is checked to be non-decreasing.  The ascent stops once the
+    objective changes by at most 1e-8 relative, or after 1000 steps with
+    ``meta["converged"]`` False.  Angles come from the top-k
     eigenvectors of V V^* through the r x r Gram matrix; slots past its
     numerical rank (eigenvalues at most 1e-12 times the largest) get
     eigenvalue 0 and a zero vector, all of whose entries are reported
@@ -170,17 +157,13 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     """
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
-    cfg = cfg or SdpBmConfig()
-    r = cfg.rank if cfg.rank is not None else k + 2
-    if r < k:
-        raise ValueError(f"rank {r} must be at least k={k}")
     H = build_measurement_matrix(g, diagonal=1.0)
     n = g.n
-    r = min(r, n)
+    r = min(k + 2, n)
 
     w, U = linalg._eigh_descending(H)
     shift = max(0.0, -float(w[-1]))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     V = _row_normalize(np.ascontiguousarray(U[:, :r]), fallback)
 
@@ -189,7 +172,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     path = [obj]
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, SDP_MAX_ITERS + 1):
         V = _row_normalize(HV + shift * V, fallback)
         HV = H @ V
         new_obj = float(np.real(np.sum(np.conj(V) * HV)))
@@ -198,7 +181,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
                 f"objective decreased at iteration {iterations}: {obj} -> {new_obj}"
             )
         path.append(new_obj)
-        if abs(new_obj - obj) <= cfg.rel_tol * max(1.0, abs(obj)):
+        if abs(new_obj - obj) <= SDP_REL_TOL * max(1.0, abs(obj)):
             obj = new_obj
             converged = True
             break
@@ -225,14 +208,14 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, cfg: SdpBmConfig | None = None) ->
     return _estimate_from_pairs(values, vectors, SDP_BM, meta)
 
 
-def solve(g: MeasurementGraph, k: int, solver: str, cfg: SdpBmConfig | None = None) -> SyncEstimate:
-    """Dispatch to one of the three solvers by tag."""
+def solve(g: MeasurementGraph, k: int, solver: str, seed: int = 0) -> SyncEstimate:
+    """Dispatch to one of the three solvers by tag; ``seed`` is SDP-BM's."""
     if solver == EIG_H:
         return spectral_ksync(g, k)
     if solver == EIG_R:
         return normalized_spectral_ksync(g, k)
     if solver == SDP_BM:
-        return sdp_bm_ksync(g, k, cfg)
+        return sdp_bm_ksync(g, k, seed)
     raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
 
 
@@ -253,9 +236,9 @@ def evaluate(truth: AngleGroups, est: SyncEstimate, matching: str = "by-index") 
     """Score an estimate against ground truth under a matching rule.
 
     by-index pairs estimate j with truth group j (the convention that
-    eigenvalue order mirrors descending group density); greedy picks each
-    row's best unused column in row order; exhaustive maximizes the total
-    matched correlation over all permutations (k <= 8).
+    eigenvalue order mirrors descending group density).  best maximizes the
+    total matched correlation over all permutations for k <= 8; above that
+    it picks each row's best unused column in row order (greedy).
     """
     if truth.n != est.n:
         raise ValueError("truth and estimate differ in n")
@@ -269,7 +252,12 @@ def evaluate(truth: AngleGroups, est: SyncEstimate, matching: str = "by-index") 
 
     if matching == "by-index":
         assignment = tuple(range(k))
-    elif matching == "greedy":
+    elif matching == "best" and k <= 8:
+        assignment = max(
+            itertools.permutations(range(k)),
+            key=lambda perm: sum(corr[l, perm[l]] for l in range(k)),
+        )
+    elif matching == "best":
         used: set[int] = set()
         picks = []
         for l in range(k):
@@ -278,13 +266,6 @@ def evaluate(truth: AngleGroups, est: SyncEstimate, matching: str = "by-index") 
             used.add(j)
             picks.append(j)
         assignment = tuple(picks)
-    elif matching == "exhaustive":
-        if k > 8:
-            raise ValueError("exhaustive matching supports k <= 8; use greedy")
-        assignment = max(
-            itertools.permutations(range(k)),
-            key=lambda perm: sum(corr[l, perm[l]] for l in range(k)),
-        )
     else:
         raise ValueError(f"unknown matching {matching!r}")
 

@@ -26,7 +26,6 @@ from ksync.grp import asap_recover, build_patches, make_two_configurations, proc
 from ksync.harness import ExperimentConfig, derive_setup2_probs, rows_to_csv, run_sweep
 from ksync.linalg import spectral_norm, top_k_eig
 from ksync.sync import (
-    SdpBmConfig,
     angle_objective,
     estimate_from_angles,
     evaluate,
@@ -178,7 +177,7 @@ def test_07_sdp_solver_floor():
             g = sample_er_mixture(params, groups)
             H = build_measurement_matrix(g, diagonal=1.0)
             est_h = spectral_ksync(g, k)
-            est_s = sdp_bm_ksync(g, k, SdpBmConfig(seed=trial))
+            est_s = sdp_bm_ksync(g, k, seed=trial)
             eig1.append(evaluate(groups, est_h).matched[0])
             sdp1.append(evaluate(groups, est_s).matched[0])
             ok &= est_s.meta["objective"] >= angle_objective(H, est_h.theta_hat) - 1e-9

@@ -146,11 +146,11 @@ class TestIterateDisentangle:
         cfg = DisentangleConfig(k=2, iterations=10)
         states = iterate_disentangle(g, cfg, spectral_ksync(g, 2), truth=groups)
         assert states[-1].gamma_median_good <= states[0].gamma_median_good
-        assert len(states[-1].history) == 10
-        assert states[-1].history[0] == states[0].matched_corr
+        assert [s.iteration for s in states] == list(range(1, 11))
+        assert all(s.matched_corr is not None for s in states)
         final = states[-1]
         best = evaluate(groups, estimate_from_angles(AngleGroups(theta=final.theta_hat)),
-                        matching="exhaustive")
+                        matching="best")
         assert all(type(c) is float for c in final.matched_corr)
         assert final.matched_corr == tuple(best.matched)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -102,14 +103,24 @@ class TestRunSweep:
             simulate_once(cfg)
 
     @pytest.mark.parametrize("mode", ["setup2", "compare"])
-    def test_eta_rejected_where_swept(self, mode):
-        cfg = ExperimentConfig(mode=mode, n=24, k=2, eta=0.9, eta_grid=(0.2,),
-                               trials_angles=1, trials_graphs=1)
-        assert any("eta must not be set" in e for e in validate_config(cfg))
-        with pytest.raises(ConfigError):
+    def test_eta_rejected_where_swept(self, mode, tmp_path):
+        # eta is never an input: setup1 derives it as 1 - sum(p), the others sweep eta_grid
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": mode, "eta": 0.9, "eta_grid": [0.2]}))
+        with pytest.raises(ConfigError, match="unknown config key 'eta'"):
+            ExperimentConfig.from_json(path)
+        with pytest.raises(TypeError):
+            ExperimentConfig(mode=mode, eta=0.9)
+
+    def test_setup1_ba_sweep_rejected(self):
+        # the Barabasi-Albert sampler ignores lambda, so a lambda sweep would
+        # label identically distributed graphs with different lambdas
+        cfg = ExperimentConfig(mode="setup1", n=40, k=2, p=(0.5, 0.3), lambda_grid=(0.1, 1.0),
+                               ba_attachment=3, trials_angles=1, trials_graphs=1)
+        with pytest.raises(ConfigError, match="ignores lambda"):
             run_sweep(cfg)
-        with pytest.raises(ConfigError):
-            simulate_once(cfg)
+        rows, _ = run_sweep(dataclasses.replace(cfg, mode="setup2", p=None, eta_grid=(0.2,)))
+        assert len(rows) == 2
 
     def test_empty_solvers_rejected(self):
         cfg = ExperimentConfig(mode="setup1", n=20, k=1, p=(1.0,), solvers=(),
@@ -117,10 +128,6 @@ class TestRunSweep:
         assert "solvers must be non-empty" in validate_config(cfg)
         with pytest.raises(ConfigError):
             run_sweep(cfg)
-
-    def test_setup1_eta_consistency_checked(self):
-        cfg = ExperimentConfig(mode="setup1", n=10, k=2, p=(0.5, 0.3), eta=0.1)
-        assert any("inconsistent" in e for e in validate_config(cfg))
 
 
 class TestCsv:
@@ -284,6 +291,32 @@ class TestCli:
         assert "config error: disentangling needs solvers[0]" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_setup1_ba_sweep_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ba_attachment": 3}))
+        code = cli_main(["sweep", "--config", str(config), "--mode", "setup1", "--n", "40",
+                         "--k", "2", "--p", "0.5,0.3", "--lambda-grid", "0.1,1.0",
+                         "--trials-angles", "1", "--trials-graphs", "1",
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "config error: setup1 sweeps lambda_grid" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, config, message", [
+        (["disentangle", "--p", "0.5,0.3", "--lam", "0.5", "--iterations", "0"], {},
+         "iterations must be at least 1"),
+        (["grp", "--iterations", "0"], {}, "iterations must be at least 1"),
+        (["grp", "--iterations", "1"], {"min_overlap": 2}, "min_overlap must be at least 3"),
+    ], ids=["disentangle-iterations", "grp-iterations", "grp-min-overlap"])
+    def test_disentangling_round_rules(self, command, config, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = cli_main(command + ["--config", str(path), "--n", "16", "--k", "2",
+                                   "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--threads", "2"],
         ["disentangle", "--threads", "2"],
@@ -323,7 +356,7 @@ class TestCli:
         assert edges == m * (m - 1) // 2 + m * (n - m)
 
     @pytest.mark.parametrize("config, message", [
-        ({"mode": "setup2", "eta": 0.4, "gamma": 0.05}, "eta must not be set"),
+        ({"mode": "setup2", "eta": 0.4, "gamma": 0.05}, "unknown config key 'eta'"),
         ({"mode": "bogus"}, "mode must be one of"),
     ], ids=["eta-in-setup2", "unknown-mode"])
     def test_theory_validates_config(self, config, message, tmp_path, capsys):

@@ -21,9 +21,9 @@ from ksync.genmodel import (
     to_unit_vectors,
     expected_measurement_matrix,
 )
+from ksync import sync
 from ksync.linalg import spectral_norm
 from ksync.sync import (
-    SdpBmConfig,
     angle_objective,
     estimate_from_angles,
     evaluate,
@@ -123,7 +123,7 @@ class TestSdpBm:
             groups, g = mixture_instance(120, (0.4, 0.3), 0.8, 800 + trial)
             H = build_measurement_matrix(g, diagonal=1.0)
             est_h = spectral_ksync(g, 2)
-            est_s = sdp_bm_ksync(g, 2, SdpBmConfig(seed=trial))
+            est_s = sdp_bm_ksync(g, 2, seed=trial)
             assert est_s.meta["objective"] >= angle_objective(H, est_h.theta_hat) - 1e-9
 
     def test_objective_path_monotone(self):
@@ -134,15 +134,16 @@ class TestSdpBm:
 
     def test_deterministic(self):
         _, g = mixture_instance(80, (0.5, 0.3), 0.9, 66)
-        a = sdp_bm_ksync(g, 2, SdpBmConfig(seed=4))
-        b = sdp_bm_ksync(g, 2, SdpBmConfig(seed=4))
+        a = sdp_bm_ksync(g, 2, seed=4)
+        b = sdp_bm_ksync(g, 2, seed=4)
         assert np.array_equal(a.theta_hat, b.theta_hat)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert a.meta["iterations"] == b.meta["iterations"]
 
-    def test_non_convergence_flagged_not_raised(self):
+    def test_non_convergence_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(sync, "SDP_MAX_ITERS", 2)
         _, g = mixture_instance(60, (0.4, 0.3), 0.8, 77)
-        est = sdp_bm_ksync(g, 2, SdpBmConfig(max_iters=2, rel_tol=1e-14))
+        est = sdp_bm_ksync(g, 2)
         assert est.meta["converged"] is False
         assert est.meta["iterations"] == 2
 
@@ -167,11 +168,6 @@ class TestSdpBm:
         assert est.eigenvalues[1] == 0
         assert np.all(est.eigenvectors[1] == 0)
         assert set(est.degenerate_entries) == {(1, i) for i in range(n)}
-
-    def test_rank_below_k_rejected(self):
-        _, g = mixture_instance(20, (0.5, 0.3), 1.0, 88)
-        with pytest.raises(ValueError, match="rank"):
-            sdp_bm_ksync(g, 2, SdpBmConfig(rank=1))
 
 
 class TestExtraction:
@@ -205,15 +201,18 @@ class TestEvaluate:
         est = estimate_from_angles(swapped)
         by_index = evaluate(groups, est, matching="by-index")
         assert np.max(by_index.matched) < 0.9
-        best = evaluate(groups, est, matching="exhaustive")
+        best = evaluate(groups, est, matching="best")
         assert np.allclose(best.matched, 1.0, atol=1e-12)
         assert best.assignment == (1, 0)
 
     def test_greedy_matching(self):
-        groups = sample_angles(40, 3, 17)
-        swapped = AngleGroups(theta=groups.theta[[2, 0, 1]])
-        best = evaluate(groups, estimate_from_angles(swapped), matching="greedy")
+        # k = 9 is past the exhaustive limit, so "best" matches greedily
+        groups = sample_angles(40, 9, 17)
+        perm = np.array([4, 0, 7, 2, 8, 1, 6, 3, 5])
+        permuted = AngleGroups(theta=groups.theta[perm])
+        best = evaluate(groups, estimate_from_angles(permuted), matching="best")
         assert np.allclose(best.matched, 1.0, atol=1e-12)
+        assert best.assignment == tuple(int(j) for j in np.argsort(perm))
 
     def test_independent_group_scores_near_zero(self):
         rng = substream(18)
@@ -225,10 +224,11 @@ class TestEvaluate:
         ev = evaluate(truth_replaced, est)
         assert ev.matched[1] <= 0.1
 
-    def test_exhaustive_limit(self):
-        groups = sample_angles(4, 9, 20)
-        with pytest.raises(ValueError, match="greedy"):
-            evaluate(groups, estimate_from_angles(groups), matching="exhaustive")
+    @pytest.mark.parametrize("matching", ["greedy", "exhaustive"])
+    def test_unknown_matching_rejected(self, matching):
+        groups = sample_angles(4, 2, 20)
+        with pytest.raises(ValueError, match="unknown matching"):
+            evaluate(groups, estimate_from_angles(groups), matching=matching)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
