@@ -34,7 +34,7 @@ from .harness import (
     write_csv,
     write_meta,
 )
-from .sync import EIG_H, EIG_R, SOLVERS, solve
+from .sync import SOLVERS, solve
 
 
 def _float_list(text):
@@ -120,17 +120,6 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
-def _disentangle_problems(cfg: ExperimentConfig) -> list:
-    """disentangle and grp run at least one round, re-solving with EIG-H or EIG-R."""
-    problems = []
-    first = cfg.solvers[0] if cfg.solvers else None
-    if first not in (EIG_H, EIG_R):
-        problems.append(f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}")
-    if cfg.iterations < 1:
-        problems.append("iterations must be at least 1")
-    return problems
-
-
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows, meta = run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
     out = cfg.out or "sweep.csv"
@@ -151,9 +140,6 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
-    errors = validate_config(dataclasses.replace(cfg, mode="setup1")) + _disentangle_problems(cfg)
-    if errors:
-        raise ConfigError(errors)
     groups, graph, _ = sample_instance(cfg, cfg.lam, cfg.p, (0,), (0,))
     solver = cfg.solvers[0]
     initial = solve(graph, cfg.k, solver)
@@ -180,22 +166,6 @@ def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_grp(cfg: ExperimentConfig, args) -> int:
-    problems = []
-    if cfg.k != 2:
-        problems.append(f"grp recovers two configurations, so k must be 2 (got {cfg.k})")
-    if cfg.n < 4:
-        problems.append("n must be at least 4")
-    if cfg.sigma < 0:
-        problems.append("sigma must be non-negative")
-    if cfg.radius <= 0:
-        problems.append("radius must be positive")
-    if cfg.p1 < 0 or cfg.p2 < 0 or cfg.p1 + cfg.p2 > 1.0 + 1e-12:
-        problems.append("need p1, p2 >= 0 with p1 + p2 <= 1")
-    if cfg.min_overlap < 3:
-        problems.append("min_overlap must be at least 3")
-    problems += _disentangle_problems(cfg)
-    if problems:
-        raise ConfigError(problems)
     pc = grpmod.make_two_configurations(cfg.n, seed=cfg.seed)
     ps, graph = grpmod.build_patches(
         pc, radius=cfg.radius, min_overlap=cfg.min_overlap, sigma=cfg.sigma,
@@ -217,12 +187,8 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_theory(cfg: ExperimentConfig, args) -> int:
-    try:
-        params = MixtureParams(n=cfg.n, k=cfg.k, lam=cfg.lam, p=instance_probs(cfg),
-                               seed=cfg.seed)
-        report = theory_bounds(params, cfg.delta, cfg.mu, cfg.epsilon)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
+    params = MixtureParams(n=cfg.n, k=cfg.k, lam=cfg.lam, p=instance_probs(cfg), seed=cfg.seed)
+    report = theory_bounds(params, cfg.delta, cfg.mu, cfg.epsilon)
     for field in dataclasses.fields(report):
         print(f"{field.name}: {getattr(report, field.name)}")
     return 0
@@ -242,22 +208,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        errors = validate_config(cfg) if args.command in ("sweep", "compare", "theory") else []
-        if errors:
-            raise ConfigError(errors)
+        errors = validate_config(cfg, args.command)
     except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
+        errors = exc.errors
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        errors = [str(exc)]
+    if errors:
+        for err in errors:
+            print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

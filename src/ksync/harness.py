@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .genmodel import MixtureParams, child_seed, sample_angles, sample_ba_mixture, sample_er_mixture
-from .sync import EIG_H, SOLVERS, evaluate, solve
+from .sync import EIG_H, EIG_R, SOLVERS, evaluate, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -88,41 +88,68 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def validate_config(cfg: ExperimentConfig) -> list:
-    """Collect every configuration problem (empty list means valid)."""
+def validate_config(cfg: ExperimentConfig, command: str) -> list:
+    """Collect every problem with the fields ``command`` reads (empty list means valid).
+
+    ``command`` is a CLI subcommand; compare is checked as sweep.  A value the
+    command reads but cannot honour is a problem; fields it never reads are not.
+    """
+    sweep = command in ("sweep", "compare")
     errors = []
-    if cfg.mode not in MODES:
+    if command in ("disentangle", "grp"):
+        first = cfg.solvers[0] if cfg.solvers else None
+        if first not in (EIG_H, EIG_R):
+            errors.append(f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}")
+        if cfg.iterations < 1:
+            errors.append("iterations must be at least 1")
+    if command == "grp":
+        if cfg.k != 2:
+            errors.append(f"grp recovers two configurations, so k must be 2 (got {cfg.k})")
+        if cfg.n < 4:
+            errors.append("n must be at least 4")
+        if cfg.sigma < 0:
+            errors.append("sigma must be non-negative")
+        if cfg.radius <= 0:
+            errors.append("radius must be positive")
+        if cfg.p1 < 0 or cfg.p2 < 0 or cfg.p1 + cfg.p2 > 1.0 + 1e-12:
+            errors.append("need p1, p2 >= 0 with p1 + p2 <= 1")
+        if cfg.min_overlap < 3:
+            errors.append("min_overlap must be at least 3")
+        return errors
+
+    if command != "disentangle" and cfg.mode not in MODES:
         errors.append(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.n < 1:
-        errors.append("n must be at least 1")
-    if cfg.k < 1:
-        errors.append("k must be at least 1")
-    if cfg.trials_angles < 1 or cfg.trials_graphs < 1:
-        errors.append("trial counts must be at least 1")
-    if cfg.threads < 1:
-        errors.append("threads must be at least 1")
-    if not cfg.solvers:
-        errors.append("solvers must be non-empty")
-    for s in cfg.solvers:
-        if s not in SOLVERS:
-            errors.append(f"unknown solver {s!r}")
-    if not 0.0 <= cfg.lam <= 1.0:
-        errors.append("lam must lie in [0, 1]")
-    if cfg.mode == "setup1":
-        if cfg.p is None:
-            errors.append("setup1 requires an explicit p vector")
-        else:
-            if len(cfg.p) != cfg.k:
-                errors.append(f"p has {len(cfg.p)} entries for k={cfg.k}")
-            try:
-                MixtureParams(n=max(cfg.n, 1), k=len(cfg.p), lam=1.0, p=cfg.p)
-            except ValueError as exc:
-                errors.append(f"invalid p: {exc}")
-        if not cfg.lambda_grid:
-            errors.append("lambda_grid must be non-empty")
-        if any(not 0.0 <= x <= 1.0 for x in cfg.lambda_grid):
-            errors.append("lambda_grid values must lie in [0, 1]")
-    if cfg.mode in ("setup2", "compare"):
+    if cfg.n < 1 or cfg.k < 1:
+        errors.append("n and k must be at least 1")
+    if sweep:
+        if cfg.trials_angles < 1 or cfg.trials_graphs < 1:
+            errors.append("trial counts must be at least 1")
+        if cfg.threads < 1:
+            errors.append("threads must be at least 1")
+    if sweep or command == "simulate":
+        if not cfg.solvers:
+            errors.append("solvers must be non-empty")
+        for s in cfg.solvers:
+            if s not in SOLVERS:
+                errors.append(f"unknown solver {s!r}")
+    if command != "theory" and cfg.k > cfg.n and {EIG_H, EIG_R} & set(cfg.solvers):
+        errors.append(f"EIG-H and EIG-R need k <= n, got k={cfg.k} and n={cfg.n}")
+    setup1_sweep = sweep and cfg.mode == "setup1"
+    sampled_lams = cfg.lambda_grid if setup1_sweep else (cfg.lam,)
+    if not sampled_lams:
+        errors.append("lambda_grid must be non-empty")
+    if any(not 0.0 <= x <= 1.0 for x in sampled_lams):
+        errors.append("lambda_grid values must lie in [0, 1]" if setup1_sweep else "lam must lie in [0, 1]")
+    if cfg.ba_attachment is not None and command == "theory":
+        errors.append("theory bounds assume Erdos-Renyi graphs, so ba_attachment must not be set")
+    elif cfg.ba_attachment is not None:
+        if not 1 <= cfg.ba_attachment < cfg.n:
+            errors.append("ba_attachment must satisfy 1 <= m < n")
+        if any(x != 1.0 for x in sampled_lams):
+            sampled = "setup1 sweeps lambda_grid" if setup1_sweep else f"lam is {cfg.lam!r}"
+            errors.append(f"{sampled}, but the Barabasi-Albert sampler ignores lambda")
+    derived = command != "disentangle" and cfg.mode in ("setup2", "compare")
+    if derived:
         if cfg.p is not None:
             errors.append(f"{cfg.mode} derives p from eta_grid and gamma; p must not be set")
         if not cfg.eta_grid:
@@ -131,8 +158,21 @@ def validate_config(cfg: ExperimentConfig) -> list:
             errors.append("eta_grid values must lie in [0, 1)")
         if cfg.gamma < 0:
             errors.append("gamma must be non-negative")
-    if cfg.ba_attachment is not None and not 1 <= cfg.ba_attachment < cfg.n:
-        errors.append("ba_attachment must satisfy 1 <= m < n")
+    elif cfg.p is None and (command == "disentangle" or cfg.mode == "setup1"):
+        errors.append("setup1 and disentangle need an explicit p vector")
+    if command == "theory":
+        if not 0.0 <= cfg.delta < 1.0:
+            errors.append("delta must lie in [0, 1)")
+        if not 0.0 <= cfg.mu <= 0.5:
+            errors.append("mu must lie in [0, 1/2]")
+        if not 0.0 < cfg.epsilon < 1.0:
+            errors.append("epsilon must lie in (0, 1)")
+    # the one p the command samples at; setup2 sweeps log and skip infeasible grid points
+    if not errors and not (sweep and derived):
+        try:
+            MixtureParams(n=cfg.n, k=cfg.k, lam=1.0, p=instance_probs(cfg))
+        except ValueError as exc:
+            errors.append(f"invalid p: {exc}")
     return errors
 
 
@@ -218,9 +258,7 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
     mean and standard deviation of the by-index matched correlation over
     trials_angles x trials_graphs runs, plus aggregated solver diagnostics.
     """
-    errors = validate_config(cfg)
-    if cfg.mode == "setup1" and cfg.ba_attachment is not None:
-        errors.append("setup1 sweeps lambda_grid, but the Barabasi-Albert sampler ignores lambda")
+    errors = validate_config(cfg, "sweep")
     if errors:
         raise ConfigError(errors)
     messages = []
@@ -401,7 +439,7 @@ def emit_plot(rows, path) -> None:
 
 def simulate_once(cfg: ExperimentConfig):
     """One end-to-end instance: sample, solve with every solver, evaluate."""
-    errors = validate_config(cfg)
+    errors = validate_config(cfg, "simulate")
     if errors:
         raise ConfigError(errors)
     groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))

@@ -80,7 +80,7 @@ class TestRunSweep:
     def test_validation_collects_all_errors(self):
         cfg = ExperimentConfig(mode="nonsense", n=0, k=2, p=(0.5, 0.6),
                                solvers=("EIG-X",))
-        errors = validate_config(cfg)
+        errors = validate_config(cfg, "sweep")
         assert len(errors) >= 3
         with pytest.raises(ConfigError):
             run_sweep(cfg)
@@ -88,7 +88,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("mode", ["disentangle", "grp", "theory"])
     def test_non_sweep_modes_rejected(self, mode):
         cfg = ExperimentConfig(mode=mode, n=24, k=2, trials_angles=1, trials_graphs=1)
-        assert any("mode" in e for e in validate_config(cfg))
+        assert any("mode" in e for e in validate_config(cfg, "sweep"))
         with pytest.raises(ConfigError):
             run_sweep(cfg)
 
@@ -96,7 +96,7 @@ class TestRunSweep:
     def test_p_rejected_where_derived(self, mode):
         cfg = ExperimentConfig(mode=mode, n=24, k=2, p=(0.4, 0.3), eta_grid=(0.2,),
                                trials_angles=1, trials_graphs=1)
-        assert any("p must not be set" in e for e in validate_config(cfg))
+        assert any("p must not be set" in e for e in validate_config(cfg, "sweep"))
         with pytest.raises(ConfigError):
             run_sweep(cfg)
         with pytest.raises(ConfigError):
@@ -125,9 +125,69 @@ class TestRunSweep:
     def test_empty_solvers_rejected(self):
         cfg = ExperimentConfig(mode="setup1", n=20, k=1, p=(1.0,), solvers=(),
                                trials_angles=1, trials_graphs=1)
-        assert "solvers must be non-empty" in validate_config(cfg)
+        assert "solvers must be non-empty" in validate_config(cfg, "sweep")
         with pytest.raises(ConfigError):
             run_sweep(cfg)
+
+
+_VALID = dict(n=20, k=2, p=(0.5, 0.3), trials_angles=1, trials_graphs=1)
+_SETUP2 = dict(mode="setup2", p=None, eta_grid=(0.2,))
+_SETUP2_INFEASIBLE = dict(mode="setup2", p=None, k=3, eta_grid=(0.9,), gamma=0.2)
+_K_ABOVE_N = dict(n=2, k=3, p=(0.3, 0.2, 0.1))
+
+
+class TestValidateConfig:
+    """Each command is checked on exactly the fields it reads."""
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        # fields a command never reads are not checked
+        ("simulate", {"lambda_grid": (2.0,)}, None),
+        ("simulate", {"threads": 0, "trials_angles": 0, "trials_graphs": 0}, None),
+        ("grp", {"lambda_grid": (2.0,), "threads": 0, "trials_angles": 0}, None),
+        ("grp", {"lam": 2.0, "p": (0.1, 0.9), "mode": "bogus"}, None),
+        ("disentangle", {"mode": "bogus"}, None),
+        ("disentangle", {"mode": "setup2", "lambda_grid": (), "threads": 0}, None),
+        ("theory", {"solvers": ("EIG-X",), "threads": 0}, None),
+        ("simulate", {"delta": 1.0, "min_overlap": 0}, None),
+        # fields a command reads
+        ("sweep", {"lambda_grid": (2.0,)}, "lambda_grid values must lie in [0, 1]"),
+        ("sweep", {"threads": 0}, "threads must be at least 1"),
+        ("compare", {**_SETUP2, "mode": "compare"}, None),
+        ("compare", {"mode": "compare", "eta_grid": (0.2,)}, "p must not be set"),
+        ("simulate", {"mode": "setup2", "eta_grid": (0.2,)}, "p must not be set"),
+        ("simulate", {"mode": "bogus"}, "mode must be one of"),
+        ("simulate", {"lam": 1.5}, "lam must lie in [0, 1]"),
+        ("disentangle", {"p": None}, "explicit p vector"),
+        ("theory", {"delta": 1.0}, "delta must lie in [0, 1)"),
+        ("grp", {"k": 3}, "k must be 2"),
+        ("grp", {"solvers": ("SDP-BM",)}, "disentangling needs solvers[0]"),
+        ("simulate", {"solvers": ("SDP-BM",)}, None),
+        # Barabasi-Albert graphs ignore lambda, so every sampled lambda must be 1
+        ("simulate", {"ba_attachment": 3}, None),
+        ("simulate", {"ba_attachment": 3, "lam": 0.5}, "ignores lambda"),
+        ("disentangle", {"ba_attachment": 3, "lam": 0.5}, "ignores lambda"),
+        ("sweep", {**_SETUP2, "ba_attachment": 3, "lam": 0.5}, "ignores lambda"),
+        ("sweep", {"ba_attachment": 3, "lambda_grid": (0.5, 1.0)}, "setup1 sweeps lambda_grid"),
+        ("sweep", {"ba_attachment": 3, "lambda_grid": (1.0,)}, None),
+        ("theory", {"ba_attachment": 3}, "Erdos-Renyi"),
+        # EIG-H and EIG-R need k <= n; SDP-BM returns zero slots instead
+        ("simulate", _K_ABOVE_N, "need k <= n"),
+        ("sweep", _K_ABOVE_N, "need k <= n"),
+        ("disentangle", _K_ABOVE_N, "need k <= n"),
+        ("simulate", {**_K_ABOVE_N, "solvers": ("SDP-BM",)}, None),
+        ("theory", _K_ABOVE_N, None),
+        # the one p an instance is sampled at; setup2 sweeps skip infeasible points
+        ("simulate", _SETUP2_INFEASIBLE, "not positive"),
+        ("theory", _SETUP2_INFEASIBLE, "not positive"),
+        ("sweep", _SETUP2_INFEASIBLE, None),
+        ("simulate", {"p": (0.5, 0.3, 0.1)}, "expected 2 probabilities"),
+    ])
+    def test_fields_each_command_reads(self, command, overrides, message):
+        errors = validate_config(ExperimentConfig(**{**_VALID, **overrides}), command)
+        if message is None:
+            assert errors == []
+        else:
+            assert any(message in e for e in errors), errors
 
 
 class TestCsv:
@@ -329,6 +389,51 @@ class TestCli:
             cli_main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["simulate", "--n", "40", "--k", "2", "--p", "0.5,0.3", "--lam", "0.1"],
+         {"ba_attachment": 3}, "lam is 0.1, but the Barabasi-Albert sampler ignores lambda"),
+        (["disentangle", "--n", "40", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5",
+          "--iterations", "1"], {"ba_attachment": 3}, "ignores lambda"),
+        (["sweep", "--mode", "setup2", "--n", "40", "--k", "2", "--eta-grid", "0.2",
+          "--lam", "0.5", "--trials-angles", "1", "--trials-graphs", "1"],
+         {"ba_attachment": 3}, "ignores lambda"),
+        (["compare", "--n", "40", "--k", "2", "--eta-grid", "0.2", "--lam", "0.5",
+          "--trials-angles", "1", "--trials-graphs", "1"], {"ba_attachment": 3}, "ignores lambda"),
+        (["theory", "--n", "40", "--k", "2", "--p", "0.5,0.3"], {"ba_attachment": 3},
+         "Erdos-Renyi"),
+        (["simulate", "--n", "2", "--k", "3", "--p", "0.3,0.2,0.1"], {}, "need k <= n"),
+        (["disentangle", "--n", "2", "--k", "3", "--p", "0.3,0.2,0.1", "--iterations", "1"], {},
+         "need k <= n"),
+        (["sweep", "--mode", "setup1", "--n", "2", "--k", "3", "--p", "0.3,0.2,0.1",
+          "--lambda-grid", "1.0", "--trials-angles", "1", "--trials-graphs", "1"], {},
+         "need k <= n"),
+        (["simulate", "--n", "20", "--k", "3"],
+         {"mode": "setup2", "eta_grid": [0.9], "gamma": 0.2}, "not positive"),
+        (["theory", "--n", "20", "--k", "3"],
+         {"mode": "setup2", "eta_grid": [0.9], "gamma": 0.2}, "not positive"),
+    ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
+            "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
+            "simulate-infeasible-p", "theory-infeasible-p"])
+    def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = [] if argv[0] == "theory" else ["--out", str(tmp_path / "o")]
+        assert cli_main(argv + ["--config", str(path)] + out) == 2
+        captured = capsys.readouterr()
+        assert "config error: " in captured.err and message in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["simulate", "--n", "20", "--k", "2", "--p", "0.5,0.3"], {"lambda_grid": [2.0]}),
+        (["simulate", "--n", "2", "--k", "3", "--p", "0.3,0.2,0.1", "--solvers", "SDP-BM"], {}),
+    ], ids=["unread-lambda-grid", "sdp-k-above-n"])
+    def test_simulate_runs_what_it_can_honour(self, argv, config, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(argv + ["--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)
+
     def test_runtime_error_exit_one(self, tmp_path):
         code = cli_main(["sweep", "--mode", "setup1", "--n", "20", "--k", "1",
                          "--p", "1.0", "--lambda-grid", "1.0",
@@ -348,7 +453,7 @@ class TestCli:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"ba_attachment": m}))
         code = cli_main(["disentangle", "--config", str(config), "--n", str(n), "--k", "2",
-                         "--p", "0.5,0.3", "--lam", "0.5", "--iterations", "2",
+                         "--p", "0.5,0.3", "--iterations", "2",
                          "--out", str(tmp_path / "d")])
         assert code == 0
         parts = ("d_G1.graph", "d_G2.graph", "d_W.graph")
