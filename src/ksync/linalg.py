@@ -8,10 +8,13 @@ checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken from
 the extreme Ritz values (an underestimate, so the check is never looser than
 with the exact norm).  The basis grows only as far as convergence needs; at
 dimension n it spans the whole space and the Ritz pairs are exact.
-:func:`spectral_norm` and the private :func:`_eigh_descending` used by the
-SDP solver stay on LAPACK's dense Hermitian driver (numpy.linalg.eigh).
-Every eigendecomposition in the package goes through this module.  Callers
-must be invariant to the arbitrary global phase of each returned eigenvector.
+SDP-BM runs the same Lanczos code through the private :func:`_top_k`,
+which skips the input checks for matrices Hermitian by construction.
+:func:`spectral_norm` and the private :func:`_eigh_descending`, which the
+Lanczos projection and the SDP solver's r x r Gram matrix use, stay on
+LAPACK's dense Hermitian driver (numpy.linalg.eigh).  Every
+eigendecomposition in the package goes through this module.  Callers must be
+invariant to the arbitrary global phase of each returned eigenvector.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 HERMITIAN_ATOL = 1e-10
+# rows per block of the Hermitian check
+HERMITIAN_BLOCK = 128
 TIE_REL_GAP = 1e-12
 LANCZOS_SEED = 0x4C414E
 # Lanczos stops when every estimated residual is below this share of tol
@@ -65,8 +70,13 @@ def _as_hermitian(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise HermitianityError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    asym = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    # row blocks against the matching column blocks: the same element-wise
+    # maxima as over M and M - M^H, without any n x n temporary
+    scale, asym = 1.0, 0.0
+    for i in range(0, M.shape[0], HERMITIAN_BLOCK):
+        rows = M[i:i + HERMITIAN_BLOCK]
+        scale = max(scale, float(np.max(np.abs(rows))))
+        asym = max(asym, float(np.max(np.abs(rows - M[:, i:i + HERMITIAN_BLOCK].T.conj()))))
     if asym > HERMITIAN_ATOL * scale:
         raise HermitianityError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
     return M
@@ -203,6 +213,12 @@ def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _top_k(H, k, tol)
+
+
+def _top_k(H: np.ndarray, k: int, tol: float) -> EigenPairs:
+    """:func:`top_k_eig` without the input checks, for a complex H that is
+    Hermitian by construction and 1 <= k <= n, tol > 0."""
     top, V, ritz, steps = _block_lanczos(H, k, tol)
     values = top[:k].copy()
     vectors = np.ascontiguousarray(V[:, :k])

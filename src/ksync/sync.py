@@ -3,7 +3,9 @@
 Three solvers share the same angle-extraction rule (entrywise phase of the
 top eigenvectors): EIG-H works on the raw measurement matrix, EIG-R on the
 degree-normalized operator, and SDP-BM on a low-rank factorization of the
-unit-diagonal semidefinite relaxation.
+unit-diagonal semidefinite relaxation.  Every eigensolve on an n x n matrix
+is a block Lanczos solve in :mod:`ksync.linalg`; SDP-BM decomposes densely
+only its r x r Gram matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ DEGENERATE_MODULUS = 1e-12
 # SDP-BM ascent: step cap and relative objective change that counts as converged
 SDP_MAX_ITERS = 1000
 SDP_REL_TOL = 1e-8
+# residual tolerance of the Lanczos estimate of lambda_min(H) behind the shift
+SDP_SHIFT_TOL = 1e-4
 # Gram eigenvalues of V V^* below this share of the largest are rounding noise
 GRAM_RANK_REL = 1e-12
 
@@ -140,14 +144,22 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
 
     V is n x r with r = min(k + 2, n): rank k + 2 is strictly above k,
     which avoids the rank-deficient saddle (Boumal-Voroninski-Bandeira
-    2016).  V starts from the top-r eigenvectors of H (rows normalized; a
-    zero row is filled from a random stream seeded by ``seed``) and is
-    updated by V <- row_normalize((H + beta I) V) with beta =
-    max(0, -lambda_min(H)), which makes the iteration matrix PSD; the shift
-    adds the constant n*beta to the objective, so ascent of the shifted
-    objective is ascent of trace(H V V^*) as well.  One product H V per
-    step gives the objective at V and the next iterate; the objective
-    sequence is checked to be non-decreasing.  The ascent stops once the
+    2016).  V starts from the top-min(k, n) eigenvectors of H, computed by
+    Lanczos to the default tolerance; the remaining columns are unit-norm
+    columns of a random stream seeded by ``seed`` (pairs k+1 and k+2 sit in
+    the bulk of the spectrum, where Lanczos converges slowly), the same
+    stream fills any zero row, and the rows are normalized.  V is updated
+    by V <- row_normalize((H + beta I) V), where beta = max(0, theta +
+    residual + 1e-8 |lambda_max|) and (theta, residual) is the top Ritz
+    pair of -H to the loose tolerance ``SDP_SHIFT_TOL``.  The Ritz value
+    never exceeds -lambda_min(H) and, once Lanczos has found the extreme
+    pair, lies within its residual of it, so ``meta["shift"]`` is an upper
+    bound on -lambda_min(H) and the iteration matrix is PSD; the
+    monotonicity check below guards the rest.  The shift adds the constant
+    n*beta to the objective, so ascent of the shifted objective is ascent
+    of trace(H V V^*) as well.  One product H V per step gives the
+    objective at V and the next iterate; the objective sequence is checked
+    to be non-decreasing.  The ascent stops once the
     objective changes by at most 1e-8 relative, or after 1000 steps with
     ``meta["converged"]`` False.  Angles come from the top-k
     eigenvectors of V V^* through the r x r Gram matrix; slots past its
@@ -161,11 +173,15 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     n = g.n
     r = min(k + 2, n)
 
-    w, U = linalg._eigh_descending(H)
-    shift = max(0.0, -float(w[-1]))
+    top = linalg._top_k(H, min(k, n), linalg.DEFAULT_TOL)
+    low = linalg._top_k(-H, 1, SDP_SHIFT_TOL)
+    shift = max(0.0, float(low.values[0] + low.residuals[0])
+                + 1e-8 * abs(float(top.values[0])))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    V = _row_normalize(np.ascontiguousarray(U[:, :r]), fallback)
+    fill = fallback[:, top.values.size:]
+    V = _row_normalize(np.hstack([top.vectors, fill / np.linalg.norm(fill, axis=0)]),
+                       fallback)
 
     HV = H @ V
     obj = float(np.real(np.sum(np.conj(V) * HV)))

@@ -18,6 +18,7 @@ from ksync.genmodel import (
     to_unit_vectors,
 )
 from ksync.linalg import (
+    HERMITIAN_ATOL,
     EigenConvergenceError,
     HermitianityError,
     degree_normalized_eig,
@@ -126,6 +127,30 @@ class TestTopKEig:
         assert err.value.best_residual > 0.0
 
 
+class TestHermitianCheck:
+    # the check runs over 128-row blocks: n = 129 and 300 end in a partial one;
+    # a 1 x 1 matrix has no off-diagonal entry
+    @pytest.mark.parametrize("n, where", [
+        (n, where) for n in (1, 127, 128, 129, 300) for where in ("off-diagonal", "diagonal")
+        if n > 1 or where == "diagonal"
+    ])
+    @pytest.mark.parametrize("factor, rejected", [(4.0, True), (0.25, False)])
+    def test_asymmetry_threshold(self, n, where, factor, rejected):
+        M = random_hermitian(n, 40 + n)
+        asym = factor * HERMITIAN_ATOL * max(1.0, np.abs(M).max())
+        if where == "off-diagonal":
+            # only the lower entry moves, so M - M^H gains exactly this much there
+            M[n - 1, 0] += asym
+        else:
+            # an imaginary diagonal part shows up twice in M - M^H
+            M[n - 1, n - 1] += 0.5j * asym
+        if rejected:
+            with pytest.raises(HermitianityError, match="asymmetry"):
+                spectral_norm(M)
+        else:
+            assert spectral_norm(M) > 0.0
+
+
 class TestKrylovAgainstDenseOracle:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 300), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -174,14 +199,16 @@ class TestKrylovAgainstDenseOracle:
         assert pairs.values == pytest.approx(np.repeat(w1, 2)[:k], abs=1e-9 * abs(w1).max())
 
 
-def test_theta_hat_independent_of_blas_thread_count():
+def theta_hat_digests_by_thread_count(solver):
+    """SHA-256 of ``solver``'s theta_hat on one n=1000 instance, run under 1
+    and 2 BLAS threads."""
     script = (
         "import hashlib\n"
         "from ksync.genmodel import MixtureParams, sample_angles, sample_er_mixture\n"
-        "from ksync.sync import spectral_ksync\n"
+        f"from ksync.sync import {solver}\n"
         "groups = sample_angles(1000, 2, 5)\n"
         "params = MixtureParams(n=1000, k=2, lam=0.2, p=(0.45, 0.35), seed=6)\n"
-        "est = spectral_ksync(sample_er_mixture(params, groups), 2)\n"
+        f"est = {solver}(sample_er_mixture(params, groups), 2)\n"
         "print(hashlib.sha256(est.theta_hat.tobytes()).hexdigest())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -192,6 +219,17 @@ def test_theta_hat_independent_of_blas_thread_count():
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         digests.append(out.stdout.strip())
+    return digests
+
+
+def test_theta_hat_independent_of_blas_thread_count():
+    digests = theta_hat_digests_by_thread_count("spectral_ksync")
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_sdp_bm_theta_hat_independent_of_blas_thread_count():
+    digests = theta_hat_digests_by_thread_count("sdp_bm_ksync")
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 

@@ -111,7 +111,79 @@ class TestNormalizedSpectralKsync:
         assert np.all(mean_r >= mean_h - 0.05)
 
 
+def dense_start_ascent(H, k):
+    """SDP-BM's ascent from the top-r eigenvectors of a dense eigh, with the
+    exact shift max(0, -lambda_min): the reference for the Lanczos start.
+
+    Returns the final objective and the angles of the top-k Gram eigenvectors.
+    """
+    n = H.shape[0]
+    r = min(k + 2, n)
+    w, U = np.linalg.eigh(H)
+    shift = max(0.0, -w[0])
+    V = U[:, ::-1][:, :r]
+    V = V / np.linalg.norm(V, axis=1)[:, None]
+    HV = H @ V
+    obj = float(np.real(np.sum(np.conj(V) * HV)))
+    for _ in range(sync.SDP_MAX_ITERS):
+        V = HV + shift * V
+        V = V / np.linalg.norm(V, axis=1)[:, None]
+        HV = H @ V
+        new_obj = float(np.real(np.sum(np.conj(V) * HV)))
+        done = abs(new_obj - obj) <= sync.SDP_REL_TOL * max(1.0, abs(obj))
+        obj = new_obj
+        if done:
+            break
+    s, W = np.linalg.eigh(V.conj().T @ V)
+    theta, _ = extract_angles(V @ W[:, ::-1][:, :k])
+    return obj, theta
+
+
+def sparse_instances(count=5):
+    # setup II at eta = 0.3, gamma = 0.05, with about 60 edges per node
+    return [mixture_instance(300, (0.375, 0.325), 0.2, 900 + trial) for trial in range(count)]
+
+
 class TestSdpBm:
+    def test_objective_and_angles_match_dense_start(self):
+        for trial, (groups, g) in enumerate(sparse_instances()):
+            H = build_measurement_matrix(g, diagonal=1.0)
+            est = sdp_bm_ksync(g, 2, seed=trial)
+            assert est.meta["converged"]
+            ref_obj, ref_theta = dense_start_ascent(H, 2)
+            assert est.meta["objective"] >= ref_obj - 1e-7 * abs(ref_obj)
+            ref = evaluate(groups, estimate_from_angles(AngleGroups(theta=ref_theta)), "best")
+            got = evaluate(groups, est, "best")
+            assert np.max(np.abs(got.matched - ref.matched)) <= 1e-3
+
+    def test_shift_bounds_minus_lambda_min_from_above(self):
+        for trial, (_, g) in enumerate(sparse_instances()):
+            H = build_measurement_matrix(g, diagonal=1.0)
+            w = np.linalg.eigvalsh(H)
+            shift = sdp_bm_ksync(g, 2, seed=trial).meta["shift"]
+            assert shift >= -w[0]
+            assert shift - max(0.0, -w[0]) <= 1e-3 * max(abs(w[0]), abs(w[-1]))
+
+    def test_no_dense_n_by_n_decomposition(self, monkeypatch):
+        shapes = []
+
+        def recording(name):
+            original = getattr(np.linalg, name)
+
+            def call(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return original(a, *args, **kwargs)
+
+            return call
+
+        n = 200
+        _, g = mixture_instance(n, (0.375, 0.325), 0.3, 950)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(name))
+        sdp_bm_ksync(g, 2)
+        assert shapes
+        assert all(shape[0] < n for shape in shapes)
+
     def test_noiseless_objective_and_correlation(self):
         groups, g = noiseless_complete(60, 9)
         est = sdp_bm_ksync(g, 1)
