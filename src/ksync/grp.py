@@ -6,7 +6,7 @@ per configuration, each expressed in a private frame rotated by an unknown
 angle.  Aligning overlapping patches yields pairwise rotation measurements
 that form a bi-synchronization instance; disentangling recovers the two
 measurement subgraphs, and a least-squares assembly of rotated patches
-recovers both global embeddings.
+(a patch-Laplacian solve) recovers both global embeddings.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .disentangle import (
     DisentangleConfig,
     DisentangleState,
     _sync_subgraph,
-    good_subgraph,
     iterate_disentangle,
 )
 from .genmodel import substream
@@ -243,14 +242,16 @@ def build_patches(
     return ps, g
 
 
-def _assemble(ps: PatchSet, patch_ids: np.ndarray, locals_: list, angles: np.ndarray) -> np.ndarray:
+def _assemble(ps: PatchSet, patch_ids: np.ndarray, local: tuple, angles: np.ndarray) -> np.ndarray:
     """Solve node coordinates and patch translations by least squares.
 
-    Each (patch, member) pair yields one equation per dimension:
-    node = derotated_local + translation.  The first participating patch's
-    translation is pinned to zero as the gauge.
+    Each (patch, member) pair yields node = derotated local[pid] row +
+    translation.  Each node is its mean derotated copy plus its patches' mean
+    translation; eliminating the nodes leaves the patch Laplacian
+    L = diag(size) - (B / count) B^T of the patch x node membership B in the
+    translations.  The first participating patch's translation is pinned to 0.
     """
-    # one row per (patch, member) pair: its node's column and its patch's index
+    # one entry per (patch, member) pair: its node's column and its patch's index
     members = [ps.members[pid] for pid in patch_ids]
     node_ids, node_col = np.unique(np.concatenate(members), return_inverse=True)
     patch_of_row = np.repeat(np.arange(patch_ids.size), [m.size for m in members])
@@ -263,18 +264,18 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, locals_: list, angles: np.nda
         comps = [np.nonzero(roots == r)[0].tolist() for r in np.unique(roots)]
         raise ValueError(f"translation system is disconnected: components {comps}")
 
-    rows = np.arange(node_col.size)
-    A = np.zeros((rows.size, n_nodes + n_patch - 1))
-    A[rows, node_col] = 1.0
-    pinned = patch_of_row == 0
-    A[rows[~pinned], n_nodes + patch_of_row[~pinned] - 1] = -1.0
-    derotated = []
-    for local, angle in zip(locals_, angles):
-        c, s = np.cos(angle), np.sin(angle)
-        derotated.append(local @ np.array([[c, s], [-s, c]]).T)  # rotation by -angle
-    sol, *_ = np.linalg.lstsq(A, np.concatenate(derotated), rcond=None)
+    B = np.zeros((n_patch, n_nodes))
+    B[patch_of_row, node_col] = 1.0
+    Z = np.zeros((n_patch, n_nodes), dtype=complex)
+    Z[patch_of_row, node_col] = _as_complex(np.concatenate([local[pid] for pid in patch_ids]))
+    Z *= np.exp(-1j * angles)[:, None]  # rotation by -angle
+    count = B.sum(axis=0)
+    mean = Z.sum(axis=0) / count
+    L = np.diag(B.sum(axis=1)) - (B / count) @ B.T
+    shift = np.linalg.solve(L[1:, 1:], (B @ mean - Z.sum(axis=1))[1:])
+    coords = mean + (shift @ B[1:]) / count
     out = np.full((ps.n_points, 2), np.nan)
-    out[node_ids] = sol[:n_nodes]
+    out[node_ids] = np.column_stack([coords.real, coords.imag])
     return out
 
 
@@ -298,13 +299,14 @@ def asap_recover(
     Pipeline: bi-synchronize the patch graph, disentangle it into two good
     subgraphs, re-synchronize each good subgraph, then rotate each patch's
     type-matched local embedding by its estimated angle and solve the
-    node/translation least-squares system per recovered group.
+    node/translation least-squares system per recovered group as a
+    patch-Laplacian solve.
     """
     if ps.n_patches == 1 and g.m == 0:
         # single patch covering everything: its embeddings are the answer
         one = np.array([0], dtype=np.int64)
-        X_hat = _assemble(ps, one, [ps.local_x[0]], np.zeros(1))
-        Y_hat = _assemble(ps, one, [ps.local_y[0]], np.zeros(1))
+        X_hat = _assemble(ps, one, ps.local_x, np.zeros(1))
+        Y_hat = _assemble(ps, one, ps.local_y, np.zeros(1))
         return X_hat, Y_hat, None
     cfg = cfg or DisentangleConfig(k=2)
     if cfg.k != 2:
@@ -316,22 +318,20 @@ def asap_recover(
     results: dict[int, np.ndarray] = {}
     types_taken: set[int] = set()
     for l in range(2):
-        sub = good_subgraph(g, final, l)
         mask = (final.assignment == l) & final.good
         gtype = _group_type(g, mask, default=l + 1)
         if gtype in types_taken:
             gtype = 3 - gtype
         types_taken.add(gtype)
-        if sub.m == 0:
+        if not mask.any():
             raise ValueError(f"group {l + 1}: recovered subgraph has no edges")
-        angles, _ = _sync_subgraph(sub, np.ones(sub.m, dtype=bool), cfg.solver)
+        angles, _ = _sync_subgraph(g, mask, cfg.solver)
         # restrict assembly to the synchronized (largest) component
-        patch_ids = np.unique(np.concatenate([sub.ii, sub.jj]))
-        roots = connected_components(g.n, sub.ii, sub.jj)
+        ii, jj = g.ii[mask], g.jj[mask]
+        patch_ids = np.unique(np.concatenate([ii, jj]))
+        roots = connected_components(g.n, ii, jj)
         main = np.bincount(roots[patch_ids]).argmax()
         patch_ids = patch_ids[roots[patch_ids] == main]
-        locals_ = [
-            (ps.local_x if gtype == 1 else ps.local_y)[pid] for pid in patch_ids
-        ]
-        results[gtype] = _assemble(ps, patch_ids, locals_, angles[patch_ids])
+        local = ps.local_x if gtype == 1 else ps.local_y
+        results[gtype] = _assemble(ps, patch_ids, local, angles[patch_ids])
     return results[1], results[2], final

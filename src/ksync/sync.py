@@ -22,6 +22,7 @@ from .core import (
     SyncEstimate,
     build_measurement_matrix,
     correlation,
+    to_unit_vectors,
     wrap_angle,
 )
 
@@ -83,8 +84,6 @@ def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
     eigenvector rows are the unit-circle representations of the angles and
     the eigenvalue slots are zeroed.
     """
-    from .core import to_unit_vectors
-
     z = to_unit_vectors(groups)
     return SyncEstimate(
         theta_hat=groups.theta,

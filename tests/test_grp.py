@@ -27,6 +27,31 @@ def rigid(points, angle, shift):
     return points @ np.array([[c, -s], [s, c]]).T + shift
 
 
+def lstsq_assembly(ps, patch_ids, local, angles):
+    """Dense least-squares reference for ``_assemble``.
+
+    One row per (patch, member) pair: +1 in the node's column, -1 in the
+    patch's translation column, the first patch's translation pinned to 0.
+    """
+    node_ids = np.unique(np.concatenate([ps.members[pid] for pid in patch_ids]))
+    column = {int(node): c for c, node in enumerate(node_ids)}
+    rows, rhs = [], []
+    for k, (pid, angle) in enumerate(zip(patch_ids, angles)):
+        c, s = np.cos(angle), np.sin(angle)
+        derotated = local[pid] @ np.array([[c, s], [-s, c]]).T
+        for node, xy in zip(ps.members[pid], derotated):
+            row = np.zeros(node_ids.size + len(patch_ids) - 1)
+            row[column[int(node)]] = 1.0
+            if k:
+                row[node_ids.size + k - 1] = -1.0
+            rows.append(row)
+            rhs.append(xy)
+    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    out = np.full((ps.n_points, 2), np.nan)
+    out[node_ids] = sol[:node_ids.size]
+    return out
+
+
 class TestMakeTwoConfigurations:
     def test_congruent_pair_rejected(self):
         with pytest.raises(ValueError, match="congruent"):
@@ -210,6 +235,41 @@ class TestAsapRecover:
         )
         with pytest.raises(ValueError, match="translation system is disconnected"):
             _assemble(ps, np.array([0, 1]), [local, local], np.zeros(2))
+
+    def test_assembly_matches_dense_lstsq(self):
+        pc = make_two_configurations(100, seed=4)
+        ps, _ = build_patches(pc, sigma=0.2, seed=4)
+        rng = substream(4, 0x9)
+        # non-contiguous, unsorted subset: the gauge pins its first entry
+        patch_ids = rng.permutation(ps.n_patches)[:16]
+        angles = TWO_PI * rng.random(patch_ids.size)
+        for local in (ps.local_x, ps.local_y):
+            got = _assemble(ps, patch_ids, local, angles)
+            want = lstsq_assembly(ps, patch_ids, local, angles)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            assembled = ~np.isnan(want[:, 0])
+            assert 0 < assembled.sum() < ps.n_points
+            assert np.max(np.abs(got[assembled] - want[assembled])) <= 1e-10
+
+    def test_recovery_does_not_use_lstsq(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        pc = make_two_configurations(100, seed=0)
+        ps, g = build_patches(pc, seed=0)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        x_hat, y_hat, _ = asap_recover(ps, g, DisentangleConfig(k=2, iterations=20))
+        assert procrustes_error(pc.X, x_hat) <= 1e-6
+        assert procrustes_error(pc.Y, y_hat) <= 1e-6
+
+    def test_rerun_byte_identical(self):
+        pc = make_two_configurations(100, seed=2)
+        ps, g = build_patches(pc, sigma=0.2, seed=2)
+        cfg = DisentangleConfig(k=2, iterations=10)
+        first = asap_recover(ps, g, cfg)
+        second = asap_recover(ps, g, cfg)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
 
     def test_single_patch_trivially_exact(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
