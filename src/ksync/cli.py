@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         errors = validate_config(cfg, args.command)
     except ConfigError as exc:
         errors = exc.errors
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
         errors = [str(exc)]
     if errors:
         for err in errors:

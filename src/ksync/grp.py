@@ -3,10 +3,12 @@
 A point cloud is covered by one patch per node (the node plus its
 neighbors within a radius).  Every patch carries two local embeddings, one
 per configuration, each expressed in a private frame rotated by an unknown
-angle.  Aligning overlapping patches yields pairwise rotation measurements
-that form a bi-synchronization instance; disentangling recovers the two
-measurement subgraphs, and a least-squares assembly of rotated patches
-(a patch-Laplacian solve) recovers both global embeddings.
+angle; both are stored in one complex patch x node array, zero off the
+patch.  Aligning overlapping patches (matrix products of that array) yields
+pairwise rotation measurements that form a bi-synchronization instance;
+disentangling recovers the two measurement subgraphs, and a least-squares
+assembly of rotated patches (a patch-Laplacian solve on the same array)
+recovers both global embeddings.
 """
 
 from __future__ import annotations
@@ -140,10 +142,10 @@ def make_two_configurations(
 class PatchSet:
     """Per-node patches with their two rotated local embeddings.
 
-    ``members[i]`` are the node indices of patch i (its center first is not
-    guaranteed; membership is radius-based).  ``local_x[i]`` / ``local_y[i]``
-    are the type-X / type-Y local coordinates: centered ground-truth
-    coordinates rotated by the patch's hidden angle, plus optional noise.
+    ``members[i]`` are the sorted node indices of patch i (radius-based).
+    ``local[0, i, j]`` / ``local[1, i, j]`` is node j's type-X / type-Y local
+    coordinate x + iy in patch i: centered ground-truth coordinates rotated by
+    the patch's hidden angle, plus optional noise, at members and 0 elsewhere.
     ``rotations`` holds those hidden angles as a 2-group AngleGroups
     (row 1 for type-X frames, row 2 for type-Y).
     """
@@ -151,20 +153,12 @@ class PatchSet:
     n_points: int
     centers: np.ndarray
     members: tuple
-    local_x: tuple
-    local_y: tuple
+    local: np.ndarray
     rotations: AngleGroups
 
     @property
     def n_patches(self) -> int:
         return len(self.members)
-
-
-def _local_embedding(coords: np.ndarray, angle: float, noise: np.ndarray) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    R = np.array([[c, -s], [s, c]])
-    centered = coords - coords.mean(axis=0)
-    return centered @ R.T + noise
 
 
 def build_patches(
@@ -184,16 +178,15 @@ def build_patches(
     edges of the measurement graph: with probability p1 the two type-X
     embeddings are aligned (group 1), with probability p2 the type-Y ones
     (group 2), otherwise one of each (outlier).  The rotation estimate is
-    the rotation-only Procrustes angle over the common nodes.
+    the rotation-only Procrustes angle over the common nodes, read for every
+    pair at once from products of the zero-filled local coordinates.
     """
     if min_overlap < 3:
         raise ValueError("min_overlap must be at least 3")
     if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
         raise ValueError("need p1, p2 >= 0 with p1 + p2 <= 1")
     X, Y = pc.X, pc.Y
-    n = pc.n
-    diff = X[:, None, :] - X[None, :, :]
-    incidence = np.linalg.norm(diff, axis=2) <= radius  # patch x node
+    incidence = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= radius  # patch x node
     sizes = incidence.sum(axis=1)
     for i in np.nonzero(sizes < 3)[0]:
         warnings.warn(f"dropping patch {i}: only {sizes[i]} members")
@@ -201,18 +194,23 @@ def build_patches(
     if not centers.size:
         raise ValueError("no patch has 3 or more members")
     incidence = incidence[centers]
-    members = [np.nonzero(row)[0] for row in incidence]
-    N = len(members)
+    sizes = sizes[centers]
+    rows, cols = np.nonzero(incidence)  # memberships, patch-major
+    start = np.cumsum(sizes) - sizes  # first membership of each patch
+    members = np.split(cols, start[1:])
+    N = centers.size
 
-    rot_rng = substream(seed, 0x1)
-    rotations = AngleGroups(theta=wrap_angle(TWO_PI * rot_rng.random((2, N))))
-    noise_rng = substream(seed, 0x2)
-    local_x, local_y = [], []
-    for idx, mem in enumerate(members):
-        nx = sigma * noise_rng.standard_normal((mem.size, 2)) if sigma else np.zeros((mem.size, 2))
-        ny = sigma * noise_rng.standard_normal((mem.size, 2)) if sigma else np.zeros((mem.size, 2))
-        local_x.append(_local_embedding(X[mem], rotations.theta[0, idx], nx))
-        local_y.append(_local_embedding(Y[mem], rotations.theta[1, idx], ny))
+    rotations = AngleGroups(theta=wrap_angle(TWO_PI * substream(seed, 0x1).random((2, N))))
+    points = np.stack([_as_complex(X), _as_complex(Y)])[:, cols]
+    centered = points - np.repeat(np.add.reduceat(points, start, axis=1) / sizes, sizes, axis=1)
+    values = centered * np.exp(1j * rotations.theta[:, rows])
+    if sigma:
+        # rows of one draw, per patch in order: its X rows, then its Y rows
+        noise = _as_complex(sigma * substream(seed, 0x2).standard_normal((2 * rows.size, 2)))
+        at = np.arange(rows.size) + start[rows]
+        values += noise[np.stack([at, at + sizes[rows]])]
+    local = np.zeros((2, N, pc.n), dtype=complex)
+    local[:, rows, cols] = values
 
     # pairs in (a, b) lexicographic order, one type draw per pair in that order
     weights = incidence.astype(float)
@@ -220,55 +218,49 @@ def build_patches(
     ii, jj = np.nonzero(np.triu(overlap >= min_overlap, 1))
     u = substream(seed, 0x3).random(ii.size)
     labels = np.where(u < p1, 1, np.where(u < p1 + p2, 2, 0))
-    position = np.cumsum(incidence, axis=1) - 1  # index of a node within its patch
-    theta = np.empty(ii.size)
-    for e, (a, b) in enumerate(zip(ii, jj)):
-        common = np.nonzero(incidence[a] & incidence[b])[0]
-        first = local_y if labels[e] == 2 else local_x
-        second = local_x if labels[e] == 1 else local_y
-        theta[e] = procrustes_rotation(
-            first[a][position[a, common]], second[b][position[b, common]]
+    # cross-covariance of a's type-F and b's type-S coordinates, centered over
+    # their common nodes, with W = weights: (F S^H)[a, b] minus
+    # (F W^T)[a, b] conj((S W^T)[b, a]) / overlap[a, b]
+    sums = local @ weights.T
+    cross = np.empty(ii.size, dtype=complex)
+    for first, second, label in ((0, 0, 1), (1, 1, 2), (0, 1, 0)):
+        a, b = ii[labels == label], jj[labels == label]
+        gram = local[first] @ local[second].conj().T
+        cross[labels == label] = (
+            gram[a, b] - sums[first, a, b] * np.conj(sums[second, b, a]) / overlap[a, b]
         )
+    theta = wrap_angle(np.angle(cross))
 
-    ps = PatchSet(
-        n_points=n,
-        centers=centers,
-        members=tuple(members),
-        local_x=tuple(local_x),
-        local_y=tuple(local_y),
-        rotations=rotations,
-    )
-    g = MeasurementGraph(n=N, ii=ii, jj=jj, theta=theta, labels=labels)
-    return ps, g
+    ps = PatchSet(n_points=pc.n, centers=centers, members=tuple(members), local=local,
+                  rotations=rotations)
+    return ps, MeasurementGraph(n=N, ii=ii, jj=jj, theta=theta, labels=labels)
 
 
-def _assemble(ps: PatchSet, patch_ids: np.ndarray, local: tuple, angles: np.ndarray) -> np.ndarray:
+def _assemble(ps: PatchSet, patch_ids: np.ndarray, local: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Solve node coordinates and patch translations by least squares.
 
-    Each (patch, member) pair yields node = derotated local[pid] row +
+    ``local`` is one type's (n_patches, n_points) slice of ``ps.local``.  Each
+    (patch, member) pair yields node = derotated local[pid, node] +
     translation.  Each node is its mean derotated copy plus its patches' mean
     translation; eliminating the nodes leaves the patch Laplacian
     L = diag(size) - (B / count) B^T of the patch x node membership B in the
     translations.  The first participating patch's translation is pinned to 0.
     """
-    # one entry per (patch, member) pair: its node's column and its patch's index
-    members = [ps.members[pid] for pid in patch_ids]
-    node_ids, node_col = np.unique(np.concatenate(members), return_inverse=True)
-    patch_of_row = np.repeat(np.arange(patch_ids.size), [m.size for m in members])
-    n_nodes = node_ids.size
-    n_patch = patch_ids.size
+    B = np.zeros((patch_ids.size, ps.n_points))
+    for row, pid in enumerate(patch_ids):
+        B[row, ps.members[pid]] = 1.0
+    node_ids = np.nonzero(B.any(axis=0))[0]
+    B = B[:, node_ids]
+    n_patch, n_nodes = B.shape
 
     # connectivity of the patch-node membership bipartite graph
+    patch_of_row, node_col = np.nonzero(B)
     roots = connected_components(n_nodes + n_patch, node_col, n_nodes + patch_of_row)
     if np.unique(roots).size > 1:
         comps = [np.nonzero(roots == r)[0].tolist() for r in np.unique(roots)]
         raise ValueError(f"translation system is disconnected: components {comps}")
 
-    B = np.zeros((n_patch, n_nodes))
-    B[patch_of_row, node_col] = 1.0
-    Z = np.zeros((n_patch, n_nodes), dtype=complex)
-    Z[patch_of_row, node_col] = _as_complex(np.concatenate([local[pid] for pid in patch_ids]))
-    Z *= np.exp(-1j * angles)[:, None]  # rotation by -angle
+    Z = local[np.ix_(patch_ids, node_ids)] * np.exp(-1j * angles)[:, None]  # rotation by -angle
     count = B.sum(axis=0)
     mean = Z.sum(axis=0) / count
     L = np.diag(B.sum(axis=1)) - (B / count) @ B.T
@@ -305,8 +297,8 @@ def asap_recover(
     if ps.n_patches == 1 and g.m == 0:
         # single patch covering everything: its embeddings are the answer
         one = np.array([0], dtype=np.int64)
-        X_hat = _assemble(ps, one, ps.local_x, np.zeros(1))
-        Y_hat = _assemble(ps, one, ps.local_y, np.zeros(1))
+        X_hat = _assemble(ps, one, ps.local[0], np.zeros(1))
+        Y_hat = _assemble(ps, one, ps.local[1], np.zeros(1))
         return X_hat, Y_hat, None
     cfg = cfg or DisentangleConfig(k=2)
     if cfg.k != 2:
@@ -332,6 +324,5 @@ def asap_recover(
         roots = connected_components(g.n, ii, jj)
         main = np.bincount(roots[patch_ids]).argmax()
         patch_ids = patch_ids[roots[patch_ids] == main]
-        local = ps.local_x if gtype == 1 else ps.local_y
-        results[gtype] = _assemble(ps, patch_ids, local, angles[patch_ids])
+        results[gtype] = _assemble(ps, patch_ids, ps.local[gtype - 1], angles[patch_ids])
     return results[1], results[2], final

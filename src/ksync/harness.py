@@ -80,6 +80,8 @@ class ExperimentConfig:
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError([f"config file must hold a JSON object, not {type(data).__name__}"])
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError([f"unknown config key {key!r}" for key in sorted(unknown)])

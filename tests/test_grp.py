@@ -27,6 +27,11 @@ def rigid(points, angle, shift):
     return points @ np.array([[c, -s], [s, c]]).T + shift
 
 
+def xy(z):
+    """Complex coordinates as an m x 2 real array."""
+    return np.column_stack([z.real, z.imag])
+
+
 def lstsq_assembly(ps, patch_ids, local, angles):
     """Dense least-squares reference for ``_assemble``.
 
@@ -38,14 +43,14 @@ def lstsq_assembly(ps, patch_ids, local, angles):
     rows, rhs = [], []
     for k, (pid, angle) in enumerate(zip(patch_ids, angles)):
         c, s = np.cos(angle), np.sin(angle)
-        derotated = local[pid] @ np.array([[c, s], [-s, c]]).T
-        for node, xy in zip(ps.members[pid], derotated):
+        derotated = xy(local[pid, ps.members[pid]]) @ np.array([[c, s], [-s, c]]).T
+        for node, point in zip(ps.members[pid], derotated):
             row = np.zeros(node_ids.size + len(patch_ids) - 1)
             row[column[int(node)]] = 1.0
             if k:
                 row[node_ids.size + k - 1] = -1.0
             rows.append(row)
-            rhs.append(xy)
+            rhs.append(point)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     out = np.full((ps.n_points, 2), np.nan)
     out[node_ids] = sol[:node_ids.size]
@@ -147,14 +152,13 @@ class TestBuildPatches:
         for e in range(g.m):
             a, b = int(g.ii[e]), int(g.jj[e])
             common = np.array(sorted(member_sets[a] & member_sets[b]))
-            pa = np.searchsorted(ps.members[a], common)
-            pb = np.searchsorted(ps.members[b], common)
+            lx, ly = ps.local[:, :, common]
             if g.labels[e] == 1:
-                same.append(fit_residual(ps.local_x[a][pa], ps.local_x[b][pb]))
+                same.append(fit_residual(xy(lx[a]), xy(lx[b])))
             elif g.labels[e] == 2:
-                same.append(fit_residual(ps.local_y[a][pa], ps.local_y[b][pb]))
+                same.append(fit_residual(xy(ly[a]), xy(ly[b])))
             else:
-                mixed.append(fit_residual(ps.local_x[a][pa], ps.local_y[b][pb]))
+                mixed.append(fit_residual(xy(lx[a]), xy(ly[b])))
         assert mixed and same
         assert min(mixed) > 10 * max(same)
 
@@ -180,21 +184,38 @@ class TestBuildPatches:
                 common = np.array(sorted(member_sets[a] & member_sets[b]), dtype=np.int64)
                 if common.size < min_overlap:
                     continue
-                pos_a = np.searchsorted(ps.members[a], common)
-                pos_b = np.searchsorted(ps.members[b], common)
                 u = type_rng.random()
                 label = 1 if u < p1 else 2 if u < p1 + p2 else 0
-                src_a = ps.local_y if label == 2 else ps.local_x
-                src_b = ps.local_x if label == 1 else ps.local_y
+                src_a = ps.local[1] if label == 2 else ps.local[0]
+                src_b = ps.local[0] if label == 1 else ps.local[1]
                 ii.append(a)
                 jj.append(b)
                 labels.append(label)
-                theta.append(procrustes_rotation(src_a[a][pos_a], src_b[b][pos_b]))
+                theta.append(procrustes_rotation(xy(src_a[a, common]), xy(src_b[b, common])))
         assert len(set(labels)) == 3
         np.testing.assert_array_equal(g.ii, ii)
         np.testing.assert_array_equal(g.jj, jj)
         np.testing.assert_array_equal(g.labels, labels)
-        assert g.theta.tobytes() == np.array(theta).tobytes()
+        # the products sum in another order than the scalar scan
+        diff = np.abs(g.theta - np.array(theta))
+        assert np.max(np.minimum(diff, TWO_PI - diff)) <= 1e-12
+
+    def test_noise_realization_pinned(self):
+        # per patch in order: its X noise rows, then its Y noise rows
+        seed, sigma = 5, 0.2
+        pc = make_two_configurations(100, seed=seed)
+        ps, _ = build_patches(pc, sigma=sigma, seed=seed)
+        noise_rng = substream(seed, 0x2)
+        want = np.zeros_like(ps.local)
+        for i, mem in enumerate(ps.members):
+            for t, points in enumerate((pc.X, pc.Y)):
+                angle = ps.rotations.theta[t, i]
+                c, s = np.cos(angle), np.sin(angle)
+                centered = points[mem] - points[mem].mean(axis=0)
+                rotated = centered @ np.array([[c, -s], [s, c]]).T
+                rotated += sigma * noise_rng.standard_normal((mem.size, 2))
+                want[t, i, mem] = rotated[:, 0] + 1j * rotated[:, 1]
+        assert np.max(np.abs(ps.local - want)) <= 1e-12
 
     def test_probability_validation(self):
         pc = make_two_configurations(64, seed=0)
@@ -224,17 +245,18 @@ class TestAsapRecover:
         assert procrustes_error(pc.X, x_hat) <= 1e-9
 
     def test_disjoint_patches_rejected(self):
-        local = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        triangle = np.array([0.0, 1.0, 1j])
+        local = np.zeros((2, 2, 6), dtype=complex)
+        local[:, 0, :3] = local[:, 1, 3:] = triangle
         ps = PatchSet(
             n_points=6,
             centers=np.array([0, 3]),
             members=(np.array([0, 1, 2]), np.array([3, 4, 5])),
-            local_x=(local, local),
-            local_y=(local, local),
+            local=local,
             rotations=AngleGroups(theta=np.zeros((2, 2))),
         )
         with pytest.raises(ValueError, match="translation system is disconnected"):
-            _assemble(ps, np.array([0, 1]), [local, local], np.zeros(2))
+            _assemble(ps, np.array([0, 1]), local[0], np.zeros(2))
 
     def test_assembly_matches_dense_lstsq(self):
         pc = make_two_configurations(100, seed=4)
@@ -243,7 +265,7 @@ class TestAsapRecover:
         # non-contiguous, unsorted subset: the gauge pins its first entry
         patch_ids = rng.permutation(ps.n_patches)[:16]
         angles = TWO_PI * rng.random(patch_ids.size)
-        for local in (ps.local_x, ps.local_y):
+        for local in ps.local:
             got = _assemble(ps, patch_ids, local, angles)
             want = lstsq_assembly(ps, patch_ids, local, angles)
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -280,8 +302,7 @@ class TestAsapRecover:
         # collapse to a genuinely single-patch instance
         from ksync.grp import PatchSet
         single = PatchSet(n_points=4, centers=ps.centers[:1], members=ps.members[:1],
-                          local_x=ps.local_x[:1], local_y=ps.local_y[:1],
-                          rotations=ps.rotations)
+                          local=ps.local[:, :1], rotations=ps.rotations)
         from ksync.core import MeasurementGraph
         empty = MeasurementGraph(n=1, ii=[], jj=[], theta=[])
         x_hat, y_hat, state = asap_recover(single, empty)

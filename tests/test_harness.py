@@ -411,9 +411,14 @@ class TestCli:
          {"mode": "setup2", "eta_grid": [0.9], "gamma": 0.2}, "not positive"),
         (["theory", "--n", "20", "--k", "3"],
          {"mode": "setup2", "eta_grid": [0.9], "gamma": 0.2}, "not positive"),
+        (["simulate", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5"], {"n": "abc"},
+         "not supported between instances of 'str' and 'int'"),
+        (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], [{}], "must hold a JSON object"),
+        (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], {"p": 0.5}, "not iterable"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
-            "simulate-infeasible-p", "theory-infeasible-p"])
+            "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
+            "scalar-p"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -202,15 +202,19 @@ class TestKrylovAgainstDenseOracle:
 def theta_hat_digests_by_thread_count(solver):
     """SHA-256 of ``solver``'s theta_hat on one n=1000 instance, run under 1
     and 2 BLAS threads."""
-    script = (
-        "import hashlib\n"
+    return digests_by_thread_count(
         "from ksync.genmodel import MixtureParams, sample_angles, sample_er_mixture\n"
         f"from ksync.sync import {solver}\n"
         "groups = sample_angles(1000, 2, 5)\n"
         "params = MixtureParams(n=1000, k=2, lam=0.2, p=(0.45, 0.35), seed=6)\n"
-        f"est = {solver}(sample_er_mixture(params, groups), 2)\n"
-        "print(hashlib.sha256(est.theta_hat.tobytes()).hexdigest())\n"
+        f"theta = {solver}(sample_er_mixture(params, groups), 2).theta_hat\n"
     )
+
+
+def digests_by_thread_count(setup):
+    """SHA-256 of the array ``theta`` that ``setup`` computes, run under 1 and
+    2 BLAS threads."""
+    script = setup + "import hashlib\nprint(hashlib.sha256(theta.tobytes()).hexdigest())\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -230,6 +234,17 @@ def test_theta_hat_independent_of_blas_thread_count():
 
 def test_sdp_bm_theta_hat_independent_of_blas_thread_count():
     digests = theta_hat_digests_by_thread_count("sdp_bm_ksync")
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("n, sigma", [(400, 0.0), (144, 0.1)])
+def test_build_patches_theta_independent_of_blas_thread_count(n, sigma):
+    digests = digests_by_thread_count(
+        "from ksync.grp import build_patches, make_two_configurations\n"
+        f"_, g = build_patches(make_two_configurations({n}, seed=3), sigma={sigma}, seed=3)\n"
+        "theta = g.theta\n"
+    )
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
