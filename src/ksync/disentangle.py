@@ -14,9 +14,9 @@ import dataclasses
 import numpy as np
 
 from .core import (
+    TWO_PI,
     AngleGroups,
     MeasurementGraph,
-    circular_distance,
     connected_components,
     wrap_angle,
 )
@@ -76,15 +76,27 @@ def _outlier_shares(good, outliers: float) -> tuple:
 def _residuals(theta_hat: np.ndarray, ii, jj, theta) -> np.ndarray:
     """Circular distance of each edge offset from the one theta_hat predicts.
 
-    ``theta_hat`` is one angle vector or a k x n stack of them; the result
-    has one residual per edge (per row).
+    ``theta_hat`` is one angle vector or a k x n stack of them, in
+    [0, 2*pi); the result has one residual per edge (per row).  Bit for bit
+    ``circular_distance(theta, wrap_angle(theta_hat[..., ii] -
+    theta_hat[..., jj]))``: both differences lie in (-2*pi, 2*pi), where
+    np.mod(d, 2*pi) is d + 2*pi for negative d and d + 0.0 (which turns
+    -0.0 into +0.0) otherwise.
     """
-    return circular_distance(theta, wrap_angle(theta_hat[..., ii] - theta_hat[..., jj]))
+    d = np.take(theta_hat, ii, axis=-1)
+    d -= np.take(theta_hat, jj, axis=-1)
+    d += TWO_PI * (d < 0)
+    # wrap_angle's 2*pi -> 0 for a tiny negative difference; the second
+    # wrap needs none, as min(2*pi, 2*pi - 2*pi) = min(0, 2*pi - 0)
+    d[d >= TWO_PI] = 0.0
+    np.subtract(theta, d, out=d)
+    d += TWO_PI * (d < 0)
+    return np.minimum(d, TWO_PI - d, out=d)
 
 
 def residual_matrices(g: MeasurementGraph, theta_hat: np.ndarray) -> np.ndarray:
     """Circular residuals psi[l, e] of every edge against every group estimate."""
-    theta_hat = np.atleast_2d(np.asarray(theta_hat, dtype=float))
+    theta_hat = wrap_angle(np.atleast_2d(np.asarray(theta_hat, dtype=float)))
     return _residuals(theta_hat, g.ii, g.jj, g.theta)
 
 
@@ -94,6 +106,22 @@ def assign_edges(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     assignment = np.argmin(psi, axis=0)
     gamma = psi[assignment, np.arange(psi.shape[1])]
     return assignment, gamma
+
+
+def _largest_component(n: int, ii, jj) -> tuple[np.ndarray, bool]:
+    """Nodes of the largest connected component of a non-empty edge set.
+
+    Only nodes touched by an edge count.  Ties go to the component holding
+    the smallest node.  Returns (sorted node ids, flag) where the flag marks
+    a support with more than one component.
+    """
+    hit = np.zeros(n, dtype=bool)
+    hit[ii] = True
+    hit[jj] = True
+    touched = np.flatnonzero(hit)
+    touched_roots = connected_components(n, ii, jj)[touched]
+    comp = touched[touched_roots == np.argmax(np.bincount(touched_roots))]
+    return comp, comp.size < touched.size
 
 
 def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str) -> tuple[np.ndarray, bool]:
@@ -107,14 +135,7 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str) -> tuple[
     ii, jj = g.ii[mask], g.jj[mask]
     if ii.size == 0:
         return theta, True
-    touched = np.unique(np.concatenate([ii, jj]))
-    roots = connected_components(g.n, ii, jj)
-    touched_roots = roots[touched]
-    uniq, counts = np.unique(touched_roots, return_counts=True)
-    main_root = int(uniq[np.argmax(counts)])
-    comp = touched[touched_roots == main_root]
-    disconnected = comp.size < touched.size
-
+    comp, disconnected = _largest_component(g.n, ii, jj)
     index = np.full(g.n, -1, dtype=np.int64)
     index[comp] = np.arange(comp.size)
     edge_in = index[ii] >= 0
@@ -224,8 +245,9 @@ def iterate_disentangle(
             if n_bad == 0:
                 good[mask] = True
                 continue
-            order = np.sort(res)
-            threshold = order[m_l - n_bad - 1] if n_bad < m_l else -np.inf
+            # the (m_l - n_bad)-th smallest residual, as a full sort would pick
+            threshold = (np.partition(res, m_l - n_bad - 1)[m_l - n_bad - 1]
+                         if n_bad < m_l else -np.inf)
             good[np.nonzero(mask)[0][res <= threshold]] = True
 
         matched = None

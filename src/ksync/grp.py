@@ -28,6 +28,7 @@ from .core import (
 from .disentangle import (
     DisentangleConfig,
     DisentangleState,
+    _largest_component,
     _sync_subgraph,
     iterate_disentangle,
 )
@@ -319,10 +320,6 @@ def asap_recover(
             raise ValueError(f"group {l + 1}: recovered subgraph has no edges")
         angles, _ = _sync_subgraph(g, mask, cfg.solver)
         # restrict assembly to the synchronized (largest) component
-        ii, jj = g.ii[mask], g.jj[mask]
-        patch_ids = np.unique(np.concatenate([ii, jj]))
-        roots = connected_components(g.n, ii, jj)
-        main = np.bincount(roots[patch_ids]).argmax()
-        patch_ids = patch_ids[roots[patch_ids] == main]
+        patch_ids, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
         results[gtype] = _assemble(ps, patch_ids, ps.local[gtype - 1], angles[patch_ids])
     return results[1], results[2], final

@@ -35,6 +35,33 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+# JSON kind per field annotation: accepted types and the name in messages;
+# bool is an int subclass in Python, so it is rejected separately
+_JSON_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "tuple": ((list,), "a list"),
+}
+
+
+def _type_errors(cls, data: dict) -> list:
+    """One message per JSON value whose type its config field cannot take."""
+    errors = []
+    for f in dataclasses.fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        base, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        types, kind = _JSON_KINDS[base]
+        if isinstance(value, bool) or not isinstance(value, types):
+            null = " or null" if optional else ""
+            errors.append(f"config key {f.name!r} must be {kind}{null}, got {value!r}")
+    return errors
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment description (a single JSON document on disk).
@@ -85,6 +112,9 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError([f"unknown config key {key!r}" for key in sorted(unknown)])
+        errors = _type_errors(cls, data)
+        if errors:
+            raise ConfigError(errors)
         if overrides:
             data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)

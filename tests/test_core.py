@@ -71,6 +71,9 @@ class TestMeasurementGraph:
     def test_rejects_duplicates_and_self_loops(self):
         with pytest.raises(ValueError, match="duplicate"):
             MeasurementGraph(n=3, ii=[0, 0], jj=[1, 1], theta=[0.1, 0.2])
+        # (0, 2) comes first and last, with other edges between and out of order
+        with pytest.raises(ValueError, match="duplicate"):
+            MeasurementGraph(n=4, ii=[0, 2, 0, 1, 0], jj=[2, 3, 1, 3, 2], theta=[0.1] * 5)
         with pytest.raises(ValueError, match="i < j"):
             MeasurementGraph(n=3, ii=[1], jj=[1], theta=[0.1])
         with pytest.raises(ValueError, match="i < j"):

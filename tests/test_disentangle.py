@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from ksync.core import AngleGroups, MeasurementGraph, TWO_PI, load_graph, save_graph, wrap_angle
+from ksync.core import (
+    AngleGroups,
+    MeasurementGraph,
+    TWO_PI,
+    circular_distance,
+    load_graph,
+    save_graph,
+    wrap_angle,
+)
 from ksync.disentangle import (
     DisentangleConfig,
+    _largest_component,
+    _residuals,
+    _sync_subgraph,
     assign_edges,
     bad_subgraph,
     classification_errors,
@@ -13,7 +24,7 @@ from ksync.disentangle import (
     residual_matrices,
 )
 from ksync.genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, substream
-from ksync.sync import estimate_from_angles, evaluate, spectral_ksync
+from ksync.sync import EIG_H, estimate_from_angles, evaluate, spectral_ksync
 
 
 def mixture(n, p, lam, seed, k=None):
@@ -49,6 +60,22 @@ class TestResidualMatrices:
         theta_hat = wrap_angle(TWO_PI * rng.random((1, n)))
         psi = residual_matrices(g, theta_hat)
         assert psi.mean() == pytest.approx(np.pi / 2, abs=0.05)
+
+
+    def test_same_bytes_as_wrapped_circular_distance(self):
+        # 1 and its neighbours differ by one ulp: d + 2*pi rounds up to 2*pi,
+        # which wrap_angle maps to 0; -0.0 must come out as np.mod's +0.0
+        special = [0.0, -0.0, np.pi, np.nextafter(TWO_PI, 0.0),
+                   1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+        rng = substream(41)
+        angles = np.concatenate([special, wrap_angle(TWO_PI * rng.random(40))])
+        n = angles.size
+        ii, jj = np.triu_indices(n, 1)
+        theta = rng.choice(angles, ii.size)
+        theta_hat = np.stack([angles, rng.permutation(angles), rng.permutation(angles)])
+        for th in (theta_hat, theta_hat[0]):
+            expected = circular_distance(theta, wrap_angle(th[..., ii] - th[..., jj]))
+            assert _residuals(th, ii, jj, theta).tobytes() == expected.tobytes()
 
 
 class TestAssignEdges:
@@ -172,6 +199,48 @@ class TestIterateDisentangle:
         cfg = DisentangleConfig(k=1, iterations=1, bad_fractions=(0.0,))
         states = iterate_disentangle(g, cfg, estimate_from_angles(AngleGroups(theta=theta)))
         assert states[-1].disconnected == (True,)
+
+
+    def test_edges_tied_at_threshold_stay_good(self):
+        # a consistent triangle is synchronized; the four edges off it keep
+        # residual = offset against angle 0.  Two bad edges are asked for,
+        # but the threshold is 1.0 and only the 1.5 edge lies above it
+        a = [0.0, 0.5, 2.0]
+        edges = [(0, 1, wrap_angle(a[0] - a[1])), (1, 2, wrap_angle(a[1] - a[2])),
+                 (0, 2, wrap_angle(a[0] - a[2])),
+                 (3, 4, 1.0), (5, 6, 1.0), (7, 8, 1.0), (9, 10, 1.5)]
+        g = MeasurementGraph.from_edges(11, edges, labels=[1] * 7)
+        cfg = DisentangleConfig(k=1, iterations=1, bad_fractions=(2 / 7,))
+        start = estimate_from_angles(AngleGroups(theta=np.zeros((1, 11))))
+        final = iterate_disentangle(g, cfg, start)[-1]
+        assert final.good.tolist() == [True] * 6 + [False]
+
+    def test_runs_without_np_unique(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        groups, g = mixture(100, (0.4, 0.3), 0.9, 15)
+        initial = spectral_ksync(g, 2)
+        monkeypatch.setattr(np, "unique", refuse)
+        states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=3), initial,
+                                     truth=groups)
+        assert len(states) == 3
+
+
+class TestSyncSubgraph:
+    def test_equal_components_tie_to_smallest_node(self):
+        # two consistent triangles, {4, 5, 6} listed first; node 0 has no edge
+        a = [0.0, 0.7, 1.9, 3.1, 0.2, 4.4, 5.0]
+        tri = [(4, 5), (5, 6), (4, 6), (1, 2), (2, 3), (1, 3)]
+        g = MeasurementGraph.from_edges(7, [(i, j, wrap_angle(a[i] - a[j])) for i, j in tri])
+        comp, disconnected = _largest_component(g.n, g.ii, g.jj)
+        assert comp.tolist() == [1, 2, 3] and disconnected
+        theta, flag = _sync_subgraph(g, np.ones(g.m, dtype=bool), EIG_H)
+        assert flag
+        assert theta[[0, 4, 5, 6]].tolist() == [0.0] * 4
+        on_comp = g.ii < 4
+        res = _residuals(theta, g.ii[on_comp], g.jj[on_comp], g.theta[on_comp])
+        assert res.max() <= 1e-10
 
 
 class TestSubgraphEmission:

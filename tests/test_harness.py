@@ -275,9 +275,11 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "setup1", "n": 25, "k": 1, "p": [1.0],
                                     "lambda_grid": [1.0], "trials_angles": 1,
-                                    "trials_graphs": 1}))
+                                    "trials_graphs": 1, "lam": 1, "ba_attachment": None}))
         cfg = ExperimentConfig.from_json(path, overrides={"seed": 9})
         assert cfg.n == 25 and cfg.seed == 9
+        # an integer where a number goes, and null for an optional field
+        assert cfg.lam == 1.0 and cfg.ba_attachment is None
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -412,13 +414,16 @@ class TestCli:
         (["theory", "--n", "20", "--k", "3"],
          {"mode": "setup2", "eta_grid": [0.9], "gamma": 0.2}, "not positive"),
         (["simulate", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5"], {"n": "abc"},
-         "not supported between instances of 'str' and 'int'"),
+         "config key 'n' must be an integer, got 'abc'"),
         (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], [{}], "must hold a JSON object"),
-        (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], {"p": 0.5}, "not iterable"),
+        (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], {"p": 0.5},
+         "config key 'p' must be a list or null, got 0.5"),
+        (["simulate", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5"], {"n": True},
+         "config key 'n' must be an integer, got True"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
-            "scalar-p"])
+            "scalar-p", "bool-n"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -129,9 +129,11 @@ class TestTopKEig:
 
 class TestHermitianCheck:
     # the check runs over 128-row blocks: n = 129 and 300 end in a partial one;
-    # a 1 x 1 matrix has no off-diagonal entry
+    # a 1 x 1 matrix has no off-diagonal entry.  It scans the upper triangle
+    # only, so asymmetry is placed in each triangle in turn
     @pytest.mark.parametrize("n, where", [
-        (n, where) for n in (1, 127, 128, 129, 300) for where in ("off-diagonal", "diagonal")
+        (n, where) for n in (1, 127, 128, 129, 300)
+        for where in ("off-diagonal", "upper", "diagonal")
         if n > 1 or where == "diagonal"
     ])
     @pytest.mark.parametrize("factor, rejected", [(4.0, True), (0.25, False)])
@@ -141,6 +143,8 @@ class TestHermitianCheck:
         if where == "off-diagonal":
             # only the lower entry moves, so M - M^H gains exactly this much there
             M[n - 1, 0] += asym
+        elif where == "upper":
+            M[0, n - 1] += asym
         else:
             # an imaginary diagonal part shows up twice in M - M^H
             M[n - 1, n - 1] += 0.5j * asym
