@@ -62,11 +62,6 @@ def default_bad_fractions(p) -> tuple:
     return _outlier_shares(p, max(0.0, 1.0 - sum(p)))
 
 
-def _fractions_from_labels(labels: np.ndarray, k: int) -> tuple:
-    counts = np.array([(labels == l).sum() for l in range(1, k + 1)], dtype=float)
-    return _outlier_shares(counts, float((labels == 0).sum()))
-
-
 def _outlier_shares(good, outliers: float) -> tuple:
     """share / (good_l + share) per group, with the outliers split evenly."""
     share = outliers / len(good)
@@ -152,8 +147,9 @@ class DisentangleState:
 
     ``assignment`` maps every edge to a group (0-based); ``good`` marks the
     edges kept in that group's recovered subgraph, the rest being pooled as
-    bad.  ``matched_corr`` holds per-group correlations against ground truth
-    when it was supplied.
+    bad.  ``recovered`` (derived, read-only) labels each edge as graph labels
+    do: group + 1 for a good edge, 0 for a bad one.  ``matched_corr`` holds
+    per-group correlations against ground truth when it was supplied.
     """
 
     iteration: int
@@ -165,6 +161,10 @@ class DisentangleState:
     matched_corr: tuple | None = None
 
     @property
+    def recovered(self) -> np.ndarray:
+        return np.where(self.good, self.assignment + 1, 0)
+
+    @property
     def gamma_median(self) -> float:
         return float(np.median(self.gamma)) if self.gamma.size else 0.0
 
@@ -174,29 +174,23 @@ class DisentangleState:
         return float(np.median(vals)) if vals.size else 0.0
 
 
-def good_subgraph(g: MeasurementGraph, state: DisentangleState, group: int) -> MeasurementGraph:
-    """Recovered good subgraph of one group (1-based label in the output)."""
-    mask = (state.assignment == group) & state.good
+def _recovered_subgraph(g: MeasurementGraph, state: DisentangleState,
+                        label: int) -> MeasurementGraph:
+    mask = state.recovered == label
     return MeasurementGraph(
         n=g.n, ii=g.ii[mask], jj=g.jj[mask], theta=g.theta[mask],
-        labels=np.full(int(mask.sum()), group + 1, dtype=np.int64),
+        labels=np.full(int(mask.sum()), label, dtype=np.int64),
     )
+
+
+def good_subgraph(g: MeasurementGraph, state: DisentangleState, group: int) -> MeasurementGraph:
+    """Recovered good subgraph of one group (1-based label in the output)."""
+    return _recovered_subgraph(g, state, group + 1)
 
 
 def bad_subgraph(g: MeasurementGraph, state: DisentangleState) -> MeasurementGraph:
     """Pooled bad edges across all groups (label 0)."""
-    mask = ~state.good
-    return MeasurementGraph(
-        n=g.n, ii=g.ii[mask], jj=g.jj[mask], theta=g.theta[mask],
-        labels=np.zeros(int(mask.sum()), dtype=np.int64),
-    )
-
-
-def _bad_count(m_l: int, fraction: float) -> int:
-    """Nearest-rank count of edges to classify bad out of m_l."""
-    if m_l == 0 or fraction <= 0.0:
-        return 0
-    return m_l - int(np.ceil((1.0 - fraction) * m_l - 1e-12))
+    return _recovered_subgraph(g, state, 0)
 
 
 def iterate_disentangle(
@@ -222,7 +216,8 @@ def iterate_disentangle(
             raise ValueError(
                 "bad_fractions not set and graph carries no ground-truth labels"
             )
-        fractions = _fractions_from_labels(g.labels, cfg.k)
+        counts = np.array([(g.labels == l).sum() for l in range(cfg.k + 1)], dtype=float)
+        fractions = _outlier_shares(counts[1:], float(counts[0]))
 
     theta = np.asarray(initial.theta_hat, dtype=float)
     states: list[DisentangleState] = []
@@ -230,25 +225,23 @@ def iterate_disentangle(
         psi = residual_matrices(g, theta)
         assignment, gamma = assign_edges(psi)
         new_theta = np.zeros_like(theta)
-        good = np.zeros(g.m, dtype=bool)
         flags = []
         for l in range(cfg.k):
-            mask = assignment == l
-            angles_l, flag = _sync_subgraph(g, mask, cfg.solver)
+            new_theta[l], flag = _sync_subgraph(g, assignment == l, cfg.solver)
             flags.append(flag)
-            new_theta[l] = angles_l
-            m_l = int(mask.sum())
-            if m_l == 0:
-                continue
-            res = _residuals(angles_l, g.ii[mask], g.jj[mask], g.theta[mask])
-            n_bad = _bad_count(m_l, fractions[l])
-            if n_bad == 0:
-                good[mask] = True
-                continue
-            # the (m_l - n_bad)-th smallest residual, as a full sort would pick
-            threshold = (np.partition(res, m_l - n_bad - 1)[m_l - n_bad - 1]
-                         if n_bad < m_l else -np.inf)
-            good[np.nonzero(mask)[0][res <= threshold]] = True
+        # each edge against its own group's new angles: row l of new_theta
+        # starts at l * n of the flat vector
+        res = _residuals(new_theta.ravel(), assignment * g.n + g.ii,
+                         assignment * g.n + g.jj, g.theta)
+        # group l keeps its ceil((1 - f_l) m_l) smallest residuals, ties at
+        # the threshold included; a group that keeps none gets -inf
+        threshold = np.full(cfg.k, -np.inf)
+        for l in range(cfg.k):
+            res_l = res[assignment == l]
+            keep = int(np.ceil((1.0 - fractions[l]) * res_l.size - 1e-12))
+            if keep:
+                threshold[l] = np.partition(res_l, keep - 1)[keep - 1]
+        good = res <= threshold[assignment]
 
         matched = None
         if truth is not None:
@@ -275,20 +268,14 @@ def classification_errors(g: MeasurementGraph, state: DisentangleState) -> dict:
     if g.labels is None:
         raise ValueError("graph carries no ground-truth labels")
     k = int(state.theta_hat.shape[0])
+    recovered = state.recovered
     out = {}
-    recovered_group = np.where(state.good, state.assignment + 1, 0)
-    for l in range(1, k + 1):
-        true_l = g.labels == l
-        rec_l = recovered_group == l
-        out[l] = {
+    for label in (*range(1, k + 1), 0):
+        true_l = g.labels == label
+        rec_l = recovered == label
+        out[label if label else "bad"] = {
             "extra": int(np.sum(rec_l & ~true_l)),
             "missing": int(np.sum(true_l & ~rec_l)),
         }
-    true_bad = g.labels == 0
-    rec_bad = recovered_group == 0
-    out["bad"] = {
-        "extra": int(np.sum(rec_bad & ~true_bad)),
-        "missing": int(np.sum(true_bad & ~rec_bad)),
-    }
-    out["total_misclassified"] = int(np.sum(recovered_group != g.labels))
+    out["total_misclassified"] = int(np.sum(recovered != g.labels))
     return out

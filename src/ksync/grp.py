@@ -272,16 +272,6 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, local: np.ndarray, angles: np
     return out
 
 
-def _group_type(g: MeasurementGraph, mask: np.ndarray, default: int) -> int:
-    """Majority ground-truth type (1 = X, 2 = Y) of a recovered edge set."""
-    if g.labels is None:
-        return default
-    labs = g.labels[mask]
-    votes = [(int(np.sum(labs == t)), t) for t in (1, 2)]
-    best = max(votes)
-    return best[1] if best[0] > 0 else default
-
-
 def asap_recover(
     ps: PatchSet,
     g: MeasurementGraph,
@@ -308,16 +298,20 @@ def asap_recover(
     states = iterate_disentangle(g, cfg, initial)
     final = states[-1]
 
+    # recovered group 1 takes the majority true type of its edges (Y on a
+    # tie, X without a labelled edge), group 2 the other one
+    recovered = final.recovered
+    first = 1
+    if g.labels is not None:
+        labs = g.labels[recovered == 1]
+        ys = np.sum(labs == 2)
+        if ys and ys >= np.sum(labs == 1):
+            first = 2
     results: dict[int, np.ndarray] = {}
-    types_taken: set[int] = set()
-    for l in range(2):
-        mask = (final.assignment == l) & final.good
-        gtype = _group_type(g, mask, default=l + 1)
-        if gtype in types_taken:
-            gtype = 3 - gtype
-        types_taken.add(gtype)
+    for label, gtype in ((1, first), (2, 3 - first)):
+        mask = recovered == label
         if not mask.any():
-            raise ValueError(f"group {l + 1}: recovered subgraph has no edges")
+            raise ValueError(f"group {label}: recovered subgraph has no edges")
         angles, _ = _sync_subgraph(g, mask, cfg.solver)
         # restrict assembly to the synchronized (largest) component
         patch_ids, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])

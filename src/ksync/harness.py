@@ -9,6 +9,7 @@ runs emit byte-identical CSV.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,14 +36,22 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-# JSON kind per field annotation: accepted types and the name in messages;
-# bool is an int subclass in Python, so it is rejected separately
+# JSON kind per field annotation: accepted types, the name in messages and
+# the kind of each list entry; bool is an int subclass in Python, so it is
+# rejected separately
 _JSON_KINDS = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "tuple": ((list,), "a list"),
+    "int": ((int,), "an integer", None),
+    "float": ((int, float), "a number", None),
+    "str": ((str,), "a string", None),
+    "tuple[float, ...]": ((list,), "a list of numbers", "float"),
+    "tuple[str, ...]": ((list,), "a list of strings", "str"),
 }
+
+
+def _fits(value, kind: str) -> bool:
+    types, _, item = _JSON_KINDS[kind]
+    return (not isinstance(value, bool) and isinstance(value, types)
+            and (item is None or all(_fits(x, item) for x in value)))
 
 
 def _type_errors(cls, data: dict) -> list:
@@ -55,10 +64,9 @@ def _type_errors(cls, data: dict) -> list:
         base, _, optional = f.type.partition(" | ")
         if value is None and optional:
             continue
-        types, kind = _JSON_KINDS[base]
-        if isinstance(value, bool) or not isinstance(value, types):
-            null = " or null" if optional else ""
-            errors.append(f"config key {f.name!r} must be {kind}{null}, got {value!r}")
+        if not _fits(value, base):
+            kind = _JSON_KINDS[base][1] + (" or null" if optional else "")
+            errors.append(f"config key {f.name!r} must be {kind}, got {value!r}")
     return errors
 
 
@@ -74,14 +82,14 @@ class ExperimentConfig:
     mode: str = "setup1"
     n: int = 500
     k: int = 2
-    p: tuple | None = None
-    lambda_grid: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)
+    p: tuple[float, ...] | None = None
+    lambda_grid: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
     gamma: float = 0.05
-    eta_grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5)
+    eta_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
     lam: float = 1.0
     trials_angles: int = 20
     trials_graphs: int = 20
-    solvers: tuple = (EIG_H,)
+    solvers: tuple[str, ...] = (EIG_H,)
     seed: int = 0
     out: str | None = None
     threads: int = 1
@@ -230,24 +238,21 @@ def instance_probs(cfg: ExperimentConfig) -> tuple:
     return derive_setup2_probs(cfg.k, cfg.eta_grid[0], cfg.gamma)
 
 
-def _grid_points(cfg: ExperimentConfig, log) -> list:
-    """(lam, eta, p, gamma_text) per grid point, skipping infeasible ones."""
-    points = []
+def _grid_points(cfg: ExperimentConfig) -> tuple[list, list]:
+    """(lam, eta, p, gamma_text) per feasible grid point, and one message per skipped one."""
     if cfg.mode == "setup1":
-        p = cfg.p
-        eta = 1.0 - sum(p)
-        for lam in cfg.lambda_grid:
-            points.append((lam, eta, p, ""))
-        return points
+        eta = 1.0 - sum(cfg.p)
+        return [(lam, eta, cfg.p, "") for lam in cfg.lambda_grid], []
+    points, skipped = [], []
     for eta in cfg.eta_grid:
         try:
             p = derive_setup2_probs(cfg.k, eta, cfg.gamma)
             MixtureParams(n=cfg.n, k=cfg.k, lam=cfg.lam, p=p)
         except ValueError as exc:
-            log(f"skipping eta={eta}: {exc}")
+            skipped.append(f"skipping eta={eta}: {exc}")
             continue
         points.append((cfg.lam, eta, p, repr(float(cfg.gamma))))
-    return points
+    return points, skipped
 
 
 def sample_instance(cfg: ExperimentConfig, lam: float, p, angle_key: tuple, graph_key: tuple):
@@ -267,19 +272,16 @@ def sample_instance(cfg: ExperimentConfig, lam: float, p, angle_key: tuple, grap
     return groups, graph, graph_seed
 
 
-def _run_trial(cfg, gi, point, a, gidx):
-    lam, eta, p, _ = point
+def _run_trial(cfg, point, gi, a, gidx) -> list:
+    """(matched, degenerate, iterations, converged) per solver, in cfg.solvers order."""
+    lam, _, p, _ = point
     groups, graph, graph_seed = sample_instance(cfg, lam, p, (gi, a), (gi, a, gidx))
-    out = {}
+    out = []
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, seed=graph_seed)
         ev = evaluate(groups, est, matching="by-index")
-        diag = {
-            "degenerate": len(est.degenerate_entries),
-            "iterations": est.meta.get("iterations"),
-            "converged": est.meta.get("converged"),
-        }
-        out[solver] = (ev.matched, diag)
+        out.append((ev.matched, len(est.degenerate_entries),
+                    est.meta.get("iterations"), est.meta.get("converged")))
     return out
 
 
@@ -289,61 +291,47 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
     Returns (rows, meta): one row per (grid point, solver, group) with the
     mean and standard deviation of the by-index matched correlation over
     trials_angles x trials_graphs runs, plus aggregated solver diagnostics.
+    ``meta["skipped"]`` lists every skipped grid point; each is also passed
+    to ``log`` when given.
     """
     errors = validate_config(cfg, "sweep")
     if errors:
         raise ConfigError(errors)
-    messages = []
-    logger = log if log is not None else messages.append
-    points = _grid_points(cfg, logger)
+    points, skipped = _grid_points(cfg)
+    if log is not None:
+        for message in skipped:
+            log(message)
 
-    tasks = [
-        (gi, a, gidx)
-        for gi in range(len(points))
-        for a in range(cfg.trials_angles)
-        for gidx in range(cfg.trials_graphs)
-    ]
+    tasks = itertools.product(range(len(points)), range(cfg.trials_angles),
+                              range(cfg.trials_graphs))
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = dict(zip(
-            tasks,
-            pool.map(lambda t: _run_trial(cfg, t[0], points[t[0]], t[1], t[2]), tasks),
-        ))
+        results = list(pool.map(lambda t: _run_trial(cfg, points[t[0]], *t), tasks))
 
     rows = []
     diagnostics = {}
     trials = cfg.trials_angles * cfg.trials_graphs
-    for gi, point in enumerate(points):
-        lam, eta, _, gamma_text = point
-        for solver in cfg.solvers:
-            vals = np.empty((cfg.trials_angles, cfg.trials_graphs, cfg.k))
-            degen = 0
-            iters = []
-            nonconv = 0
-            for a in range(cfg.trials_angles):
-                for gidx in range(cfg.trials_graphs):
-                    matched, diag = results[(gi, a, gidx)][solver]
-                    vals[a, gidx] = matched
-                    degen += diag["degenerate"]
-                    if diag["iterations"] is not None:
-                        iters.append(diag["iterations"])
-                    if diag["converged"] is False:
-                        nonconv += 1
+    for gi, (lam, eta, _, gamma_text) in enumerate(points):
+        # trials in (angle, graph) order; one contiguous row per group
+        point_trials = results[gi * trials:(gi + 1) * trials]
+        for s, solver in enumerate(cfg.solvers):
+            matched, degen, iters, converged = zip(*(trial[s] for trial in point_trials))
+            vals = np.stack(matched, axis=1)
             for l in range(cfg.k):
-                flat = vals[:, :, l].ravel()
                 rows.append((
                     cfg.mode, solver, cfg.n, cfg.k, lam, eta, gamma_text,
-                    l + 1, float(flat.mean()), float(flat.std()), trials,
+                    l + 1, float(vals[l].mean()), float(vals[l].std()), trials,
                 ))
+            iters = [x for x in iters if x is not None]
             diagnostics[f"grid{gi}/{solver}"] = {
                 "lambda": lam,
                 "eta": eta,
-                "degenerate_entries": degen,
+                "degenerate_entries": sum(degen),
                 "sdp_iterations_mean": float(np.mean(iters)) if iters else None,
-                "sdp_non_converged": nonconv,
+                "sdp_non_converged": sum(c is False for c in converged),
             }
     meta = {
         "config": dataclasses.asdict(cfg),
-        "skipped": messages,
+        "skipped": skipped,
         "diagnostics": diagnostics,
     }
     return rows, meta
@@ -478,12 +466,11 @@ def simulate_once(cfg: ExperimentConfig):
     report = {}
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, seed=cfg.seed)
-        ev_idx = evaluate(groups, est, matching="by-index")
-        ev_best = evaluate(groups, est, matching="best")
+        ev = evaluate(groups, est, matching="best")
         report[solver] = {
-            "matched_by_index": [float(x) for x in ev_idx.matched],
-            "matched_best": [float(x) for x in ev_best.matched],
-            "assignment_best": list(ev_best.assignment),
+            "matched_by_index": [float(x) for x in np.diag(ev.corr)],
+            "matched_best": [float(x) for x in ev.matched],
+            "assignment_best": list(ev.assignment),
             "degenerate": len(est.degenerate_entries),
         }
     return graph, groups, report

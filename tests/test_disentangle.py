@@ -215,6 +215,33 @@ class TestIterateDisentangle:
         final = iterate_disentangle(g, cfg, start)[-1]
         assert final.good.tolist() == [True] * 6 + [False]
 
+    def test_groups_keeping_no_edge_still_partition_the_edges(self):
+        # a consistent triangle; every edge offset is non-zero
+        a = [0.0, 0.5, 2.0]
+        g = MeasurementGraph.from_edges(
+            3, [(i, j, wrap_angle(a[i] - a[j])) for i, j in ((0, 1), (1, 2), (0, 2))])
+
+        def final_state(theta, bad_fractions):
+            cfg = DisentangleConfig(k=len(theta), iterations=2, bad_fractions=bad_fractions)
+            start = estimate_from_angles(AngleGroups(theta=np.array(theta)))
+            st = iterate_disentangle(g, cfg, start)[-1]
+            parts = [good_subgraph(g, st, l) for l in range(cfg.k)] + [bad_subgraph(g, st)]
+            covered = sorted(zip(np.concatenate([p.ii for p in parts]).tolist(),
+                                 np.concatenate([p.jj for p in parts]).tolist()))
+            assert covered == sorted(zip(g.ii.tolist(), g.jj.tolist()))
+            return st
+
+        # group 2 starts at angle 0, so every edge fits group 1 better
+        st = final_state([a, [0.0] * 3], (0.0, 0.0))
+        assert st.assignment.tolist() == [0] * 3
+        assert st.theta_hat[1].tolist() == [0.0] * 3 and st.disconnected == (False, True)
+        assert st.recovered.tolist() == [1] * 3
+        # ceil((1 - f) * 3 - 1e-12) = 0 edges kept
+        st = final_state([a], (1 - 1e-13,))
+        assert st.recovered.tolist() == [0] * 3 and not st.good.any()
+        with pytest.raises(AttributeError):
+            st.recovered = np.ones(3, dtype=np.int64)
+
     def test_runs_without_np_unique(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.unique called")

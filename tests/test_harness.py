@@ -48,6 +48,8 @@ class TestDeriveSetup2Probs:
         rows, meta = run_sweep(cfg, log=logged.append)
         assert rows == []
         assert logged and "strictly decreasing" in logged[0]
+        assert meta["skipped"] == logged
+        assert run_sweep(cfg)[1]["skipped"] == logged
 
 
 class TestRunSweep:
@@ -417,13 +419,25 @@ class TestCli:
          "config key 'n' must be an integer, got 'abc'"),
         (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], [{}], "must hold a JSON object"),
         (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], {"p": 0.5},
-         "config key 'p' must be a list or null, got 0.5"),
+         "config key 'p' must be a list of numbers or null, got 0.5"),
         (["simulate", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5"], {"n": True},
          "config key 'n' must be an integer, got True"),
+        (["simulate", "--n", "20", "--k", "2", "--lam", "0.5"], {"p": ["a"]},
+         "config key 'p' must be a list of numbers or null, got ['a']"),
+        (["sweep", "--mode", "setup1", "--n", "20", "--k", "2", "--p", "0.5,0.3",
+          "--trials-angles", "1", "--trials-graphs", "1"], {"lambda_grid": [True]},
+         "config key 'lambda_grid' must be a list of numbers, got [True]"),
+        (["sweep", "--mode", "setup2", "--n", "20", "--k", "2", "--lam", "0.5",
+          "--trials-angles", "1", "--trials-graphs", "1"], {"eta_grid": [None]},
+         "config key 'eta_grid' must be a list of numbers, got [None]"),
+        (["simulate", "--n", "20", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5"],
+         {"solvers": ["EIG-H", 1]},
+         "config key 'solvers' must be a list of strings, got ['EIG-H', 1]"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
-            "scalar-p", "bool-n"])
+            "scalar-p", "bool-n", "string-in-p", "bool-in-lambda-grid", "null-in-eta-grid",
+            "number-in-solvers"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
