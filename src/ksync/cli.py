@@ -12,6 +12,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import grp as grpmod
 from .core import save_graph
 from .disentangle import (
@@ -139,18 +141,27 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _median(values) -> float:
+    return float(np.median(values)) if values.size else 0.0
+
+
 def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
     groups, graph, _ = sample_instance(cfg, cfg.lam, cfg.p, (0,), (0,))
     solver = cfg.solvers[0]
     initial = solve(graph, cfg.k, solver)
     dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations, solver=solver)
     states = iterate_disentangle(graph, dcfg, initial, truth=groups)
-    lines = ["iteration,group,matched_corr,gamma_median,gamma_median_good,n_good,n_bad"]
+    lines = ["iteration,group,matched_corr,gamma_median,gamma_median_good,n_good,n_bad,"
+             "disconnected"]
     for st in states:
         for l in range(cfg.k):
+            mine = st.assignment == l
+            good = st.good[mine]
+            gamma = st.gamma[mine]
             lines.append(
-                f"{st.iteration},{l + 1},{st.matched_corr[l]!r},{st.gamma_median!r},"
-                f"{st.gamma_median_good!r},{int(st.good.sum())},{int((~st.good).sum())}"
+                f"{st.iteration},{l + 1},{st.matched_corr[l]!r},{_median(gamma)!r},"
+                f"{_median(gamma[good])!r},{int(good.sum())},{int((~good).sum())},"
+                f"{int(st.disconnected[l])}"
             )
     final = states[-1]
     errs = classification_errors(graph, final)
@@ -173,9 +184,14 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
     )
     dcfg = DisentangleConfig(k=2, iterations=cfg.iterations, solver=cfg.solvers[0])
     x_hat, y_hat, _ = grpmod.asap_recover(ps, graph, dcfg)
-    err_x = grpmod.procrustes_error(pc.X, x_hat)
-    err_y = grpmod.procrustes_error(pc.Y, y_hat)
-    print(f"mean displacement after alignment: X {err_x!r}  Y {err_y!r}")
+    errs = []
+    for name, truth, est in (("X", pc.X, x_hat), ("Y", pc.Y, y_hat)):
+        done = ~np.isnan(est[:, 0])
+        if not done.all():
+            print(f"{name}: assembled {int(done.sum())} of {len(est)} nodes; its displacement "
+                  "is over the assembled nodes only", file=sys.stderr)
+        errs.append(grpmod.procrustes_error(truth[done], est[done]))
+    print(f"mean displacement after alignment: X {errs[0]!r}  Y {errs[1]!r}")
     if cfg.out:
         for suffix, arr in (("X", x_hat), ("Y", y_hat)):
             with open(f"{cfg.out}_{suffix}.csv", "w", newline="\n") as fh:

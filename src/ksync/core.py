@@ -13,8 +13,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Edge label conventions: 1..k for the angle groups, 0 for outlier edges,
-# -1 when the label is unknown.
+# Edge label conventions: 1..k for the angle groups, 0 for outlier edges;
+# -1 marks an unlabelled edge in graph files only.
 OUTLIER = 0
 UNKNOWN = -1
 
@@ -75,8 +75,8 @@ class MeasurementGraph:
 
     Edges are stored as parallel arrays (ii, jj, theta) with ii < jj and
     theta in [0, 2*pi); the reverse measurement is implicit,
-    theta_ji = (-theta_ij) mod 2*pi.  ``labels`` optionally records the
-    ground-truth generating group per edge (1..k, OUTLIER, or UNKNOWN).
+    theta_ji = (-theta_ij) mod 2*pi.  ``labels`` records the ground-truth
+    generating group per edge (1..k or OUTLIER), or is None if unknown.
     """
 
     n: int
@@ -112,6 +112,8 @@ class MeasurementGraph:
             labels = np.asarray(self.labels, dtype=np.int64).ravel()
             if labels.shape != ii.shape:
                 raise ValueError("labels must have one entry per edge")
+            if np.any(labels < 0):
+                raise ValueError("negative edge label; pass labels=None for an unlabelled graph")
             object.__setattr__(self, "labels", _frozen(labels))
 
     @property
@@ -205,7 +207,6 @@ class SyncEstimate:
     theta_hat: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    solver: str
     degenerate_entries: tuple = ()
     meta: dict = dataclasses.field(default_factory=dict)
 
@@ -247,7 +248,10 @@ def save_graph(g: MeasurementGraph, path, k: int | None = None) -> None:
 
 
 def load_graph(path) -> tuple[MeasurementGraph, int]:
-    """Read a graph written by :func:`save_graph`; returns (graph, k)."""
+    """Read a graph written by :func:`save_graph`; returns (graph, k).
+
+    A file with only UNKNOWN labels loads unlabelled; mixed labels are rejected.
+    """
     with open(path) as fh:
         first = fh.readline().split()
         if len(first) != 3:

@@ -55,30 +55,27 @@ def extract_angles(vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
     return theta, degenerate
 
 
-def _estimate_from_pairs(values: np.ndarray, vectors: np.ndarray, solver: str,
-                         meta=None) -> SyncEstimate:
+def _operator(g: MeasurementGraph) -> np.ndarray:
+    """The operator every solver works on: the unit-diagonal measurement matrix."""
+    if g.m == 0:
+        raise ValueError("measurement graph has no edges")
+    return build_measurement_matrix(g, diagonal=1.0)
+
+
+def _estimate(values: np.ndarray, vectors: np.ndarray, meta: dict) -> SyncEstimate:
+    """Angles from the phases of the eigenvector columns, with their eigenpairs."""
     theta_hat, degenerate = extract_angles(vectors)
     return SyncEstimate(
         theta_hat=theta_hat,
         eigenvalues=values,
         eigenvectors=vectors.T,
-        solver=solver,
         degenerate_entries=degenerate,
-        meta=meta or {},
+        meta=meta,
     )
 
 
-def _spectral_estimate(pairs: linalg.EigenPairs, solver: str) -> SyncEstimate:
-    meta = {
-        "eig_residual_max": float(pairs.residuals.max()),
-        "ties": pairs.ties,
-        "krylov_steps": pairs.krylov_steps,
-    }
-    return _estimate_from_pairs(pairs.values, pairs.vectors, solver, meta)
-
-
 def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
-    """Wrap known angles as a SyncEstimate (solver tag "exact").
+    """Wrap known angles as a SyncEstimate.
 
     Useful to seed the disentangling loop from a reference solution; the
     eigenvector rows are the unit-circle representations of the angles and
@@ -89,7 +86,6 @@ def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
         theta_hat=groups.theta,
         eigenvalues=np.zeros(groups.k),
         eigenvectors=z,
-        solver="exact",
     )
 
 
@@ -99,10 +95,10 @@ def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     ``meta`` carries the eigensolve's worst residual (``eig_residual_max``),
     its ``ties`` and its ``krylov_steps``.
     """
-    if g.m == 0:
-        raise ValueError("measurement graph has no edges")
-    H = build_measurement_matrix(g, diagonal=1.0)
-    return _spectral_estimate(linalg.top_k_eig(H, k), EIG_H)
+    pairs = linalg.top_k_eig(_operator(g), k)
+    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
+            "krylov_steps": pairs.krylov_steps}
+    return _estimate(pairs.values, pairs.vectors, meta)
 
 
 def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
@@ -110,10 +106,10 @@ def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
 
     ``meta`` holds the same eigensolve diagnostics as :func:`spectral_ksync`.
     """
-    if g.m == 0:
-        raise ValueError("measurement graph has no edges")
-    H = build_measurement_matrix(g, diagonal=1.0)
-    return _spectral_estimate(linalg.degree_normalized_eig(H, k), EIG_R)
+    pairs = linalg.degree_normalized_eig(_operator(g), k)
+    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
+            "krylov_steps": pairs.krylov_steps}
+    return _estimate(pairs.values, pairs.vectors, meta)
 
 
 def _row_normalize(V: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -166,9 +162,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     eigenvalue 0 and a zero vector, all of whose entries are reported
     degenerate.
     """
-    if g.m == 0:
-        raise ValueError("measurement graph has no edges")
-    H = build_measurement_matrix(g, diagonal=1.0)
+    H = _operator(g)
     n = g.n
     r = min(k + 2, n)
 
@@ -220,7 +214,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
         "shift": shift,
         "rank": r,
     }
-    return _estimate_from_pairs(values, vectors, SDP_BM, meta)
+    return _estimate(values, vectors, meta)
 
 
 def solve(g: MeasurementGraph, k: int, solver: str, seed: int = 0) -> SyncEstimate:

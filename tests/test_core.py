@@ -179,6 +179,16 @@ class TestGraphFile:
         edge_line = path.read_text().splitlines()[1]
         assert edge_line.split()[:2] == ["1", "3"]  # 1-based indices
 
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels=None"):
+            MeasurementGraph(n=3, ii=[0, 1], jj=[1, 2], theta=[1.0, 2.0], labels=[1, -1])
+
+    def test_file_mixing_unknown_and_known_labels_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 2 1\n1 2 1.0 1\n2 3 2.0 -1\n")
+        with pytest.raises(ValueError, match="labels=None"):
+            load_graph(path)
+
     def test_unknown_labels_round_trip_to_none(self, tmp_path):
         g = MeasurementGraph(n=3, ii=[0], jj=[1], theta=[1.0])
         path = tmp_path / "g.txt"

@@ -484,6 +484,37 @@ class TestCli:
         edges = sum(load_graph(tmp_path / name)[0].m for name in parts)
         assert edges == m * (m - 1) // 2 + m * (n - m)
 
+    def test_disentangle_history_rows_are_per_group(self, tmp_path):
+        code = cli_main(["disentangle", "--n", "80", "--k", "3", "--p", "0.3,0.25,0.2",
+                         "--lam", "0.5", "--iterations", "2", "--seed", "8",
+                         "--out", str(tmp_path / "d")])
+        assert code == 0
+        lines = (tmp_path / "d_history.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-3:] == ["n_good", "n_bad", "disconnected"]
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        final = [row for row in rows if row["iteration"] == "2"]
+        assert [row["group"] for row in final] == ["1", "2", "3"]
+        for l, row in enumerate(final, start=1):
+            assert int(row["n_good"]) == load_graph(tmp_path / f"d_G{l}.graph")[0].m
+            assert row["disconnected"] in ("0", "1")
+        n_bad = sum(int(row["n_bad"]) for row in final)
+        assert n_bad == load_graph(tmp_path / "d_W.graph")[0].m
+
+    def test_grp_partial_assembly_reports_assembled_nodes(self, tmp_path, capsys):
+        # a 1 x 101 grid: both recovered supports end disconnected
+        code = cli_main(["grp", "--n", "101", "--seed", "1", "--out", str(tmp_path / "g")])
+        assert code == 0
+        captured = capsys.readouterr()
+        for name in ("X", "Y"):
+            coords = np.loadtxt(tmp_path / f"g_{name}.csv", delimiter=",", skiprows=1)
+            assembled = int(np.isfinite(coords[:, 1]).sum())
+            assert assembled < 101
+            assert f"{name}: assembled {assembled} of 101 nodes" in captured.err
+        assert "nan" not in captured.out
+        shown = captured.out.splitlines()[0].split()
+        assert np.isfinite(float(shown[-3])) and np.isfinite(float(shown[-1]))
+
     @pytest.mark.parametrize("config, message", [
         ({"mode": "setup2", "eta": 0.4, "gamma": 0.05}, "unknown config key 'eta'"),
         ({"mode": "bogus"}, "mode must be one of"),

@@ -74,10 +74,25 @@ class TestSpectralKsync:
             assert est.theta_hat.shape == (2, 500)
             assert correlation(groups1.theta[0], est.theta_hat[1]) <= 0.1
 
-    def test_empty_graph_rejected(self):
+    @pytest.mark.parametrize("solver", sync.SOLVERS)
+    def test_empty_graph_rejected(self, solver):
         g = MeasurementGraph(n=4, ii=[], jj=[], theta=[])
-        with pytest.raises(ValueError):
-            spectral_ksync(g, 1)
+        with pytest.raises(ValueError, match="no edges"):
+            sync.solve(g, 1, solver)
+
+    @pytest.mark.parametrize("solver", sync.SOLVERS)
+    def test_one_operator_per_solve(self, solver, monkeypatch):
+        calls = []
+        build = sync.build_measurement_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sync, "build_measurement_matrix", counting)
+        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
+        sync.solve(g, 2, solver)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("solver", [spectral_ksync, normalized_spectral_ksync])
     def test_meta_carries_eigensolve_diagnostics(self, solver):
