@@ -103,7 +103,7 @@ class MeasurementGraph:
             keys = np.sort(ii * self.n + jj)
             if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate edges are not allowed")
-            if np.any(theta < 0.0) or np.any(theta >= TWO_PI):
+            if not np.all((theta >= 0.0) & (theta < TWO_PI)):
                 raise ValueError("edge offsets must lie in [0, 2*pi)")
         object.__setattr__(self, "ii", _frozen(ii))
         object.__setattr__(self, "jj", _frozen(jj))

@@ -20,7 +20,7 @@ from .core import (
     connected_components,
     wrap_angle,
 )
-from .sync import EIG_H, EIG_R, SyncEstimate, estimate_from_angles, evaluate, solve
+from .sync import EIG_H, EIG_R, SyncEstimate, evaluate, solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,9 +245,7 @@ def iterate_disentangle(
 
         matched = None
         if truth is not None:
-            ev = evaluate(truth, estimate_from_angles(AngleGroups(theta=new_theta)),
-                          matching="best")
-            matched = tuple(float(x) for x in ev.matched)
+            matched = tuple(float(x) for x in evaluate(truth, new_theta).matched)
         states.append(
             DisentangleState(
                 iteration=r,

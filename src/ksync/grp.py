@@ -110,10 +110,11 @@ def make_two_configurations(
 
     Y = shear @ X, with the points in the right half-plane (x above the
     median) additionally rotated by ``region_rotation`` about their
-    centroid.  Rejects congruent outputs and degenerate shears.
+    centroid.  Rejects congruent outputs, degenerate shears and a grid of
+    prime n, whose points would all lie on one row.
     """
     if n < 4:
-        raise ValueError("need at least 4 points")
+        raise ValueError("n must be at least 4")
     shear = np.asarray(shear, dtype=float)
     if shear.shape != (2, 2) or abs(np.linalg.det(shear)) < 1e-8:
         raise ValueError("shear must be a non-degenerate 2x2 matrix")
@@ -122,6 +123,8 @@ def make_two_configurations(
         rows = int(np.floor(np.sqrt(n)))
         while n % rows:
             rows -= 1
+        if rows == 1:
+            raise ValueError(f"n={n} is prime, so its grid would be one collinear row")
         cols = n // rows
         xs, ys = np.meshgrid(np.arange(cols, dtype=float), np.arange(rows, dtype=float))
         X = np.column_stack([xs.ravel(), ys.ravel()])

@@ -15,8 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .core import correlation
 from .genmodel import MixtureParams, child_seed, sample_angles, sample_ba_mixture, sample_er_mixture
-from .sync import EIG_H, EIG_R, SOLVERS, evaluate, solve
+from .grp import make_two_configurations
+from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, evaluate, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -145,8 +147,10 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
     if command == "grp":
         if cfg.k != 2:
             errors.append(f"grp recovers two configurations, so k must be 2 (got {cfg.k})")
-        if cfg.n < 4:
-            errors.append("n must be at least 4")
+        try:
+            make_two_configurations(cfg.n)
+        except ValueError as exc:
+            errors.append(str(exc))
         if cfg.sigma < 0:
             errors.append("sigma must be non-negative")
         if cfg.radius <= 0:
@@ -161,6 +165,8 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
         errors.append(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.n < 1 or cfg.k < 1:
         errors.append("n and k must be at least 1")
+    if command in ("simulate", "disentangle") and cfg.k > MAX_MATCHED_GROUPS:
+        errors.append(f"{command} matches groups exhaustively: k must be at most {MAX_MATCHED_GROUPS}")
     if sweep:
         if cfg.trials_angles < 1 or cfg.trials_graphs < 1:
             errors.append("trial counts must be at least 1")
@@ -279,8 +285,8 @@ def _run_trial(cfg, point, gi, a, gidx) -> list:
     out = []
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, seed=graph_seed)
-        ev = evaluate(groups, est, matching="by-index")
-        out.append((ev.matched, len(est.degenerate_entries),
+        matched = [correlation(groups.theta[l], est.theta_hat[l]) for l in range(cfg.k)]
+        out.append((matched, len(est.degenerate_entries),
                     est.meta.get("iterations"), est.meta.get("converged")))
     return out
 
@@ -466,7 +472,7 @@ def simulate_once(cfg: ExperimentConfig):
     report = {}
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, seed=cfg.seed)
-        ev = evaluate(groups, est, matching="best")
+        ev = evaluate(groups, est.theta_hat)
         report[solver] = {
             "matched_by_index": [float(x) for x in np.diag(ev.corr)],
             "matched_best": [float(x) for x in ev.matched],

@@ -39,6 +39,8 @@ SDP_REL_TOL = 1e-8
 SDP_SHIFT_TOL = 1e-4
 # Gram eigenvalues of V V^* below this share of the largest are rounding noise
 GRAM_RANK_REL = 1e-12
+# evaluate searches all k! group matchings
+MAX_MATCHED_GROUPS = 8
 
 
 def extract_angles(vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -241,42 +243,26 @@ class EvalResult:
     assignment: tuple
 
 
-def evaluate(truth: AngleGroups, est: SyncEstimate, matching: str = "by-index") -> EvalResult:
-    """Score an estimate against ground truth under a matching rule.
+def evaluate(truth: AngleGroups, theta_hat: np.ndarray) -> EvalResult:
+    """Score a k x n angle estimate against ground truth under the best matching.
 
-    by-index pairs estimate j with truth group j (the convention that
-    eigenvalue order mirrors descending group density).  best maximizes the
-    total matched correlation over all permutations for k <= 8; above that
-    it picks each row's best unused column in row order (greedy).
+    Groups are recovered only up to a permutation, so estimate row
+    ``assignment[l]`` is matched to truth group l by the permutation with the
+    largest total correlation, searched over all k! of them; k above
+    ``MAX_MATCHED_GROUPS`` is rejected.
     """
-    if truth.n != est.n:
-        raise ValueError("truth and estimate differ in n")
-    if truth.k != est.k:
-        raise ValueError("truth and estimate differ in k")
+    if np.shape(theta_hat) != truth.theta.shape:
+        raise ValueError("truth and estimate differ in shape")
     k = truth.k
+    if k > MAX_MATCHED_GROUPS:
+        raise ValueError(f"exhaustive matching needs k at most {MAX_MATCHED_GROUPS}, got {k}")
     corr = np.empty((k, k))
     for l in range(k):
         for j in range(k):
-            corr[l, j] = correlation(truth.theta[l], est.theta_hat[j])
-
-    if matching == "by-index":
-        assignment = tuple(range(k))
-    elif matching == "best" and k <= 8:
-        assignment = max(
-            itertools.permutations(range(k)),
-            key=lambda perm: sum(corr[l, perm[l]] for l in range(k)),
-        )
-    elif matching == "best":
-        used: set[int] = set()
-        picks = []
-        for l in range(k):
-            order = np.argsort(-corr[l])
-            j = next(int(x) for x in order if int(x) not in used)
-            used.add(j)
-            picks.append(j)
-        assignment = tuple(picks)
-    else:
-        raise ValueError(f"unknown matching {matching!r}")
-
+            corr[l, j] = correlation(truth.theta[l], theta_hat[j])
+    assignment = max(
+        itertools.permutations(range(k)),
+        key=lambda perm: sum(corr[l, perm[l]] for l in range(k)),
+    )
     matched = np.array([corr[l, assignment[l]] for l in range(k)])
-    return EvalResult(corr=corr, matched=matched, assignment=tuple(int(x) for x in assignment))
+    return EvalResult(corr=corr, matched=matched, assignment=assignment)

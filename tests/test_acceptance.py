@@ -178,8 +178,8 @@ def test_07_sdp_solver_floor():
             H = build_measurement_matrix(g, diagonal=1.0)
             est_h = spectral_ksync(g, k)
             est_s = sdp_bm_ksync(g, k, seed=trial)
-            eig1.append(evaluate(groups, est_h).matched[0])
-            sdp1.append(evaluate(groups, est_s).matched[0])
+            eig1.append(evaluate(groups, est_h.theta_hat).corr[0, 0])
+            sdp1.append(evaluate(groups, est_s.theta_hat).corr[0, 0])
             ok &= est_s.meta["objective"] >= angle_objective(H, est_h.theta_hat) - 1e-9
         ok &= np.mean(sdp1) >= np.mean(eig1) - 0.05
     elapsed = time.time() - t0

@@ -84,6 +84,11 @@ class TestMeasurementGraph:
         assert (int(g.ii[0]), int(g.jj[0])) == (0, 2)
         assert g.theta[0] == pytest.approx(TWO_PI - 0.3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, TWO_PI])
+    def test_offsets_outside_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"edge offsets must lie in \[0, 2\*pi\)"):
+            MeasurementGraph(n=4, ii=[0, 1, 2, 0], jj=[1, 2, 3, 3], theta=[0.1, bad, 0.3, 0.2])
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError, match="one entry per edge"):
             MeasurementGraph(n=3, ii=[0], jj=[1], theta=[0.0], labels=[1, 2])
@@ -187,6 +192,12 @@ class TestGraphFile:
         path = tmp_path / "g.txt"
         path.write_text("3 2 1\n1 2 1.0 1\n2 3 2.0 -1\n")
         with pytest.raises(ValueError, match="labels=None"):
+            load_graph(path)
+
+    def test_file_with_nan_offset_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3 1\n1 2 0.1 1\n2 3 nan 1\n3 4 0.3 1\n")
+        with pytest.raises(ValueError, match="edge offsets"):
             load_graph(path)
 
     def test_unknown_labels_round_trip_to_none(self, tmp_path):

@@ -176,8 +176,7 @@ class TestIterateDisentangle:
         assert [s.iteration for s in states] == list(range(1, 11))
         assert all(s.matched_corr is not None for s in states)
         final = states[-1]
-        best = evaluate(groups, estimate_from_angles(AngleGroups(theta=final.theta_hat)),
-                        matching="best")
+        best = evaluate(groups, final.theta_hat)
         assert all(type(c) is float for c in final.matched_corr)
         assert final.matched_corr == tuple(best.matched)
 

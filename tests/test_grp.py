@@ -66,6 +66,13 @@ class TestMakeTwoConfigurations:
         with pytest.raises(ValueError, match="shear"):
             make_two_configurations(100, shear=[[1.0, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("n", [5, 101])
+    def test_prime_grid_rejected(self, n):
+        # the only grid of a prime n is one collinear row
+        with pytest.raises(ValueError, match="prime"):
+            make_two_configurations(n)
+        assert make_two_configurations(n, generator="uniform-square").n == n
+
     def test_shear_moves_off_axis_points(self):
         pc = make_two_configurations(100, region_rotation=0.0)
         moved = np.linalg.norm(pc.Y - pc.X, axis=1)

@@ -136,6 +136,7 @@ _VALID = dict(n=20, k=2, p=(0.5, 0.3), trials_angles=1, trials_graphs=1)
 _SETUP2 = dict(mode="setup2", p=None, eta_grid=(0.2,))
 _SETUP2_INFEASIBLE = dict(mode="setup2", p=None, k=3, eta_grid=(0.9,), gamma=0.2)
 _K_ABOVE_N = dict(n=2, k=3, p=(0.3, 0.2, 0.1))
+_P9 = "0.2,0.17,0.14,0.12,0.1,0.08,0.06,0.05,0.04"
 
 
 class TestValidateConfig:
@@ -301,6 +302,16 @@ class TestCli:
         assert out.exists()
         assert (tmp_path / "s.csv.meta").exists()
 
+    def test_setup2_sweep_past_the_matching_limit(self, tmp_path):
+        # sweeps score group l against estimate l, so any k runs
+        out = tmp_path / "s.csv"
+        code = cli_main(["sweep", "--mode", "setup2", "--n", "60", "--k", "9",
+                         "--eta-grid", "0.2", "--gamma", "0.01", "--lam", "1.0",
+                         "--trials-angles", "1", "--trials-graphs", "2", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[7] for row in rows] == [str(l) for l in range(1, 10)]
+
     def test_config_error_exit_two(self):
         code = cli_main(["sweep", "--mode", "setup1", "--n", "20", "--k", "2",
                          "--p", "0.5,0.6"])
@@ -433,11 +444,18 @@ class TestCli:
         (["simulate", "--n", "20", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5"],
          {"solvers": ["EIG-H", 1]},
          "config key 'solvers' must be a list of strings, got ['EIG-H', 1]"),
+        # simulate and disentangle report the best group matching, searched exhaustively
+        (["simulate", "--n", "60", "--k", "9", "--p", _P9, "--lam", "1.0"], {},
+         "simulate matches groups exhaustively: k must be at most 8"),
+        (["disentangle", "--n", "60", "--k", "9", "--p", _P9, "--lam", "1.0",
+          "--iterations", "1"], {}, "disentangle matches groups exhaustively: k must be at most 8"),
+        (["grp", "--n", "101", "--iterations", "1"], {}, "n=101 is prime"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
             "scalar-p", "bool-n", "string-in-p", "bool-in-lambda-grid", "null-in-eta-grid",
-            "number-in-solvers"])
+            "number-in-solvers", "simulate-k-above-match-limit",
+            "disentangle-k-above-match-limit", "grp-prime-n"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -501,16 +519,27 @@ class TestCli:
         n_bad = sum(int(row["n_bad"]) for row in final)
         assert n_bad == load_graph(tmp_path / "d_W.graph")[0].m
 
-    def test_grp_partial_assembly_reports_assembled_nodes(self, tmp_path, capsys):
-        # a 1 x 101 grid: both recovered supports end disconnected
-        code = cli_main(["grp", "--n", "101", "--seed", "1", "--out", str(tmp_path / "g")])
+    def test_grp_partial_assembly_reports_assembled_nodes(self, tmp_path, monkeypatch, capsys):
+        # nodes off an embedding's assembled support come back as NaN rows
+        recover = cli.grpmod.asap_recover
+
+        def spy(ps, graph, dcfg):
+            x_hat, y_hat, states = recover(ps, graph, dcfg)
+            x_hat, y_hat = x_hat.copy(), y_hat.copy()
+            x_hat[:5] = np.nan
+            y_hat[-9:] = np.nan
+            return x_hat, y_hat, states
+
+        monkeypatch.setattr(cli.grpmod, "asap_recover", spy)
+        code = cli_main(["grp", "--n", "64", "--iterations", "2", "--seed", "1",
+                         "--out", str(tmp_path / "g")])
         assert code == 0
         captured = capsys.readouterr()
         for name in ("X", "Y"):
             coords = np.loadtxt(tmp_path / f"g_{name}.csv", delimiter=",", skiprows=1)
             assembled = int(np.isfinite(coords[:, 1]).sum())
-            assert assembled < 101
-            assert f"{name}: assembled {assembled} of 101 nodes" in captured.err
+            assert assembled < 64
+            assert f"{name}: assembled {assembled} of 64 nodes" in captured.err
         assert "nan" not in captured.out
         shown = captured.out.splitlines()[0].split()
         assert np.isfinite(float(shown[-3])) and np.isfinite(float(shown[-1]))

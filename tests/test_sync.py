@@ -24,8 +24,8 @@ from ksync.genmodel import (
 from ksync import sync
 from ksync.linalg import spectral_norm
 from ksync.sync import (
+    MAX_MATCHED_GROUPS,
     angle_objective,
-    estimate_from_angles,
     evaluate,
     extract_angles,
     normalized_spectral_ksync,
@@ -57,7 +57,7 @@ class TestSpectralKsync:
         g1, g2 = [], []
         for trial in range(10):
             groups, g = mixture_instance(500, (0.3, 0.2), 1.0, 600 + trial)
-            matched = evaluate(groups, spectral_ksync(g, 2)).matched
+            matched = np.diag(evaluate(groups, spectral_ksync(g, 2).theta_hat).corr)
             g1.append(matched[0])
             g2.append(matched[1])
         assert np.mean(g1) >= 0.90
@@ -119,8 +119,8 @@ class TestNormalizedSpectralKsync:
             groups = sample_angles(500, 2, child_seed(31, trial, 1))
             params = MixtureParams(n=500, k=2, lam=1.0, p=p, seed=child_seed(31, trial, 2))
             g = sample_ba_mixture(params, 10, groups)
-            eig_h.append(evaluate(groups, spectral_ksync(g, 2)).matched)
-            eig_r.append(evaluate(groups, normalized_spectral_ksync(g, 2)).matched)
+            eig_h.append(np.diag(evaluate(groups, spectral_ksync(g, 2).theta_hat).corr))
+            eig_r.append(np.diag(evaluate(groups, normalized_spectral_ksync(g, 2).theta_hat).corr))
         mean_h = np.mean(eig_h, axis=0)
         mean_r = np.mean(eig_r, axis=0)
         assert np.all(mean_r >= mean_h - 0.05)
@@ -167,8 +167,8 @@ class TestSdpBm:
             assert est.meta["converged"]
             ref_obj, ref_theta = dense_start_ascent(H, 2)
             assert est.meta["objective"] >= ref_obj - 1e-7 * abs(ref_obj)
-            ref = evaluate(groups, estimate_from_angles(AngleGroups(theta=ref_theta)), "best")
-            got = evaluate(groups, est, "best")
+            ref = evaluate(groups, ref_theta)
+            got = evaluate(groups, est.theta_hat)
             assert np.max(np.abs(got.matched - ref.matched)) <= 1e-3
 
     def test_shift_bounds_minus_lambda_min_from_above(self):
@@ -278,48 +278,41 @@ class TestExtraction:
 class TestEvaluate:
     def test_exact_estimate(self):
         groups = sample_angles(40, 2, 15)
-        ev = evaluate(groups, estimate_from_angles(groups))
+        ev = evaluate(groups, groups.theta)
         assert np.allclose(ev.matched, 1.0, atol=1e-12)
         assert ev.assignment == (0, 1)
 
     def test_swapped_rows_recovered_exhaustively(self):
         groups = sample_angles(40, 2, 16)
-        swapped = AngleGroups(theta=groups.theta[::-1])
-        est = estimate_from_angles(swapped)
-        by_index = evaluate(groups, est, matching="by-index")
-        assert np.max(by_index.matched) < 0.9
-        best = evaluate(groups, est, matching="best")
+        best = evaluate(groups, groups.theta[::-1])
+        assert np.max(np.diag(best.corr)) < 0.9
         assert np.allclose(best.matched, 1.0, atol=1e-12)
         assert best.assignment == (1, 0)
 
-    def test_greedy_matching(self):
-        # k = 9 is past the exhaustive limit, so "best" matches greedily
-        groups = sample_angles(40, 9, 17)
-        perm = np.array([4, 0, 7, 2, 8, 1, 6, 3, 5])
-        permuted = AngleGroups(theta=groups.theta[perm])
-        best = evaluate(groups, estimate_from_angles(permuted), matching="best")
+    def test_permuted_rows_recovered_at_the_limit(self):
+        groups = sample_angles(40, MAX_MATCHED_GROUPS, 17)
+        perm = np.array([4, 0, 7, 2, 1, 6, 3, 5])
+        best = evaluate(groups, groups.theta[perm])
         assert np.allclose(best.matched, 1.0, atol=1e-12)
         assert best.assignment == tuple(int(j) for j in np.argsort(perm))
+
+    def test_past_the_limit_rejected(self):
+        groups = sample_angles(40, MAX_MATCHED_GROUPS + 1, 17)
+        with pytest.raises(ValueError, match="at most 8"):
+            evaluate(groups, groups.theta)
 
     def test_independent_group_scores_near_zero(self):
         rng = substream(18)
         truth = sample_angles(1000, 2, 19)
         theta = truth.theta.copy()
         theta[1] = wrap_angle(TWO_PI * rng.random(1000))
-        est = estimate_from_angles(AngleGroups(theta=theta))
         truth_replaced = AngleGroups(theta=np.vstack([truth.theta[0], TWO_PI * rng.random(1000) % TWO_PI]))
-        ev = evaluate(truth_replaced, est)
-        assert ev.matched[1] <= 0.1
-
-    @pytest.mark.parametrize("matching", ["greedy", "exhaustive"])
-    def test_unknown_matching_rejected(self, matching):
-        groups = sample_angles(4, 2, 20)
-        with pytest.raises(ValueError, match="unknown matching"):
-            evaluate(groups, estimate_from_angles(groups), matching=matching)
+        ev = evaluate(truth_replaced, theta)
+        assert ev.corr[1, 1] <= 0.1
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate(sample_angles(5, 2, 1), estimate_from_angles(sample_angles(6, 2, 1)))
+            evaluate(sample_angles(5, 2, 1), sample_angles(6, 2, 1).theta)
 
 
 class TestSolverDeterminism:
@@ -346,6 +339,6 @@ class TestTheoremContainment:
         mu = spectral_norm(R) / (n * min(p[0] - p[1], p[1]))
         assert mu <= 0.5
         rep = theory_bounds(params, delta, mu=mu, epsilon=0.5)
-        matched = evaluate(groups, spectral_ksync(g, 2)).matched
+        matched = np.diag(evaluate(groups, spectral_ksync(g, 2).theta_hat).corr)
         assert matched[0] ** 2 >= rep.thm2group_bounds[0] - 1e-9
         assert matched[1] ** 2 >= rep.thm2group_bounds[1] - 1e-9
