@@ -74,7 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             ("compare", "multi-solver setup2 sweep")):
         sw = common(sub.add_parser(name, help=help_text))
         sw.add_argument("--out", default=None, help="CSV path (default sweep.csv)")
-        sw.add_argument("--threads", type=int, default=None, help="worker threads")
+        sw.add_argument("--threads", type=int, default=None,
+                        help="worker threads: the sweep's whole CPU budget, since BLAS "
+                             "runs single-threaded inside sweeps")
         sw.add_argument("--mode", default=None, choices=("setup1", "setup2", "compare"))
         sw.add_argument("--p", type=_float_list, default=None)
         sw.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, default=None)

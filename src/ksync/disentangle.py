@@ -20,7 +20,7 @@ from .core import (
     connected_components,
     wrap_angle,
 )
-from .sync import EIG_H, EIG_R, SyncEstimate, evaluate, solve
+from .sync import EIG_H, EIG_R, SyncEstimate, _check_matchable, evaluate, solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,12 +204,15 @@ def iterate_disentangle(
     Every round: build residuals against the previous angles, assign each
     edge to its best group, re-synchronize each group on all its assigned
     edges, then classify the top per-group residual quantile as bad (ties
-    at the threshold stay good).  Returns one state per round.
+    at the threshold stay good).  Returns one state per round.  A ``truth``
+    that :func:`evaluate` cannot score is rejected before any round runs.
     """
     if initial.k != cfg.k:
         raise ValueError("initial estimate has wrong number of groups")
     if initial.n != g.n:
         raise ValueError("initial estimate has wrong number of nodes")
+    if truth is not None:
+        _check_matchable(truth, (cfg.k, g.n))
     fractions = cfg.bad_fractions
     if fractions is None:
         if g.labels is None:

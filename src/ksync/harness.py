@@ -3,7 +3,9 @@
 Sweeps are reproducible by construction: every (grid point, angle trial,
 graph trial) tuple gets its own RNG substream derived from the master seed,
 and aggregation iterates results in a fixed order, so serial and threaded
-runs emit byte-identical CSV.
+runs emit byte-identical CSV.  The worker pool runs with the BLAS at one
+thread, so ``threads`` is the sweep's whole CPU budget and the CSV does not
+depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import linalg
 from .core import correlation
 from .genmodel import MixtureParams, child_seed, sample_angles, sample_ba_mixture, sample_er_mixture
 from .grp import make_two_configurations
@@ -310,7 +313,7 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
 
     tasks = itertools.product(range(len(points)), range(cfg.trials_angles),
                               range(cfg.trials_graphs))
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    with linalg._single_threaded_blas(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = list(pool.map(lambda t: _run_trial(cfg, points[t[0]], *t), tasks))
 
     rows = []

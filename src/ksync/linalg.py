@@ -15,11 +15,19 @@ Lanczos projection and the SDP solver's r x r Gram matrix use, stay on
 LAPACK's dense Hermitian driver (numpy.linalg.eigh).  Every
 eigendecomposition in the package goes through this module.  Callers must be
 invariant to the arbitrary global phase of each returned eigenvector.
+The private context manager :func:`_single_threaded_blas` runs a block with
+numpy's OpenBLAS at one thread; the sweep harness wraps its worker pool in it,
+so that its ``threads`` are the whole CPU budget and its bytes do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import threading
 
 import numpy as np
 
@@ -34,6 +42,71 @@ LANCZOS_MARGIN = 0.1
 # a new direction whose norm after reorthogonalization is below this share
 # of ||A|| is rounding noise: the block has broken down there
 BREAKDOWN_REL = 1e-12
+
+
+# (getter, setter) symbol pairs of the OpenBLAS builds numpy links against
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(getter, setter) of the BLAS thread count numpy uses, or None.
+
+    The symbols are looked up through numpy's linear-algebra extension, so
+    dlsym also searches the OpenBLAS it is linked against.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if getter is not None and setter is not None:
+            getter.restype = ctypes.c_int
+            getter.argtypes = ()
+            setter.restype = None
+            setter.argtypes = (ctypes.c_int,)
+            return getter, setter
+    return None
+
+
+# the BLAS thread count is process-global, so the bookkeeping of who set it is too
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the block with the BLAS at one thread, restoring the count on exit.
+
+    The first of nested or concurrent blocks saves and sets the count, the
+    last to leave restores it.  Without a known OpenBLAS setter this does
+    nothing.
+    """
+    global _blas_depth, _blas_saved
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
 
 
 class HermitianityError(ValueError):

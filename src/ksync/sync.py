@@ -243,6 +243,14 @@ class EvalResult:
     assignment: tuple
 
 
+def _check_matchable(truth: AngleGroups, shape: tuple) -> None:
+    """Raise ValueError unless :func:`evaluate` can score an estimate of this shape."""
+    if shape != truth.theta.shape:
+        raise ValueError("truth and estimate differ in shape")
+    if truth.k > MAX_MATCHED_GROUPS:
+        raise ValueError(f"exhaustive matching needs k at most {MAX_MATCHED_GROUPS}, got {truth.k}")
+
+
 def evaluate(truth: AngleGroups, theta_hat: np.ndarray) -> EvalResult:
     """Score a k x n angle estimate against ground truth under the best matching.
 
@@ -251,11 +259,8 @@ def evaluate(truth: AngleGroups, theta_hat: np.ndarray) -> EvalResult:
     largest total correlation, searched over all k! of them; k above
     ``MAX_MATCHED_GROUPS`` is rejected.
     """
-    if np.shape(theta_hat) != truth.theta.shape:
-        raise ValueError("truth and estimate differ in shape")
+    _check_matchable(truth, np.shape(theta_hat))
     k = truth.k
-    if k > MAX_MATCHED_GROUPS:
-        raise ValueError(f"exhaustive matching needs k at most {MAX_MATCHED_GROUPS}, got {k}")
     corr = np.empty((k, k))
     for l in range(k):
         for j in range(k):

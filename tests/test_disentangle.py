@@ -143,6 +143,20 @@ class TestIterateDisentangle:
         states = iterate_disentangle(g, cfg, spectral_ksync(g, 2), truth=groups)
         assert classification_errors(g, states[-1])["total_misclassified"] == 0
 
+    @pytest.mark.parametrize("p, truth_n, match", [
+        ((0.2, 0.17, 0.14, 0.12, 0.1, 0.08, 0.06, 0.05, 0.04), 60, "at most 8"),
+        ((0.5, 0.3), 61, "differ in shape"),
+    ])
+    def test_unscorable_truth_rejected_before_any_solve(self, p, truth_n, match, monkeypatch):
+        groups, g = mixture(60, p, 0.5, 12)
+        calls = []
+        monkeypatch.setattr("ksync.disentangle.solve", lambda *args: calls.append(args))
+        cfg = DisentangleConfig(k=len(p), iterations=1)
+        with pytest.raises(ValueError, match=match):
+            iterate_disentangle(g, cfg, estimate_from_angles(groups),
+                                truth=sample_angles(truth_n, len(p), 3))
+        assert calls == []
+
     def test_partition_invariant(self):
         groups, g = mixture(120, (0.4, 0.3), 0.8, 10)
         cfg = DisentangleConfig(k=2, iterations=3)

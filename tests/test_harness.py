@@ -1,5 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,27 @@ from ksync.harness import (
     validate_config,
     write_csv,
 )
+
+
+def sweep_digests(blas_threads):
+    """SHA-256 of a small three-solver compare sweep's CSV at ``threads`` 1 and
+    2, run in a fresh process under ``blas_threads`` BLAS threads."""
+    script = (
+        "import hashlib\n"
+        "from ksync.harness import ExperimentConfig, rows_to_csv, run_sweep\n"
+        "for threads in (1, 2):\n"
+        "    cfg = ExperimentConfig(mode='compare', n=150, k=2, lam=0.5, eta_grid=(0.2,),\n"
+        "                           trials_angles=2, trials_graphs=1, seed=3, threads=threads,\n"
+        "                           solvers=('EIG-H', 'EIG-R', 'SDP-BM'))\n"
+        "    csv = rows_to_csv(run_sweep(cfg)[0])\n"
+        "    print(hashlib.sha256(csv.encode()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return out.stdout.split()
 
 
 class TestDeriveSetup2Probs:
@@ -78,6 +105,58 @@ class TestRunSweep:
         rows_c, _ = run_sweep(ExperimentConfig(**base, threads=4))
         assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
         assert rows_to_csv(rows_a) == rows_to_csv(rows_c)
+
+    def test_csv_independent_of_blas_and_sweep_threads(self):
+        # at n=150 multi-threaded BLAS rounds differently from one thread
+        digests = [sweep_digests(blas) for blas in ("1", "2")]
+        assert len(digests[0][0]) == 64
+        assert digests == [[digests[0][0]] * 2] * 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_single_threaded_inside_and_restored_after(self, threads, blas_threads,
+                                                            monkeypatch):
+        before = blas_threads()
+        seen = []
+        run_trial = harness._run_trial
+
+        def trial(*args):
+            seen.append(blas_threads())
+            return run_trial(*args)
+
+        monkeypatch.setattr(harness, "_run_trial", trial)
+        run_sweep(ExperimentConfig(mode="setup1", n=20, k=1, p=(1.0,), lambda_grid=(1.0,),
+                                   trials_angles=2, trials_graphs=2, threads=threads))
+        assert seen == [1] * 4
+        assert blas_threads() == before
+
+    def test_concurrent_sweeps_restore_blas_threads_once(self, blas_threads, monkeypatch):
+        # both sweeps are inside their pools at the barrier; the second reads
+        # the count again after the first has returned
+        before = blas_threads()
+        barrier = threading.Barrier(2, timeout=60)
+        first_done = threading.Event()
+        seen = []
+        run_trial = harness._run_trial
+
+        def trial(cfg, *args):
+            barrier.wait()
+            if cfg.seed == 2:
+                assert first_done.wait(60)
+            seen.append((cfg.seed, blas_threads()))
+            return run_trial(cfg, *args)
+
+        def sweep(seed):
+            run_sweep(ExperimentConfig(mode="setup1", n=20, k=1, p=(1.0,), lambda_grid=(1.0,),
+                                       trials_angles=1, trials_graphs=1, seed=seed))
+            if seed == 1:
+                first_done.set()
+
+        monkeypatch.setattr(harness, "_run_trial", trial)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for future in [pool.submit(sweep, 1), pool.submit(sweep, 2)]:
+                future.result()
+        assert seen == [(1, 1), (2, 1)]
+        assert blas_threads() == before
 
     def test_validation_collects_all_errors(self):
         cfg = ExperimentConfig(mode="nonsense", n=0, k=2, p=(0.5, 0.6),

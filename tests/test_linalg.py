@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ksync import linalg
 from ksync.core import AngleGroups, TWO_PI, build_measurement_matrix, correlation, wrap_angle
 from ksync.genmodel import (
     MixtureParams,
@@ -251,6 +253,62 @@ def test_build_patches_theta_independent_of_blas_thread_count(n, sigma):
     )
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+class TestSingleThreadedBlas:
+    def test_finds_the_openblas_setter(self):
+        # a numpy whose OpenBLAS renames the symbols must fail here, not
+        # silently leave sweeps on multi-threaded BLAS
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy is linked against {blas}")
+        assert linalg._blas_thread_controls() is not None
+
+    def test_one_thread_inside_and_restored_after(self, blas_threads):
+        before = blas_threads()
+        with linalg._single_threaded_blas():
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+    def test_restored_after_an_exception(self, blas_threads):
+        before = blas_threads()
+        with pytest.raises(RuntimeError):
+            with linalg._single_threaded_blas():
+                raise RuntimeError("inside")
+        assert blas_threads() == before
+
+    def test_nested_blocks_restore_once(self, blas_threads):
+        before = blas_threads()
+        with linalg._single_threaded_blas():
+            with linalg._single_threaded_blas():
+                pass
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+    def test_many_threads_entering_and_leaving(self, blas_threads):
+        # a lost update of the shared depth would restore the count while a
+        # block is still open, or never restore it
+        before = blas_threads()
+        inside = []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with linalg._single_threaded_blas():
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert inside == [1] * 1600
+        assert blas_threads() == before
 
 
 class TestSpectralNorm:
