@@ -2,7 +2,9 @@
 
 Subcommands: simulate, sweep, compare, disentangle, grp, theory.  Options
 from a JSON config file (--config) are overridden by individual flags.
-Exit codes: 0 success, 2 configuration error, 1 runtime error.
+Every command runs with BLAS at one thread, so its output bytes do not
+depend on the BLAS thread count.  Exit codes: 0 success, 2 configuration
+error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 import numpy as np
 
 from . import grp as grpmod
+from . import linalg
 from .core import save_graph
 from .disentangle import (
     DisentangleConfig,
@@ -236,7 +239,8 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg, args)
+        with linalg._single_threaded_blas():
+            return _COMMANDS[args.command](cfg, args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -164,15 +164,6 @@ class DisentangleState:
     def recovered(self) -> np.ndarray:
         return np.where(self.good, self.assignment + 1, 0)
 
-    @property
-    def gamma_median(self) -> float:
-        return float(np.median(self.gamma)) if self.gamma.size else 0.0
-
-    @property
-    def gamma_median_good(self) -> float:
-        vals = self.gamma[self.good]
-        return float(np.median(vals)) if vals.size else 0.0
-
 
 def _recovered_subgraph(g: MeasurementGraph, state: DisentangleState,
                         label: int) -> MeasurementGraph:

@@ -203,6 +203,9 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
             errors.append(f"{cfg.mode} derives p from eta_grid and gamma; p must not be set")
         if not cfg.eta_grid:
             errors.append("eta_grid must be non-empty")
+        if not sweep and len(cfg.eta_grid) > 1:
+            errors.append(f"{command} reads only eta_grid[0], so eta_grid must hold one value, "
+                          f"got {len(cfg.eta_grid)}")
         if any(not 0.0 <= x < 1.0 for x in cfg.eta_grid):
             errors.append("eta_grid values must lie in [0, 1)")
         if cfg.gamma < 0:

@@ -16,9 +16,9 @@ LAPACK's dense Hermitian driver (numpy.linalg.eigh).  Every
 eigendecomposition in the package goes through this module.  Callers must be
 invariant to the arbitrary global phase of each returned eigenvector.
 The private context manager :func:`_single_threaded_blas` runs a block with
-numpy's OpenBLAS at one thread; the sweep harness wraps its worker pool in it,
-so that its ``threads`` are the whole CPU budget and its bytes do not depend
-on the BLAS thread count.
+numpy's OpenBLAS at one thread.  The CLI runs every command in it and the
+sweep harness its worker pool, so their output bytes do not depend on the
+BLAS thread count and a sweep's ``threads`` are its whole CPU budget.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +29,14 @@ from ksync.harness import (
 )
 
 
+def blas_env(blas_threads):
+    """Environment of a fresh process that imports ksync from this checkout and
+    runs BLAS on ``blas_threads`` threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def sweep_digests(blas_threads):
     """SHA-256 of a small three-solver compare sweep's CSV at ``threads`` 1 and
     2, run in a fresh process under ``blas_threads`` BLAS threads."""
@@ -41,11 +50,8 @@ def sweep_digests(blas_threads):
         "    csv = rows_to_csv(run_sweep(cfg)[0])\n"
         "    print(hashlib.sha256(csv.encode()).hexdigest())\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", script], env=blas_env(blas_threads),
+                         capture_output=True, text=True, timeout=120, check=True)
     return out.stdout.split()
 
 
@@ -263,6 +269,8 @@ class TestValidateConfig:
         ("theory", _SETUP2_INFEASIBLE, "not positive"),
         ("sweep", _SETUP2_INFEASIBLE, None),
         ("simulate", {"p": (0.5, 0.3, 0.1)}, "expected 2 probabilities"),
+        # a single instance reads only eta_grid[0]
+        ("simulate", {**_SETUP2, "eta_grid": (0.2, 0.4)}, "eta_grid must hold one value"),
     ])
     def test_fields_each_command_reads(self, command, overrides, message):
         errors = validate_config(ExperimentConfig(**{**_VALID, **overrides}), command)
@@ -334,7 +342,7 @@ class TestSimulate:
 
     def test_simulate_and_theory_share_p(self, tmp_path, monkeypatch, capsys):
         data = {"mode": "setup2", "n": 40, "k": 2, "lam": 0.5, "gamma": 0.05,
-                "eta_grid": [0.3, 0.1]}
+                "eta_grid": [0.3]}
         sampled = []
         sample = harness.sample_instance
 
@@ -370,7 +378,46 @@ class TestConfigFile:
             ExperimentConfig.from_json(path)
 
 
+# small runs of every subcommand and the files each writes; at n=150 and
+# n=144 multi-threaded BLAS rounds differently from one thread
+_CLI_RUNS = {
+    "simulate": (["simulate", "--n", "150", "--k", "2", "--p", "0.45,0.35", "--lam", "0.5",
+                  "--seed", "3", "--solvers", "EIG-H,EIG-R,SDP-BM", "--out", "s.graph"],
+                 ["s.graph"]),
+    "sweep": (["sweep", "--mode", "setup1", "--n", "150", "--k", "2", "--p", "0.45,0.35",
+               "--lambda-grid", "0.5", "--trials-angles", "2", "--trials-graphs", "1",
+               "--seed", "3", "--solvers", "EIG-H,SDP-BM", "--out", "s.csv", "--plot", "s.svg"],
+              ["s.csv", "s.csv.meta", "s.svg"]),
+    "compare": (["compare", "--n", "150", "--k", "2", "--eta-grid", "0.2", "--lam", "0.5",
+                 "--trials-angles", "2", "--trials-graphs", "1", "--seed", "3", "--out", "c.csv"],
+                ["c.csv", "c.csv.meta"]),
+    "disentangle": (["disentangle", "--n", "150", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5",
+                     "--iterations", "5", "--seed", "1", "--out", "d"],
+                    ["d_G1.graph", "d_G2.graph", "d_W.graph", "d_history.csv"]),
+    "grp": (["grp", "--n", "144", "--radius", "1.6", "--sigma", "0", "--iterations", "5",
+             "--seed", "5", "--out", "g"], ["g_X.csv", "g_Y.csv"]),
+    "theory": (["theory", "--n", "150", "--k", "2", "--p", "0.45,0.35", "--lam", "0.5"], []),
+}
+
+
+def cli_digests(argv, blas_threads, cwd):
+    """SHA-256 of stdout and of every file one CLI run writes in ``cwd``, run in
+    a fresh process under ``blas_threads`` BLAS threads."""
+    cwd.mkdir()
+    out = subprocess.run([sys.executable, "-m", "ksync.cli", *argv], cwd=cwd,
+                         env=blas_env(blas_threads), capture_output=True, timeout=120, check=True)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in cwd.iterdir()}
+    return {"stdout": hashlib.sha256(out.stdout).hexdigest(), **digests}
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv, files", _CLI_RUNS.values(), ids=_CLI_RUNS.keys())
+    def test_output_independent_of_blas_threads(self, argv, files, tmp_path):
+        one, two = (cli_digests(argv, blas, tmp_path / blas) for blas in ("1", "2"))
+        assert sorted(one) == sorted(["stdout", *files])
+        assert one == two
+
     def test_sweep_success_exit_zero(self, tmp_path):
         out = tmp_path / "s.csv"
         code = cli_main(["sweep", "--mode", "setup1", "--n", "20", "--k", "1",
@@ -529,12 +576,15 @@ class TestCli:
         (["disentangle", "--n", "60", "--k", "9", "--p", _P9, "--lam", "1.0",
           "--iterations", "1"], {}, "disentangle matches groups exhaustively: k must be at most 8"),
         (["grp", "--n", "101", "--iterations", "1"], {}, "n=101 is prime"),
+        (["theory", "--n", "200", "--k", "2", "--lam", "0.5"],
+         {"mode": "setup2", "eta_grid": [0.1, 0.3, 0.5], "gamma": 0.05},
+         "theory reads only eta_grid[0], so eta_grid must hold one value, got 3"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
             "scalar-p", "bool-n", "string-in-p", "bool-in-lambda-grid", "null-in-eta-grid",
             "number-in-solvers", "simulate-k-above-match-limit",
-            "disentangle-k-above-match-limit", "grp-prime-n"])
+            "disentangle-k-above-match-limit", "grp-prime-n", "theory-partly-read-eta-grid"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
