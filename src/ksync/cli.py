@@ -157,7 +157,7 @@ def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
     dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations, solver=solver)
     states = iterate_disentangle(graph, dcfg, initial, truth=groups)
     lines = ["iteration,group,matched_corr,gamma_median,gamma_median_good,n_good,n_bad,"
-             "disconnected"]
+             "disconnected,krylov_steps,eig_residual_max"]
     for st in states:
         for l in range(cfg.k):
             mine = st.assignment == l
@@ -166,7 +166,7 @@ def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
             lines.append(
                 f"{st.iteration},{l + 1},{st.matched_corr[l]!r},{_median(gamma)!r},"
                 f"{_median(gamma[good])!r},{int(good.sum())},{int((~good).sum())},"
-                f"{int(st.disconnected[l])}"
+                f"{int(st.disconnected[l])},{st.krylov_steps[l]},{st.eig_residual_max[l]!r}"
             )
     final = states[-1]
     errs = classification_errors(graph, final)

@@ -4,7 +4,9 @@ Each round re-partitions the full edge set by smallest circular residual
 against the current per-group angle estimates, re-synchronizes every group
 on its assigned subgraph, and classifies a per-group quantile of the
 largest residuals as bad.  Good edges per group plus the pooled bad edges
-always partition the edge set exactly.
+always partition the edge set exactly.  Each re-synchronization starts
+Lanczos from the group's previous angles; only the last round's angles are
+output, so only the last round is solved to ``linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import dataclasses
 
 import numpy as np
 
+from . import linalg
 from .core import (
     TWO_PI,
     AngleGroups,
@@ -20,7 +23,11 @@ from .core import (
     connected_components,
     wrap_angle,
 )
-from .sync import EIG_H, EIG_R, SyncEstimate, _check_matchable, evaluate, solve
+from .sync import EIG_H, EIG_R, SyncEstimate, _check_matchable, _spectral, evaluate
+
+# eigen-residual tolerance of the rounds before the last: their angles only
+# assign edges and start the next round's solve
+_ROUND_TOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,8 +105,13 @@ def residual_matrices(g: MeasurementGraph, theta_hat: np.ndarray) -> np.ndarray:
 def assign_edges(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge argmin group (ties to the lowest index) and the min residual."""
     psi = np.atleast_2d(psi)
-    assignment = np.argmin(psi, axis=0)
-    gamma = psi[assignment, np.arange(psi.shape[1])]
+    # one contiguous row at a time, not a strided argmin down the columns;
+    # a strict < keeps ties on the lower group
+    assignment = np.zeros(psi.shape[1], dtype=np.intp)
+    gamma = psi[0].copy()
+    for l in range(1, psi.shape[0]):
+        assignment[psi[l] < gamma] = l
+        np.minimum(gamma, psi[l], out=gamma)
     return assignment, gamma
 
 
@@ -119,17 +131,22 @@ def _largest_component(n: int, ii, jj) -> tuple[np.ndarray, bool]:
     return comp, comp.size < touched.size
 
 
-def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str) -> tuple[np.ndarray, bool]:
-    """Synchronize one assigned subgraph (k=1).
+def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
+                   prev: np.ndarray | None = None,
+                   tol: float = linalg.DEFAULT_TOL) -> tuple[np.ndarray, bool, dict]:
+    """Synchronize one assigned subgraph (k=1) to eigen-residual ``tol``.
 
     Only the largest connected component of the subgraph support is
-    synchronized; remaining nodes get angle 0.  Returns (angles, flag)
-    where the flag marks a disconnected support.
+    synchronized; remaining nodes get angle 0.  With ``prev`` angles the
+    solve starts from e^{i prev} on that component, else cold.  Returns
+    (angles, flag, meta) where the flag marks a disconnected support and
+    meta holds the solve's ``krylov_steps`` and ``eig_residual_max`` (0 and
+    nan without an edge to solve).
     """
     theta = np.zeros(g.n)
     ii, jj = g.ii[mask], g.jj[mask]
     if ii.size == 0:
-        return theta, True
+        return theta, True, {"krylov_steps": 0, "eig_residual_max": float("nan")}
     comp, disconnected = _largest_component(g.n, ii, jj)
     index = np.full(g.n, -1, dtype=np.int64)
     index[comp] = np.arange(comp.size)
@@ -137,8 +154,10 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str) -> tuple[
     sub = MeasurementGraph(
         n=comp.size, ii=index[ii[edge_in]], jj=index[jj[edge_in]], theta=g.theta[mask][edge_in]
     )
-    theta[comp] = solve(sub, 1, solver).theta_hat[0]
-    return theta, disconnected
+    start = None if prev is None else np.exp(1j * prev[comp])[:, None]
+    est = _spectral(sub, 1, solver, start=start, tol=tol)
+    theta[comp] = est.theta_hat[0]
+    return theta, disconnected, est.meta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,8 +167,10 @@ class DisentangleState:
     ``assignment`` maps every edge to a group (0-based); ``good`` marks the
     edges kept in that group's recovered subgraph, the rest being pooled as
     bad.  ``recovered`` (derived, read-only) labels each edge as graph labels
-    do: group + 1 for a good edge, 0 for a bad one.  ``matched_corr`` holds
-    per-group correlations against ground truth when it was supplied.
+    do: group + 1 for a good edge, 0 for a bad one.  ``krylov_steps`` and
+    ``eig_residual_max`` hold each group's eigensolve diagnostics (see
+    :func:`_sync_subgraph`).  ``matched_corr`` holds per-group correlations
+    against ground truth when it was supplied.
     """
 
     iteration: int
@@ -158,6 +179,8 @@ class DisentangleState:
     good: np.ndarray
     gamma: np.ndarray
     disconnected: tuple
+    krylov_steps: tuple
+    eig_residual_max: tuple
     matched_corr: tuple | None = None
 
     @property
@@ -195,8 +218,11 @@ def iterate_disentangle(
     Every round: build residuals against the previous angles, assign each
     edge to its best group, re-synchronize each group on all its assigned
     edges, then classify the top per-group residual quantile as bad (ties
-    at the threshold stay good).  Returns one state per round.  A ``truth``
-    that :func:`evaluate` cannot score is rejected before any round runs.
+    at the threshold stay good).  Each group's solve starts from its
+    previous angles (round 1 from ``initial``) and meets eigen-residual
+    tolerance 1e-6, the last round's ``linalg.DEFAULT_TOL``.  Returns one
+    state per round.  A ``truth`` that :func:`evaluate` cannot score is
+    rejected before any round runs.
     """
     if initial.k != cfg.k:
         raise ValueError("initial estimate has wrong number of groups")
@@ -218,11 +244,14 @@ def iterate_disentangle(
     for r in range(1, cfg.iterations + 1):
         psi = residual_matrices(g, theta)
         assignment, gamma = assign_edges(psi)
+        tol = linalg.DEFAULT_TOL if r == cfg.iterations else _ROUND_TOL
         new_theta = np.zeros_like(theta)
-        flags = []
+        flags, metas = [], []
         for l in range(cfg.k):
-            new_theta[l], flag = _sync_subgraph(g, assignment == l, cfg.solver)
+            new_theta[l], flag, meta = _sync_subgraph(g, assignment == l, cfg.solver,
+                                                      theta[l], tol)
             flags.append(flag)
+            metas.append(meta)
         # each edge against its own group's new angles: row l of new_theta
         # starts at l * n of the flat vector
         res = _residuals(new_theta.ravel(), assignment * g.n + g.ii,
@@ -248,6 +277,8 @@ def iterate_disentangle(
                 good=good,
                 gamma=gamma,
                 disconnected=tuple(flags),
+                krylov_steps=tuple(m["krylov_steps"] for m in metas),
+                eig_residual_max=tuple(m["eig_residual_max"] for m in metas),
                 matched_corr=matched,
             )
         )

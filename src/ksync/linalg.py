@@ -1,13 +1,14 @@
 """Complex Hermitian eigen-routines with explicit accuracy contracts.
 
 :func:`top_k_eig` runs a block Lanczos iteration (block width k + 1, full
-reorthogonalization, fixed-seed start) on the dense matrix.  It returns the
-top-k Ritz pairs once they have converged and pair k + 1 has converged far
-enough to decide whether it ties with pair k; every returned pair is then
-checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken from
-the extreme Ritz values (an underestimate, so the check is never looser than
-with the exact norm).  The basis grows only as far as convergence needs; at
-dimension n it spans the whole space and the Ritz pairs are exact.
+reorthogonalization, fixed-seed start block whose first rows a warm start may
+replace) on the dense matrix.  It returns the top-k Ritz pairs once they have
+converged and pair k + 1 has converged far enough to decide whether it ties
+with pair k; every returned pair is then checked against
+||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken from the extreme Ritz
+values (an underestimate, so the check is never looser than with the exact
+norm).  The basis grows only as far as convergence needs; at dimension n it
+spans the whole space and the Ritz pairs are exact.
 SDP-BM runs the same Lanczos code through the private :func:`_top_k`,
 which skips the input checks for matrices Hermitian by construction.
 :func:`spectral_norm` and the private :func:`_eigh_descending`, which the
@@ -208,11 +209,13 @@ def _append_rows(Q: np.ndarray, m: int, F: np.ndarray, rng, floor: float) -> int
     return m
 
 
-def _block_lanczos(H: np.ndarray, k: int, tol: float):
+def _block_lanczos(H: np.ndarray, k: int, tol: float, warm: np.ndarray | None = None):
     """Top min(k + 1, n) Ritz pairs of H by block Lanczos.
 
     The block width is p = min(k + 1, n), so an eigenvalue of multiplicity
-    up to p is found in full; the start block comes from a fixed PCG64 seed.
+    up to p is found in full; the start block comes from a fixed PCG64 seed,
+    and the columns of a ``warm`` start (n x s, s <= p) replace its first s
+    rows.
     The basis is kept as conjugated rows (row i holds conj(q_i)), so a step
     is the product ``Q_block @ H`` = (H Q_block)^H, followed by two
     Gram-Schmidt passes against the whole basis.  The projected matrix
@@ -232,8 +235,10 @@ def _block_lanczos(H: np.ndarray, k: int, tol: float):
     cap = min(n, 16 * p)
     Q = np.empty((cap, n), dtype=complex)
     T = np.zeros((cap, cap), dtype=complex)
-    m = _append_rows(Q, 0, rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n)),
-                     rng, 0.0)
+    F = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
+    if warm is not None:
+        F[: warm.shape[1]] = warm.T.conj()
+    m = _append_rows(Q, 0, F, rng, 0.0)
     start, scale, steps, check, last = 0, 0.0, 0, 1, (0, np.inf)
     while True:
         block = slice(start, m)
@@ -275,13 +280,35 @@ def _block_lanczos(H: np.ndarray, k: int, tol: float):
         last = (steps, lag)
 
 
-def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
+def _check_start(start, n: int, k: int) -> np.ndarray | None:
+    """A warm start as a complex n x s array, s <= min(k + 1, n), or None.
+
+    Raises ValueError on another shape, a non-finite entry or a zero column.
+    """
+    if start is None:
+        return None
+    start = np.asarray(start, dtype=complex)
+    if start.ndim != 2 or start.shape[0] != n or not 1 <= start.shape[1] <= min(k + 1, n):
+        raise ValueError(f"start must be {n} x s with 1 <= s <= {min(k + 1, n)}, "
+                         f"got shape {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise ValueError("start has a non-finite entry")
+    if np.any(np.linalg.norm(start, axis=0) == 0.0):
+        raise ValueError("start has a zero column")
+    return start
+
+
+def top_k_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
     """The k algebraically largest eigenpairs of a Hermitian matrix.
 
     Computed by block Lanczos on the top min(k + 1, n) pairs, so ``ties``
-    sees the gap to pair k + 1.  Raises :class:`HermitianityError` on
-    non-Hermitian input and :class:`EigenConvergenceError` if the residual
-    contract ||H v - lambda v|| <= tol * ||H||_2 cannot be met.
+    sees the gap to pair k + 1.  ``start`` (n x s, s <= min(k + 1, n)), such
+    as a previous solve's vectors, replaces the first s vectors of the
+    fixed-seed start block; it moves the step count, not the contract.
+    Raises ValueError on a start of another shape, with a non-finite entry
+    or a zero column, :class:`HermitianityError` on non-Hermitian input and
+    :class:`EigenConvergenceError` if the residual contract
+    ||H v - lambda v|| <= tol * ||H||_2 cannot be met.
     """
     H = _as_hermitian(H)
     n = H.shape[0]
@@ -289,13 +316,13 @@ def top_k_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _top_k(H, k, tol)
+    return _top_k(H, k, tol, _check_start(start, n, k))
 
 
-def _top_k(H: np.ndarray, k: int, tol: float) -> EigenPairs:
+def _top_k(H: np.ndarray, k: int, tol: float, start: np.ndarray | None = None) -> EigenPairs:
     """:func:`top_k_eig` without the input checks, for a complex H that is
-    Hermitian by construction and 1 <= k <= n, tol > 0."""
-    top, V, ritz, steps = _block_lanczos(H, k, tol)
+    Hermitian by construction and 1 <= k <= n, tol > 0, and a checked start."""
+    top, V, ritz, steps = _block_lanczos(H, k, tol, start)
     values = top[:k].copy()
     vectors = np.ascontiguousarray(V[:, :k])
     norm = float(max(abs(ritz[0]), abs(ritz[-1])))
@@ -321,7 +348,7 @@ def spectral_norm(M) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
+def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
     """Top-k eigenpairs of the degree-normalized operator R = D^{-1} H.
 
     D is diagonal with D_ii = sum_j |H_ij| (the diagonal term included).
@@ -330,18 +357,23 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL) -> EigenPairs:
     the eigenvectors of S, re-normalized to unit norm.  Those vectors are
     generally not mutually orthogonal (they are orthogonal in the
     D^{1/2}-weighted inner product); residuals are measured against R.
+    A warm ``start`` holds vectors of R, as :func:`top_k_eig` takes them;
+    S starts from D^{1/2} times them.
     """
     H = _as_hermitian(H)
     n = H.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    start = _check_start(start, n, k)
     d = np.sum(np.abs(H), axis=1)
     if np.any(d <= 0.0):
         bad = int(np.nonzero(d <= 0.0)[0][0])
         raise ValueError(f"isolated node {bad}: zero row sum in |H|")
     dinv_sqrt = 1.0 / np.sqrt(d)
     S = (dinv_sqrt[:, None] * H) * dinv_sqrt[None, :]
-    pairs = top_k_eig(S, k, tol=tol)
+    if start is not None:
+        start = np.sqrt(d)[:, None] * start
+    pairs = top_k_eig(S, k, tol=tol, start=start)
     vectors = dinv_sqrt[:, None] * pairs.vectors
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm((H @ vectors) / d[:, None] - vectors * pairs.values, axis=0)

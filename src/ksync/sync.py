@@ -91,16 +91,28 @@ def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
     )
 
 
+def _spectral(g: MeasurementGraph, k: int, solver: str, start=None,
+              tol: float = linalg.DEFAULT_TOL) -> SyncEstimate:
+    """EIG-H or EIG-R, solved to ``tol`` from an optional warm ``start``.
+
+    ``start`` (n x s, s <= k + 1) holds vectors of the solver's operator, as
+    :func:`linalg.top_k_eig` takes them; ``meta`` is as in
+    :func:`spectral_ksync`.
+    """
+    eig = linalg.top_k_eig if solver == EIG_H else linalg.degree_normalized_eig
+    pairs = eig(_operator(g), k, tol=tol, start=start)
+    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
+            "krylov_steps": pairs.krylov_steps}
+    return _estimate(pairs.values, pairs.vectors, meta)
+
+
 def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     """EIG-H: phases of the top-k eigenvectors of the measurement matrix.
 
     ``meta`` carries the eigensolve's worst residual (``eig_residual_max``),
     its ``ties`` and its ``krylov_steps``.
     """
-    pairs = linalg.top_k_eig(_operator(g), k)
-    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
-            "krylov_steps": pairs.krylov_steps}
-    return _estimate(pairs.values, pairs.vectors, meta)
+    return _spectral(g, k, EIG_H)
 
 
 def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
@@ -108,10 +120,7 @@ def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
 
     ``meta`` holds the same eigensolve diagnostics as :func:`spectral_ksync`.
     """
-    pairs = linalg.degree_normalized_eig(_operator(g), k)
-    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
-            "krylov_steps": pairs.krylov_steps}
-    return _estimate(pairs.values, pairs.vectors, meta)
+    return _spectral(g, k, EIG_R)
 
 
 def _row_normalize(V: np.ndarray, fallback: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ksync import linalg
 from ksync.core import (
     AngleGroups,
     MeasurementGraph,
@@ -24,7 +25,7 @@ from ksync.disentangle import (
     residual_matrices,
 )
 from ksync.genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, substream
-from ksync.sync import EIG_H, estimate_from_angles, evaluate, spectral_ksync
+from ksync.sync import EIG_H, EIG_R, estimate_from_angles, evaluate, spectral_ksync
 
 
 def mixture(n, p, lam, seed, k=None):
@@ -92,6 +93,21 @@ class TestAssignEdges:
         assert assignment[0] == 0
         assert gamma[0] == 0.3
 
+    def test_same_bytes_as_argmin_with_exact_ties(self):
+        # reference: the strided argmin down the columns, which takes the
+        # first minimum; every edge below ties two or three groups somewhere
+        rng = substream(21)
+        psi = np.round(rng.uniform(0.0, np.pi, (3, 600)), 1)
+        psi[1, ::3] = psi[0, ::3]
+        psi[0, 1::3] += 0.1
+        psi[2, 1::3] = psi[1, 1::3] = 0.05
+        psi[:, 2::3] = psi[2, 2::3]
+        assignment, gamma = assign_edges(psi)
+        ref = np.argmin(psi, axis=0)
+        assert np.array_equal(assignment, ref)
+        assert gamma.tobytes() == psi[ref, np.arange(psi.shape[1])].tobytes()
+        assert assignment[1] == 1 and assignment[2] == 0
+
     def test_exact_angles_recover_labels(self):
         groups, g = mixture(60, (0.5, 0.4), 1.0, 6)
         psi = residual_matrices(g, groups.theta)
@@ -150,7 +166,8 @@ class TestIterateDisentangle:
     def test_unscorable_truth_rejected_before_any_solve(self, p, truth_n, match, monkeypatch):
         groups, g = mixture(60, p, 0.5, 12)
         calls = []
-        monkeypatch.setattr("ksync.disentangle.solve", lambda *args: calls.append(args))
+        monkeypatch.setattr("ksync.disentangle._spectral",
+                            lambda *args, **kwargs: calls.append(args))
         cfg = DisentangleConfig(k=len(p), iterations=1)
         with pytest.raises(ValueError, match=match):
             iterate_disentangle(g, cfg, estimate_from_angles(groups),
@@ -268,6 +285,54 @@ class TestIterateDisentangle:
         assert len(states) == 3
 
 
+class TestWarmRounds:
+    @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
+    def test_only_the_last_round_is_held_to_the_default_tolerance(self, solver, monkeypatch):
+        groups, g = mixture(150, (0.45, 0.3), 0.5, 16)
+        initial = spectral_ksync(g, 2)
+        solves = []
+        top_k_eig = linalg.top_k_eig
+
+        def spy(H, k, tol=linalg.DEFAULT_TOL, start=None):
+            pairs = top_k_eig(H, k, tol=tol, start=start)
+            solves.append((H, tol, start, pairs))
+            return pairs
+
+        monkeypatch.setattr(linalg, "top_k_eig", spy)
+        states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=3, solver=solver),
+                                     initial)
+        assert [tol for _, tol, _, _ in solves] == [1e-6] * 4 + [linalg.DEFAULT_TOL] * 2
+        assert all(start is not None for _, _, start, _ in solves)
+        # EIG-R's spy sees S = D^{-1/2} H D^{-1/2}; the state holds R's residuals
+        for H, _, _, pairs in solves[-2:]:
+            assert pairs.residuals.max() <= linalg.DEFAULT_TOL * linalg.spectral_norm(H)
+        assert [st.krylov_steps for st in states] == [
+            tuple(pairs.krylov_steps for *_, pairs in solves[2 * r:2 * r + 2]) for r in range(3)]
+        if solver == EIG_H:
+            assert states[-1].eig_residual_max == tuple(
+                float(pairs.residuals.max()) for *_, pairs in solves[-2:])
+        else:
+            # R = D^{-1} H has spectral radius 1, the scale of its contract
+            assert max(states[-1].eig_residual_max) <= linalg.DEFAULT_TOL
+
+    def test_warm_rounds_take_fewer_krylov_steps_than_cold(self):
+        # acceptance-9 instance: n=500, k=3, lam=0.3, 20 rounds; the cold
+        # solves repeat every round's subgraphs at the same tolerances
+        n, k, p = 500, 3, (0.18, 0.15, 0.12)
+        groups = sample_angles(n, k, child_seed(99, 0, 0xA))
+        g = sample_er_mixture(MixtureParams(n=n, k=k, lam=0.3, p=p, seed=child_seed(99, 0, 0xB)),
+                              groups)
+        states = iterate_disentangle(g, DisentangleConfig(k=k, iterations=20),
+                                     spectral_ksync(g, k))
+        warm = sum(sum(st.krylov_steps) for st in states)
+        cold = 0
+        for st in states:
+            tol = linalg.DEFAULT_TOL if st is states[-1] else 1e-6
+            for l in range(k):
+                cold += _sync_subgraph(g, st.assignment == l, EIG_H, tol=tol)[2]["krylov_steps"]
+        assert warm < cold
+
+
 class TestSyncSubgraph:
     def test_equal_components_tie_to_smallest_node(self):
         # two consistent triangles, {4, 5, 6} listed first; node 0 has no edge
@@ -276,7 +341,7 @@ class TestSyncSubgraph:
         g = MeasurementGraph.from_edges(7, [(i, j, wrap_angle(a[i] - a[j])) for i, j in tri])
         comp, disconnected = _largest_component(g.n, g.ii, g.jj)
         assert comp.tolist() == [1, 2, 3] and disconnected
-        theta, flag = _sync_subgraph(g, np.ones(g.m, dtype=bool), EIG_H)
+        theta, flag, _ = _sync_subgraph(g, np.ones(g.m, dtype=bool), EIG_H)
         assert flag
         assert theta[[0, 4, 5, 6]].tolist() == [0.0] * 4
         on_comp = g.ii < 4

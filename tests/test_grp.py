@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ksync import linalg
 from ksync.core import TWO_PI, AngleGroups, wrap_angle
 from ksync.disentangle import DisentangleConfig, classification_errors, iterate_disentangle
 from ksync.genmodel import substream
@@ -299,6 +300,26 @@ class TestAsapRecover:
         second = asap_recover(ps, g, cfg)
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1].tobytes() == second[1].tobytes()
+
+    def test_final_resolves_warm_at_the_default_tolerance(self, monkeypatch):
+        pc = make_two_configurations(100, seed=2)
+        ps, g = build_patches(pc, sigma=0.2, seed=2)
+        solves = []
+        top_k_eig = linalg.top_k_eig
+
+        def spy(H, k, tol=linalg.DEFAULT_TOL, start=None):
+            pairs = top_k_eig(H, k, tol=tol, start=start)
+            solves.append((H, tol, start, pairs))
+            return pairs
+
+        monkeypatch.setattr(linalg, "top_k_eig", spy)
+        asap_recover(ps, g, DisentangleConfig(k=2, iterations=3))
+        # the cold bi-synchronization, three rounds of two groups, two re-solves
+        assert [tol for _, tol, _, _ in solves] == (
+            [linalg.DEFAULT_TOL] + [1e-6] * 4 + [linalg.DEFAULT_TOL] * 4)
+        assert [start is None for _, _, start, _ in solves] == [True] + [False] * 8
+        for H, _, _, pairs in solves[-4:]:
+            assert pairs.residuals.max() <= linalg.DEFAULT_TOL * linalg.spectral_norm(H)
 
     def test_single_patch_trivially_exact(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -394,6 +394,10 @@ _CLI_RUNS = {
     "disentangle": (["disentangle", "--n", "150", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5",
                      "--iterations", "5", "--seed", "1", "--out", "d"],
                     ["d_G1.graph", "d_G2.graph", "d_W.graph", "d_history.csv"]),
+    "disentangle-eig-r": (["disentangle", "--n", "150", "--k", "2", "--p", "0.5,0.3",
+                           "--lam", "0.5", "--iterations", "5", "--seed", "1",
+                           "--solver", "EIG-R", "--out", "d"],
+                          ["d_G1.graph", "d_G2.graph", "d_W.graph", "d_history.csv"]),
     "grp": (["grp", "--n", "144", "--radius", "1.6", "--sigma", "0", "--iterations", "5",
              "--seed", "5", "--out", "g"], ["g_X.csv", "g_Y.csv"]),
     "theory": (["theory", "--n", "150", "--k", "2", "--p", "0.45,0.35", "--lam", "0.5"], []),
@@ -638,13 +642,17 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "d_history.csv").read_text().splitlines()
         header = lines[0].split(",")
-        assert header[-3:] == ["n_good", "n_bad", "disconnected"]
+        assert header[-5:] == ["n_good", "n_bad", "disconnected", "krylov_steps",
+                               "eig_residual_max"]
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         final = [row for row in rows if row["iteration"] == "2"]
         assert [row["group"] for row in final] == ["1", "2", "3"]
         for l, row in enumerate(final, start=1):
             assert int(row["n_good"]) == load_graph(tmp_path / f"d_G{l}.graph")[0].m
             assert row["disconnected"] in ("0", "1")
+            # the last round's solves meet the default 1e-10 relative tolerance
+            assert int(row["krylov_steps"]) > 0
+            assert 0.0 <= float(row["eig_residual_max"]) <= 1e-8
         n_bad = sum(int(row["n_bad"]) for row in final)
         assert n_bad == load_graph(tmp_path / "d_W.graph")[0].m
 

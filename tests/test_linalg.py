@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksync import linalg
-from ksync.core import AngleGroups, TWO_PI, build_measurement_matrix, correlation, wrap_angle
+from ksync.core import (
+    TWO_PI,
+    AngleGroups,
+    MeasurementGraph,
+    build_measurement_matrix,
+    correlation,
+    wrap_angle,
+)
 from ksync.genmodel import (
     MixtureParams,
     expected_measurement_matrix,
@@ -372,6 +379,70 @@ class TestDegreeNormalizedEig:
         for j in range(2):
             res = np.linalg.norm(R @ pairs.vectors[:, j] - pairs.values[j] * pairs.vectors[:, j])
             assert res <= 1e-10
+
+
+def _mixture_operator(n=120, seed=21):
+    """Unit-diagonal measurement matrix of a two-group mixture, and the truth."""
+    groups = sample_angles(n, 2, seed)
+    params = MixtureParams(n=n, k=2, lam=0.5, p=(0.4, 0.25), seed=seed + 1)
+    return build_measurement_matrix(sample_er_mixture(params, groups), diagonal=1.0), groups
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("eig", [top_k_eig, degree_normalized_eig])
+    @pytest.mark.parametrize("k, width", [(1, 1), (2, 2), (2, 3)])
+    def test_warm_start_returns_the_cold_pairs(self, eig, k, width):
+        H, groups = _mixture_operator()
+        rng = substream(22)
+        noise = rng.standard_normal((H.shape[0], 3)) + 1j * rng.standard_normal((H.shape[0], 3))
+        start = np.column_stack([to_unit_vectors(groups).T, noise])[:, :width]
+        cold, warm = eig(H, k), eig(H, k, start=start)
+        scale = spectral_norm(H) if eig is top_k_eig else 1.0
+        assert np.max(np.abs(warm.values - cold.values)) <= 2 * linalg.DEFAULT_TOL * scale
+        assert warm.residuals.max() <= linalg.DEFAULT_TOL * scale
+        for j in range(k):
+            assert abs(np.vdot(cold.vectors[:, j], warm.vectors[:, j])) == pytest.approx(
+                1.0, abs=1e-8)
+        assert warm.ties == cold.ties
+
+    def test_exact_top_vector_breaks_down_and_returns_the_pair(self, monkeypatch):
+        # complete consistent graph: H = z z^*, top pair (n, z / sqrt(n)).
+        # The start spans the top eigenvector, so the first product adds
+        # nothing to the basis and _append_rows draws a fresh row instead
+        n = 40
+        theta = sample_angles(n, 1, 23).theta[0]
+        ii, jj = np.triu_indices(n, 1)
+        g = MeasurementGraph(n=n, ii=ii, jj=jj, theta=wrap_angle(theta[ii] - theta[jj]))
+        H = build_measurement_matrix(g, diagonal=1.0)
+        z = np.exp(1j * theta)
+        broke = []
+        append_rows = linalg._append_rows
+
+        def spy(Q, m, F, rng, floor):
+            state = rng.bit_generator.state
+            out = append_rows(Q, m, F, rng, floor)
+            broke.append(rng.bit_generator.state != state)
+            return out
+
+        monkeypatch.setattr(linalg, "_append_rows", spy)
+        pairs = top_k_eig(H, 1, start=z[:, None])
+        assert broke[0] is False and broke[1] is True
+        assert pairs.krylov_steps == 1
+        assert pairs.values[0] == pytest.approx(n, rel=1e-12)
+        assert abs(np.vdot(z / np.sqrt(n), pairs.vectors[:, 0])) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eig", [top_k_eig, degree_normalized_eig])
+    @pytest.mark.parametrize("start, match", [
+        (np.ones((9, 1)), "shape"),
+        (np.ones(10), "shape"),
+        (np.ones((10, 4)), "shape"),
+        (np.full((10, 1), np.nan), "non-finite"),
+        (np.column_stack([np.ones(10), np.zeros(10)]), "zero column"),
+    ], ids=["rows", "one-dim", "too-wide", "nan", "zero-column"])
+    def test_bad_start_rejected(self, eig, start, match):
+        H, _ = _mixture_operator(n=10)
+        with pytest.raises(ValueError, match=match):
+            eig(H, 2, start=start)
 
 
 def _draw_instance(n, seed, p=(0.4, 0.25), lam=0.8):
