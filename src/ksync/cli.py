@@ -3,43 +3,45 @@
 Subcommands: simulate, sweep, compare, disentangle, grp, theory.  Options
 from a JSON config file (--config) are overridden by individual flags.
 Every command runs with BLAS at one thread, so its output bytes do not
-depend on the BLAS thread count.  Exit codes: 0 success, 2 configuration
-error, 1 runtime error.
+depend on the BLAS thread count.  Output text comes from ``harness``'s
+formatters or ``core.save_graph`` and is written by ``core.write_text``.
+Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import grp as grpmod
 from . import linalg
-from .core import save_graph
+from .core import save_graph, write_text
 from .disentangle import (
     DisentangleConfig,
-    bad_subgraph,
     classification_errors,
-    good_subgraph,
     iterate_disentangle,
+    recovered_subgraph,
 )
 from .genmodel import MixtureParams, theory_bounds
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    emit_plot,
     instance_probs,
+    json_text,
+    plot_svg,
+    rows_to_csv,
     run_sweep,
     sample_instance,
     simulate_once,
     validate_config,
-    write_csv,
-    write_meta,
 )
 from .sync import SOLVERS, solve
+
+_HISTORY_HEADER = ("iteration", "group", "matched_corr", "gamma_median", "gamma_median_good",
+                   "n_good", "n_bad", "disconnected", "krylov_steps", "eig_residual_max")
 
 
 def _float_list(text):
@@ -130,10 +132,10 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows, meta = run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
     out = cfg.out or "sweep.csv"
-    write_csv(rows, out)
-    write_meta(meta, out + ".meta")
-    if getattr(args, "plot", None):
-        emit_plot(rows, args.plot)
+    write_text(out, rows_to_csv(rows))
+    write_text(out + ".meta", json_text(meta))
+    if args.plot:
+        write_text(args.plot, plot_svg(rows))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -142,7 +144,7 @@ def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     graph, groups, report = simulate_once(cfg)
     if cfg.out:
         save_graph(graph, cfg.out, k=cfg.k)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json_text(report), end="")
     return 0
 
 
@@ -156,27 +158,26 @@ def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
     initial = solve(graph, cfg.k, solver)
     dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations, solver=solver)
     states = iterate_disentangle(graph, dcfg, initial, truth=groups)
-    lines = ["iteration,group,matched_corr,gamma_median,gamma_median_good,n_good,n_bad,"
-             "disconnected,krylov_steps,eig_residual_max"]
+    history = []
     for st in states:
         for l in range(cfg.k):
             mine = st.assignment == l
             good = st.good[mine]
             gamma = st.gamma[mine]
-            lines.append(
-                f"{st.iteration},{l + 1},{st.matched_corr[l]!r},{_median(gamma)!r},"
-                f"{_median(gamma[good])!r},{int(good.sum())},{int((~good).sum())},"
-                f"{int(st.disconnected[l])},{st.krylov_steps[l]},{st.eig_residual_max[l]!r}"
-            )
+            history.append((
+                st.iteration, l + 1, st.matched_corr[l], _median(gamma), _median(gamma[good]),
+                int(good.sum()), int((~good).sum()), int(st.disconnected[l]),
+                st.krylov_steps[l], st.eig_residual_max[l],
+            ))
     final = states[-1]
     errs = classification_errors(graph, final)
     print(f"final misclassified edges: {errs['total_misclassified']} of {graph.m}")
     if cfg.out:
-        with open(cfg.out + "_history.csv", "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        for l in range(cfg.k):
-            save_graph(good_subgraph(graph, final, l), f"{cfg.out}_G{l + 1}.graph", k=cfg.k)
-        save_graph(bad_subgraph(graph, final), f"{cfg.out}_W.graph", k=cfg.k)
+        write_text(cfg.out + "_history.csv", rows_to_csv(history, _HISTORY_HEADER))
+        for label in (*range(1, cfg.k + 1), 0):
+            name = f"G{label}" if label else "W"
+            save_graph(recovered_subgraph(graph, final, label), f"{cfg.out}_{name}.graph",
+                       k=cfg.k)
         print(f"wrote history and {cfg.k + 1} subgraph files with prefix {cfg.out}")
     return 0
 
@@ -199,10 +200,8 @@ def _cmd_grp(cfg: ExperimentConfig, args) -> int:
     print(f"mean displacement after alignment: X {errs[0]!r}  Y {errs[1]!r}")
     if cfg.out:
         for suffix, arr in (("X", x_hat), ("Y", y_hat)):
-            with open(f"{cfg.out}_{suffix}.csv", "w", newline="\n") as fh:
-                fh.write("id,x,y\n")
-                for i, (x, y) in enumerate(arr):
-                    fh.write(f"{i + 1},{float(x)!r},{float(y)!r}\n")
+            rows = [(i + 1, x, y) for i, (x, y) in enumerate(arr.tolist())]
+            write_text(f"{cfg.out}_{suffix}.csv", rows_to_csv(rows, ("id", "x", "y")))
         print(f"wrote recovered embeddings with prefix {cfg.out}")
     return 0
 
@@ -232,7 +231,7 @@ def main(argv=None) -> int:
         errors = validate_config(cfg, args.command)
     except ConfigError as exc:
         errors = exc.errors
-    except (TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         errors = [str(exc)]
     if errors:
         for err in errors:

@@ -8,6 +8,7 @@ so they can be shared freely across threads.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -230,6 +231,16 @@ class SyncEstimate:
         return self.theta_hat.shape[1]
 
 
+def write_text(path, text) -> None:
+    """Write ``text`` to ``path`` with LF line endings; every output file goes through here.
+
+    ``text`` is a string or an iterable of strings, written in order, so a
+    large file can stream without being held in memory whole.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines((text,) if isinstance(text, str) else text)
+
+
 def save_graph(g: MeasurementGraph, path, k: int | None = None) -> None:
     """Write a graph as text: header "n m k", then "i j theta label" lines.
 
@@ -240,11 +251,10 @@ def save_graph(g: MeasurementGraph, path, k: int | None = None) -> None:
     if k is None:
         k = int(labels.max()) if labels is not None and labels.size else 0
         k = max(k, 0)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{g.n} {g.m} {k}\n")
-        lab = labels if labels is not None else np.full(g.m, UNKNOWN, dtype=np.int64)
-        for i, j, t, l in zip(g.ii, g.jj, g.theta, lab):
-            fh.write(f"{i + 1} {j + 1} {float(t)!r} {int(l)}\n")
+    lab = labels if labels is not None else np.full(g.m, UNKNOWN, dtype=np.int64)
+    edges = (f"{i + 1} {j + 1} {float(t)!r} {int(l)}\n"
+             for i, j, t, l in zip(g.ii, g.jj, g.theta, lab))
+    write_text(path, itertools.chain([f"{g.n} {g.m} {k}\n"], edges))
 
 
 def load_graph(path) -> tuple[MeasurementGraph, int]:

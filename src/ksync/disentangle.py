@@ -23,6 +23,7 @@ from .core import (
     connected_components,
     wrap_angle,
 )
+from .genmodel import outlier_probability
 from .sync import EIG_H, EIG_R, SyncEstimate, _check_matchable, _spectral, evaluate
 
 # eigen-residual tolerance of the rounds before the last: their angles only
@@ -61,12 +62,13 @@ class DisentangleConfig:
 def default_bad_fractions(p) -> tuple:
     """Per-group bad fraction assuming outliers spread uniformly over groups.
 
-    With outlier mass eta = 1 - sum(p) split evenly, group l is expected to
-    absorb eta/k outliers next to its p_l good edges, so the bad share of
-    its assigned edges is (eta/k) / (p_l + eta/k).
+    With the outlier mass eta of :func:`genmodel.outlier_probability` split
+    evenly, group l is expected to absorb eta/k outliers next to its p_l
+    good edges, so the bad share of its assigned edges is
+    (eta/k) / (p_l + eta/k).
     """
     p = [float(x) for x in np.atleast_1d(p)]
-    return _outlier_shares(p, max(0.0, 1.0 - sum(p)))
+    return _outlier_shares(p, outlier_probability(p))
 
 
 def _outlier_shares(good, outliers: float) -> tuple:
@@ -188,23 +190,14 @@ class DisentangleState:
         return np.where(self.good, self.assignment + 1, 0)
 
 
-def _recovered_subgraph(g: MeasurementGraph, state: DisentangleState,
-                        label: int) -> MeasurementGraph:
+def recovered_subgraph(g: MeasurementGraph, state: DisentangleState,
+                       label: int) -> MeasurementGraph:
+    """Edges of ``state.recovered == label`` (group + 1 for good, 0 for pooled bad)."""
     mask = state.recovered == label
     return MeasurementGraph(
         n=g.n, ii=g.ii[mask], jj=g.jj[mask], theta=g.theta[mask],
         labels=np.full(int(mask.sum()), label, dtype=np.int64),
     )
-
-
-def good_subgraph(g: MeasurementGraph, state: DisentangleState, group: int) -> MeasurementGraph:
-    """Recovered good subgraph of one group (1-based label in the output)."""
-    return _recovered_subgraph(g, state, group + 1)
-
-
-def bad_subgraph(g: MeasurementGraph, state: DisentangleState) -> MeasurementGraph:
-    """Pooled bad edges across all groups (label 0)."""
-    return _recovered_subgraph(g, state, 0)
 
 
 def iterate_disentangle(

@@ -38,13 +38,21 @@ def child_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def outlier_probability(p) -> float:
+    """The outlier probability eta = max(0, 1 - sum(p)) of group probabilities ``p``.
+
+    The clamp keeps a sum of p that rounds above 1 from giving a negative eta.
+    """
+    return max(0.0, 1.0 - sum(float(x) for x in np.atleast_1d(p)))
+
+
 @dataclasses.dataclass(frozen=True)
 class MixtureParams:
     """Parameters of the mixture measurement model.
 
     ``p`` are the per-group probabilities of a correct measurement,
     strictly decreasing with sum at most 1; ``lam`` is the edge density;
-    ``eta`` (derived) is the outlier probability 1 - sum(p).
+    ``eta`` (derived) is the outlier probability (see :func:`outlier_probability`).
     """
 
     n: int
@@ -71,7 +79,7 @@ class MixtureParams:
 
     @property
     def eta(self) -> float:
-        return max(0.0, 1.0 - sum(self.p))
+        return outlier_probability(self.p)
 
     @classmethod
     def from_q(cls, n, lam, q, q1_tilde, q2_tilde, seed=0) -> "MixtureParams":
@@ -195,13 +203,12 @@ def delta_orthogonality(z: np.ndarray) -> float:
 def noise_constant(lam: float, p) -> float:
     """Variance constant C(lam, p_1..p_k) of the centered measurement noise."""
     p = [float(x) for x in np.atleast_1d(p)]
-    total = sum(p)
     s = sum(pl * lam for pl in p)
     c = 0.0
     for l, pl in enumerate(p):
         others = sum(q * lam for i, q in enumerate(p) if i != l)
         c += 2.0 * pl * lam * ((1.0 - pl * lam) ** 2 + others**2)
-    c += (1.0 - total) * lam * (0.5 + s**2)
+    c += outlier_probability(p) * lam * (0.5 + s**2)
     c += (1.0 - lam) * s**2
     return c
 

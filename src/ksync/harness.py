@@ -1,4 +1,4 @@
-"""Experiment configuration, Monte-Carlo sweeps, and CSV/SVG emission.
+"""Experiment configuration, Monte-Carlo sweeps, and the text of every output file.
 
 Sweeps are reproducible by construction: every (grid point, angle trial,
 graph trial) tuple gets its own RNG substream derived from the master seed,
@@ -6,6 +6,9 @@ and aggregation iterates results in a fixed order, so serial and threaded
 runs emit byte-identical CSV.  The worker pool runs with the BLAS at one
 thread, so ``threads`` is the sweep's whole CPU budget and the CSV does not
 depend on the BLAS thread count either.
+
+One formatter per output format returns text for ``core.write_text``:
+:func:`rows_to_csv` (floats by ``repr``), :func:`json_text` and :func:`plot_svg`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ import numpy as np
 
 from . import linalg
 from .core import correlation
-from .genmodel import MixtureParams, child_seed, sample_angles, sample_ba_mixture, sample_er_mixture
+from .genmodel import (
+    MixtureParams,
+    child_seed,
+    outlier_probability,
+    sample_angles,
+    sample_ba_mixture,
+    sample_er_mixture,
+)
 from .grp import make_two_configurations
 from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, evaluate, solve
 
@@ -145,6 +155,9 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
         first = cfg.solvers[0] if cfg.solvers else None
         if first not in (EIG_H, EIG_R):
             errors.append(f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}")
+        if len(cfg.solvers) > 1:
+            errors.append(f"{command} re-solves with one solver, so solvers must hold exactly "
+                          f"one entry, got {len(cfg.solvers)}")
         if cfg.iterations < 1:
             errors.append("iterations must be at least 1")
     if command == "grp":
@@ -181,14 +194,20 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
         for s in cfg.solvers:
             if s not in SOLVERS:
                 errors.append(f"unknown solver {s!r}")
+        for s in sorted({s for s in cfg.solvers if cfg.solvers.count(s) > 1}):
+            errors.append(f"solvers lists {s!r} more than once")
     if command != "theory" and cfg.k > cfg.n and {EIG_H, EIG_R} & set(cfg.solvers):
         errors.append(f"EIG-H and EIG-R need k <= n, got k={cfg.k} and n={cfg.n}")
     setup1_sweep = sweep and cfg.mode == "setup1"
     sampled_lams = cfg.lambda_grid if setup1_sweep else (cfg.lam,)
     if not sampled_lams:
         errors.append("lambda_grid must be non-empty")
+    lam_name = "lambda_grid values" if setup1_sweep else "lam"
     if any(not 0.0 <= x <= 1.0 for x in sampled_lams):
-        errors.append("lambda_grid values must lie in [0, 1]" if setup1_sweep else "lam must lie in [0, 1]")
+        errors.append(f"{lam_name} must lie in [0, 1]")
+    elif command != "theory" and 0.0 in sampled_lams:
+        errors.append(f"{command} solves, so {lam_name} must be positive: "
+                      "a graph at lambda 0 has no edges")
     if cfg.ba_attachment is not None and command == "theory":
         errors.append("theory bounds assume Erdos-Renyi graphs, so ba_attachment must not be set")
     elif cfg.ba_attachment is not None:
@@ -253,7 +272,7 @@ def instance_probs(cfg: ExperimentConfig) -> tuple:
 def _grid_points(cfg: ExperimentConfig) -> tuple[list, list]:
     """(lam, eta, p, gamma_text) per feasible grid point, and one message per skipped one."""
     if cfg.mode == "setup1":
-        eta = 1.0 - sum(cfg.p)
+        eta = outlier_probability(cfg.p)
         return [(lam, eta, cfg.p, "") for lam in cfg.lambda_grid], []
     points, skipped = [], []
     for eta in cfg.eta_grid:
@@ -350,26 +369,22 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
 
 
 def _fmt(value) -> str:
+    # float() first: numpy >= 2 reprs its scalars as np.float64(...)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
-def rows_to_csv(rows) -> str:
-    lines = [",".join(CSV_HEADER)]
+def rows_to_csv(rows, header=CSV_HEADER) -> str:
+    """CSV text of ``rows`` under ``header``: floats by ``repr``, other values by ``str``."""
+    lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(rows_to_csv(rows))
-
-
-def write_meta(meta, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def json_text(obj) -> str:
+    """JSON text of ``obj``: indent 2, sorted keys, one final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
@@ -460,13 +475,6 @@ def plot_svg(rows) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_plot(rows, path) -> None:
-    """Write the SVG chart for sweep rows; deterministic bytes per input."""
-    svg = plot_svg(rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(svg)
 
 
 def simulate_once(cfg: ExperimentConfig):

@@ -17,11 +17,10 @@ from ksync.disentangle import (
     _residuals,
     _sync_subgraph,
     assign_edges,
-    bad_subgraph,
     classification_errors,
     default_bad_fractions,
-    good_subgraph,
     iterate_disentangle,
+    recovered_subgraph,
     residual_matrices,
 )
 from ksync.genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, substream
@@ -179,8 +178,8 @@ class TestIterateDisentangle:
         cfg = DisentangleConfig(k=2, iterations=3)
         states = iterate_disentangle(g, cfg, spectral_ksync(g, 2))
         for st in states:
-            sizes = [good_subgraph(g, st, l).m for l in range(2)]
-            assert sum(sizes) + bad_subgraph(g, st).m == g.m
+            sizes = [recovered_subgraph(g, st, l + 1).m for l in range(2)]
+            assert sum(sizes) + recovered_subgraph(g, st, 0).m == g.m
             # assigned good sets are disjoint by construction of assignment
             masks = [(st.assignment == l) & st.good for l in range(2)]
             assert not np.any(masks[0] & masks[1])
@@ -256,7 +255,7 @@ class TestIterateDisentangle:
             cfg = DisentangleConfig(k=len(theta), iterations=2, bad_fractions=bad_fractions)
             start = estimate_from_angles(AngleGroups(theta=np.array(theta)))
             st = iterate_disentangle(g, cfg, start)[-1]
-            parts = [good_subgraph(g, st, l) for l in range(cfg.k)] + [bad_subgraph(g, st)]
+            parts = [recovered_subgraph(g, st, label) for label in range(cfg.k + 1)]
             covered = sorted(zip(np.concatenate([p.ii for p in parts]).tolist(),
                                  np.concatenate([p.jj for p in parts]).tolist()))
             assert covered == sorted(zip(g.ii.tolist(), g.jj.tolist()))
@@ -356,11 +355,11 @@ class TestSubgraphEmission:
         states = iterate_disentangle(g, cfg, spectral_ksync(g, 2))
         final = states[-1]
         for l in range(2):
-            sub = good_subgraph(g, final, l)
+            sub = recovered_subgraph(g, final, l + 1)
             assert sub.labels is not None and np.all(sub.labels == l + 1)
             path = tmp_path / f"g{l}.graph"
             save_graph(sub, path, k=2)
             loaded, k = load_graph(path)
             assert k == 2 and loaded.m == sub.m
-        bad = bad_subgraph(g, final)
+        bad = recovered_subgraph(g, final, 0)
         assert bad.labels is not None and (bad.m == 0 or np.all(bad.labels == 0))

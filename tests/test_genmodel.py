@@ -12,6 +12,7 @@ from ksync.genmodel import (
     delta_orthogonality,
     expected_measurement_matrix,
     noise_constant,
+    outlier_probability,
     rank2_eigenvalues,
     sample_angles,
     sample_ba_mixture,
@@ -59,6 +60,13 @@ class TestMixtureParams:
     def test_eta_derived(self):
         p = MixtureParams(n=10, k=2, lam=1.0, p=(0.3, 0.2))
         assert p.eta == pytest.approx(0.5)
+
+    def test_eta_clamped_at_zero(self):
+        # 0.56 + 0.34 + 0.1 rounds to 1.0000000000000002
+        p = (0.56, 0.34, 0.1)
+        assert sum(p) > 1.0
+        assert outlier_probability(p) == 0.0
+        assert MixtureParams(n=10, k=3, lam=1.0, p=p).eta == 0.0
 
     def test_q_parameterization(self):
         p = MixtureParams.from_q(n=10, lam=1.0, q=0.6, q1_tilde=0.5, q2_tilde=0.5)

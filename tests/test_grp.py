@@ -345,6 +345,17 @@ class TestAsapRecover:
                                      estimate_from_angles(ps.rotations))
         assert classification_errors(g, states[-1])["total_misclassified"] == 0
 
+    def test_type_vote_when_group_one_is_type_y(self):
+        # with Y the likelier type, recovered group 1 holds mostly Y edges,
+        # so the vote must hand group 1 to Y and group 2 to X
+        pc = make_two_configurations(100, seed=1)
+        ps, g = build_patches(pc, sigma=0.0, p1=0.45, p2=0.55, seed=1)
+        x_hat, y_hat, state = asap_recover(ps, g, DisentangleConfig(k=2, iterations=10))
+        labels = g.labels[state.recovered == 1]
+        assert np.sum(labels == 2) > np.sum(labels == 1)
+        assert procrustes_error(pc.X, x_hat) < procrustes_error(pc.Y, x_hat)
+        assert procrustes_error(pc.Y, y_hat) < procrustes_error(pc.X, y_hat)
+
     def test_noise_monotonicity(self):
         errors = []
         for sigma in (0.0, 0.3):

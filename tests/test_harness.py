@@ -13,19 +13,18 @@ import pytest
 
 from ksync import cli, harness
 from ksync.cli import main as cli_main
-from ksync.core import load_graph
+from ksync.core import load_graph, write_text
 from ksync.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
     derive_setup2_probs,
-    emit_plot,
+    json_text,
     plot_svg,
     rows_to_csv,
     run_sweep,
     simulate_once,
     validate_config,
-    write_csv,
 )
 
 
@@ -216,6 +215,14 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(cfg)
 
+    def test_setup1_eta_never_negative(self):
+        # these p sum to 1.0000000000000002 in floating point
+        cfg = ExperimentConfig(mode="setup1", n=60, k=3, p=(0.56, 0.34, 0.1),
+                               lambda_grid=(0.5,), trials_angles=1, trials_graphs=1)
+        rows, meta = run_sweep(cfg)
+        assert [row[CSV_HEADER.index("eta")] for row in rows] == [0.0] * 3
+        assert [d["eta"] for d in meta["diagnostics"].values()] == [0.0]
+
 
 _VALID = dict(n=20, k=2, p=(0.5, 0.3), trials_angles=1, trials_graphs=1)
 _SETUP2 = dict(mode="setup2", p=None, eta_grid=(0.2,))
@@ -271,6 +278,19 @@ class TestValidateConfig:
         ("simulate", {"p": (0.5, 0.3, 0.1)}, "expected 2 probabilities"),
         # a single instance reads only eta_grid[0]
         ("simulate", {**_SETUP2, "eta_grid": (0.2, 0.4)}, "eta_grid must hold one value"),
+        # disentangle and grp re-solve with one solver; the others run each once
+        ("grp", {"solvers": ("EIG-R", "bogus")}, "solvers must hold exactly one entry, got 2"),
+        ("disentangle", {"solvers": ("EIG-H", "SDP-BM")}, "solvers must hold exactly one entry"),
+        ("sweep", {"solvers": ("EIG-H", "EIG-R", "EIG-H")}, "solvers lists 'EIG-H' more than once"),
+        ("compare", {**_SETUP2, "mode": "compare", "solvers": ("SDP-BM", "SDP-BM")},
+         "more than once"),
+        ("simulate", {"solvers": ("EIG-R", "EIG-R")}, "more than once"),
+        # a graph at lambda 0 has no edges to solve on; theory only evaluates bounds
+        ("sweep", {"lambda_grid": (0.0, 0.5)}, "lambda_grid values must be positive"),
+        ("compare", {**_SETUP2, "mode": "compare", "lam": 0.0}, "lam must be positive"),
+        ("simulate", {"lam": 0.0}, "simulate solves, so lam must be positive"),
+        ("disentangle", {"lam": 0.0}, "lam must be positive"),
+        ("theory", {"lam": 0.0}, None),
     ])
     def test_fields_each_command_reads(self, command, overrides, message):
         errors = validate_config(ExperimentConfig(**{**_VALID, **overrides}), command)
@@ -286,11 +306,20 @@ class TestCsv:
                                trials_angles=1, trials_graphs=1)
         rows, _ = run_sweep(cfg)
         path = tmp_path / "out.csv"
-        write_csv(rows, path)
+        write_text(path, rows_to_csv(rows))
         text = path.read_text()
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
-        write_csv(rows, tmp_path / "out2.csv")
+        write_text(tmp_path / "out2.csv", rows_to_csv(rows))
         assert (tmp_path / "out2.csv").read_bytes() == path.read_bytes()
+
+    def test_floats_by_repr_under_any_header(self):
+        rows = [(1, np.float64(0.1), 1 / 3, np.nan, "")]
+        assert rows_to_csv(rows, ("i", "a", "b", "c", "d")) == (
+            "i,a,b,c,d\n1,0.1,0.3333333333333333,nan,\n")
+
+    def test_json_text_layout(self):
+        assert json_text({"b": None, "a": [1.5]}) == (
+            '{\n  "a": [\n    1.5\n  ],\n  "b": null\n}\n')
 
 
 class TestPlot:
@@ -319,8 +348,8 @@ class TestPlot:
 
     def test_deterministic_bytes(self, tmp_path):
         rows = self.make_rows()
-        emit_plot(rows, tmp_path / "a.svg")
-        emit_plot(rows, tmp_path / "b.svg")
+        write_text(tmp_path / "a.svg", plot_svg(rows))
+        write_text(tmp_path / "b.svg", plot_svg(rows))
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
         assert (tmp_path / "a.svg").read_text().startswith("<svg")
 
@@ -583,12 +612,25 @@ class TestCli:
         (["theory", "--n", "200", "--k", "2", "--lam", "0.5"],
          {"mode": "setup2", "eta_grid": [0.1, 0.3, 0.5], "gamma": 0.05},
          "theory reads only eta_grid[0], so eta_grid must hold one value, got 3"),
+        (["grp", "--n", "64", "--iterations", "2"], {"solvers": ["EIG-R", "bogus"]},
+         "grp re-solves with one solver, so solvers must hold exactly one entry, got 2"),
+        (["disentangle", "--n", "40", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5",
+          "--iterations", "1"], {"solvers": ["EIG-H", "SDP-BM"]},
+         "disentangle re-solves with one solver"),
+        (["sweep", "--mode", "setup1", "--n", "20", "--k", "2", "--p", "0.5,0.3",
+          "--lambda-grid", "0.5", "--solvers", "EIG-H,EIG-H", "--trials-angles", "1",
+          "--trials-graphs", "1"], {}, "solvers lists 'EIG-H' more than once"),
+        (["sweep", "--mode", "setup1", "--n", "40", "--k", "2", "--p", "0.5,0.3",
+          "--lambda-grid", "0.0,0.5", "--trials-angles", "1", "--trials-graphs", "1"], {},
+         "sweep solves, so lambda_grid values must be positive"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
             "scalar-p", "bool-n", "string-in-p", "bool-in-lambda-grid", "null-in-eta-grid",
             "number-in-solvers", "simulate-k-above-match-limit",
-            "disentangle-k-above-match-limit", "grp-prime-n", "theory-partly-read-eta-grid"])
+            "disentangle-k-above-match-limit", "grp-prime-n", "theory-partly-read-eta-grid",
+            "grp-two-solvers", "disentangle-two-solvers", "sweep-repeated-solver",
+            "sweep-lambda-zero"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -1,5 +1,5 @@
-"""The package imports only the standard library and numpy, and exports what
-README documents.
+"""The package imports only the standard library and numpy, exports what
+README documents, and README's library example runs as written.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -32,10 +32,21 @@ def test_absolute_imports_are_stdlib_or_numpy():
     assert not outside
 
 
+README = Path(ksync.__file__).parents[2] / "README.md"
+
+
 def test_exports_are_the_readme_api():
-    readme = (Path(ksync.__file__).parents[2] / "README.md").read_text()
+    readme = README.read_text()
     submodules = {info.name for info in pkgutil.iter_modules(ksync.__path__)}
     documented = set(re.findall(r"\bksync\.(\w+)", readme)) - submodules
     exported = {name for name, value in vars(ksync).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == documented
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == code.count("print(")
