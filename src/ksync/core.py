@@ -260,7 +260,8 @@ def save_graph(g: MeasurementGraph, path, k: int | None = None) -> None:
 def load_graph(path) -> tuple[MeasurementGraph, int]:
     """Read a graph written by :func:`save_graph`; returns (graph, k).
 
-    A file with only UNKNOWN labels loads unlabelled; mixed labels are rejected.
+    A file with only UNKNOWN labels loads unlabelled; mixed labels are rejected,
+    and so is a non-blank line after the header's m edge lines.
     """
     with open(path) as fh:
         first = fh.readline().split()
@@ -279,6 +280,9 @@ def load_graph(path) -> tuple[MeasurementGraph, int]:
             jj[row] = int(parts[1]) - 1
             theta[row] = float(parts[2])
             labels[row] = int(parts[3])
+        for row, line in enumerate(fh, start=m + 2):
+            if line.strip():
+                raise ValueError(f"extra edge line {row}: the header gives m = {m}")
     if m and np.all(labels == UNKNOWN):
         return MeasurementGraph(n=n, ii=ii, jj=jj, theta=theta), k
     return MeasurementGraph(n=n, ii=ii, jj=jj, theta=theta, labels=labels), k

@@ -68,6 +68,8 @@ class MixtureParams:
             raise ValueError("n and k must be at least 1")
         if len(p) != self.k:
             raise ValueError(f"expected {self.k} probabilities, got {len(p)}")
+        if not all(math.isfinite(x) for x in p):
+            raise ValueError("probabilities must be finite")
         if any(b >= a for a, b in zip(p, p[1:])):
             raise ValueError("p must be strictly decreasing")
         if p[-1] < 0.0:

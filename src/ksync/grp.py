@@ -9,6 +9,10 @@ pairwise rotation measurements that form a bi-synchronization instance;
 disentangling recovers the two measurement subgraphs, and a least-squares
 assembly of rotated patches (a patch-Laplacian solve on the same array)
 recovers both global embeddings.
+
+:func:`check_patch_settings` owns the rules on the patch settings (radius,
+min_overlap, sigma, p1, p2); :func:`build_patches` applies it first, and the
+CLI's config check reports its message.
 """
 
 from __future__ import annotations
@@ -165,6 +169,18 @@ class PatchSet:
         return len(self.members)
 
 
+def check_patch_settings(radius: float, min_overlap: int, sigma: float, p1: float, p2: float):
+    """Raise ValueError on the first :func:`build_patches` setting it cannot honour."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("sigma must be non-negative and finite")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
+    if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= 1.0 + 1e-12):
+        raise ValueError("need p1, p2 >= 0 with p1 + p2 <= 1")
+    if min_overlap < 3:
+        raise ValueError("min_overlap must be at least 3")
+
+
 def build_patches(
     pc: PointCloudPair,
     radius: float = 2.5,
@@ -185,10 +201,7 @@ def build_patches(
     the rotation-only Procrustes angle over the common nodes, read for every
     pair at once from products of the zero-filled local coordinates.
     """
-    if min_overlap < 3:
-        raise ValueError("min_overlap must be at least 3")
-    if p1 < 0 or p2 < 0 or p1 + p2 > 1.0 + 1e-12:
-        raise ValueError("need p1, p2 >= 0 with p1 + p2 <= 1")
+    check_patch_settings(radius, min_overlap, sigma, p1, p2)
     X, Y = pc.X, pc.Y
     incidence = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= radius  # patch x node
     sizes = incidence.sum(axis=1)

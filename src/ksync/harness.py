@@ -29,8 +29,9 @@ from .genmodel import (
     sample_angles,
     sample_ba_mixture,
     sample_er_mixture,
+    theory_bounds,
 )
-from .grp import make_two_configurations
+from .grp import check_patch_settings, make_two_configurations
 from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, evaluate, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
@@ -148,9 +149,25 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
 
     ``command`` is a CLI subcommand; compare is checked as sweep.  A value the
     command reads but cannot honour is a problem; fields it never reads are not.
+
+    A rule on a value the library reads is stated once, by the function that
+    reads it, and reported here in its words, one problem per owner: grp's
+    ``make_two_configurations`` and ``check_patch_settings``, ``MixtureParams``
+    for the instance's p, and ``theory_bounds`` for delta, mu and epsilon
+    (asked once all else is valid).  The command's own rules stay here,
+    setup2's eta_grid and gamma among them: a setup2 sweep skips the grid
+    points that its library rules reject.
     """
     sweep = command in ("sweep", "compare")
     errors = []
+
+    def check(owner, *args, prefix=""):
+        """``owner(*args)``, or None after appending the message of its ValueError."""
+        try:
+            return owner(*args)
+        except ValueError as exc:
+            errors.append(prefix + str(exc))
+
     if command in ("disentangle", "grp"):
         first = cfg.solvers[0] if cfg.solvers else None
         if first not in (EIG_H, EIG_R):
@@ -163,18 +180,8 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
     if command == "grp":
         if cfg.k != 2:
             errors.append(f"grp recovers two configurations, so k must be 2 (got {cfg.k})")
-        try:
-            make_two_configurations(cfg.n)
-        except ValueError as exc:
-            errors.append(str(exc))
-        if cfg.sigma < 0:
-            errors.append("sigma must be non-negative")
-        if cfg.radius <= 0:
-            errors.append("radius must be positive")
-        if cfg.p1 < 0 or cfg.p2 < 0 or cfg.p1 + cfg.p2 > 1.0 + 1e-12:
-            errors.append("need p1, p2 >= 0 with p1 + p2 <= 1")
-        if cfg.min_overlap < 3:
-            errors.append("min_overlap must be at least 3")
+        check(make_two_configurations, cfg.n)
+        check(check_patch_settings, cfg.radius, cfg.min_overlap, cfg.sigma, cfg.p1, cfg.p2)
         return errors
 
     if command != "disentangle" and cfg.mode not in MODES:
@@ -227,23 +234,16 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
                           f"got {len(cfg.eta_grid)}")
         if any(not 0.0 <= x < 1.0 for x in cfg.eta_grid):
             errors.append("eta_grid values must lie in [0, 1)")
-        if cfg.gamma < 0:
-            errors.append("gamma must be non-negative")
+        if not 0.0 <= cfg.gamma < np.inf:
+            errors.append("gamma must be non-negative and finite")
     elif cfg.p is None and (command == "disentangle" or cfg.mode == "setup1"):
         errors.append("setup1 and disentangle need an explicit p vector")
-    if command == "theory":
-        if not 0.0 <= cfg.delta < 1.0:
-            errors.append("delta must lie in [0, 1)")
-        if not 0.0 <= cfg.mu <= 0.5:
-            errors.append("mu must lie in [0, 1/2]")
-        if not 0.0 < cfg.epsilon < 1.0:
-            errors.append("epsilon must lie in (0, 1)")
     # the one p the command samples at; setup2 sweeps log and skip infeasible grid points
     if not errors and not (sweep and derived):
-        try:
-            MixtureParams(n=cfg.n, k=cfg.k, lam=1.0, p=instance_probs(cfg))
-        except ValueError as exc:
-            errors.append(f"invalid p: {exc}")
+        params = check(lambda: MixtureParams(n=cfg.n, k=cfg.k, lam=1.0, p=instance_probs(cfg)),
+                       prefix="invalid p: ")
+        if params is not None and command == "theory":
+            check(theory_bounds, params, cfg.delta, cfg.mu, cfg.epsilon)
     return errors
 
 
@@ -251,8 +251,8 @@ def derive_setup2_probs(k: int, eta: float, gamma: float) -> tuple:
     """Descending arithmetic p with sum 1 - eta and consecutive gap gamma."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError("gamma must be non-negative and finite")
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     mean = (1.0 - eta) / k

@@ -358,13 +358,10 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> Ei
     generally not mutually orthogonal (they are orthogonal in the
     D^{1/2}-weighted inner product); residuals are measured against R.
     A warm ``start`` holds vectors of R, as :func:`top_k_eig` takes them;
-    S starts from D^{1/2} times them.
+    S starts from D^{1/2} times them.  :func:`top_k_eig` checks k on S.
     """
     H = _as_hermitian(H)
-    n = H.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    start = _check_start(start, n, k)
+    start = _check_start(start, H.shape[0], k)
     d = np.sum(np.abs(H), axis=1)
     if np.any(d <= 0.0):
         bad = int(np.nonzero(d <= 0.0)[0][0])

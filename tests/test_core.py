@@ -166,6 +166,19 @@ class TestCorrelation:
             correlation([0.0, 1.0], [0.0])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: AngleGroups(theta=[[0.0, np.nan]]), "angles must be finite"),
+    (lambda: MeasurementGraph(n=0, ii=[], jj=[], theta=[]), "graph must have at least one node"),
+    (lambda: MeasurementGraph(n=3, ii=[0, 1], jj=[2], theta=[0.5]),
+     "ii, jj, theta must have equal lengths"),
+    (lambda: MeasurementGraph(n=3, ii=[0], jj=[3], theta=[0.5]), "edge endpoints out of range"),
+], ids=["nan-angle", "no-nodes", "unequal-lengths", "endpoint-out-of-range"])
+def test_invalid_values_rejected(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 class TestGraphFile:
     def test_round_trip_with_labels(self, tmp_path):
         g = MeasurementGraph(n=4, ii=[0, 1], jj=[2, 3], theta=[0.25, 5.5],
@@ -199,6 +212,24 @@ class TestGraphFile:
         path.write_text("4 3 1\n1 2 0.1 1\n2 3 nan 1\n3 4 0.3 1\n")
         with pytest.raises(ValueError, match="edge offsets"):
             load_graph(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n1 2 0.5 1\n", "malformed header: expected 'n m k'"),
+        ("3 2 1\n1 2 0.5 1\n2 3 0.5\n", "malformed edge line 3"),
+        ("3 1 1\n1 2 0.5 1\n2 3 0.1 1\n", "extra edge line 3: the header gives m = 1"),
+        ("3 1 1\n1 2 0.5 1\n\n2 3 0.1 1\n", "extra edge line 4: the header gives m = 1"),
+    ], ids=["header", "edge-line", "extra-edge-line", "extra-after-blank"])
+    def test_malformed_file_rejected(self, text, message, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_graph(path)
+        assert str(exc.value) == message
+
+    def test_blank_lines_after_the_edges_load(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("3 1 1\n1 2 0.5 1\n\n")
+        assert load_graph(path)[0].m == 1
 
     def test_unknown_labels_round_trip_to_none(self, tmp_path):
         g = MeasurementGraph(n=3, ii=[0], jj=[1], theta=[1.0])

@@ -34,6 +34,26 @@ def mixture(n, p, lam, seed, k=None):
     return groups, sample_er_mixture(params, groups)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g, truth: DisentangleConfig(k=0), "k must be at least 1"),
+    (lambda g, truth: DisentangleConfig(k=2, iterations=0), "iterations must be at least 1"),
+    (lambda g, truth: DisentangleConfig(k=2, solver="SDP-BM"), "solver must be EIG-H or EIG-R"),
+    (lambda g, truth: DisentangleConfig(k=2, bad_fractions=(0.1, 1.0)),
+     "bad_fractions must be k values in [0, 1)"),
+    (lambda g, truth: iterate_disentangle(
+        g, DisentangleConfig(k=2), estimate_from_angles(AngleGroups(theta=truth.theta[:1]))),
+     "initial estimate has wrong number of groups"),
+    (lambda g, truth: iterate_disentangle(
+        g, DisentangleConfig(k=2), estimate_from_angles(AngleGroups(theta=truth.theta[:, 1:]))),
+     "initial estimate has wrong number of nodes"),
+], ids=["k", "iterations", "solver", "bad-fractions", "initial-groups", "initial-nodes"])
+def test_invalid_settings_rejected(call, message):
+    truth, g = mixture(20, (0.6, 0.3), 1.0, 3)
+    with pytest.raises(ValueError) as exc:
+        call(g, truth)
+    assert str(exc.value) == message
+
+
 class TestResidualMatrices:
     def test_zero_residual_on_exact_edges(self):
         groups, g = mixture(50, (1.0,), 1.0, 4)

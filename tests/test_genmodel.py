@@ -73,6 +73,20 @@ class TestMixtureParams:
         assert p.p == pytest.approx((0.3, 0.2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: MixtureParams(n=10, k=2, lam=1.0, p=(0.5, -0.1)), "probabilities must be non-negative"),
+    (lambda: MixtureParams(n=10, k=2, lam=1.0, p=(np.nan, 0.1)), "probabilities must be finite"),
+    (lambda: MixtureParams(n=10, k=2, lam=1.0, p=(0.4, np.nan)), "probabilities must be finite"),
+    (lambda: MixtureParams(n=10, k=1, lam=1.0, p=(np.inf,)), "probabilities must be finite"),
+    (lambda: sample_angles(0, 2, 1), "n and k must be at least 1"),
+    (lambda: sample_angles(5, 0, 1), "n and k must be at least 1"),
+], ids=["negative-p", "nan-p1", "nan-p2", "inf-p", "angles-n", "angles-k"])
+def test_invalid_values_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestSampleAngles:
     def test_deterministic(self):
         a = sample_angles(20, 2, 5)

@@ -58,6 +58,39 @@ def lstsq_assembly(ps, patch_ids, local, angles):
     return out
 
 
+_SIGMA = "sigma must be non-negative and finite"
+_RADIUS = "radius must be positive and finite"
+_P1_P2 = "need p1, p2 >= 0 with p1 + p2 <= 1"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda pc: make_two_configurations(3), "n must be at least 4"),
+    (lambda pc: make_two_configurations(16, generator="hexagonal"),
+     "unknown generator 'hexagonal'"),
+    (lambda pc: build_patches(pc, sigma=-0.2), _SIGMA),
+    (lambda pc: build_patches(pc, sigma=np.nan), _SIGMA),
+    (lambda pc: build_patches(pc, sigma=np.inf), _SIGMA),
+    (lambda pc: build_patches(pc, radius=0.0), _RADIUS),
+    (lambda pc: build_patches(pc, radius=np.nan), _RADIUS),
+    (lambda pc: build_patches(pc, radius=np.inf), _RADIUS),
+    (lambda pc: build_patches(pc, p1=np.nan), _P1_P2),
+    (lambda pc: build_patches(pc, p2=-0.1), _P1_P2),
+    (lambda pc: build_patches(pc, min_overlap=2), "min_overlap must be at least 3"),
+    # settings are checked one at a time, in this order
+    (lambda pc: build_patches(pc, sigma=-1.0, radius=0.0, min_overlap=2), _SIGMA),
+    (lambda pc: build_patches(pc, radius=0.0, p1=2.0), _RADIUS),
+    (lambda pc: asap_recover(*build_patches(pc), DisentangleConfig(k=3)),
+     "two-configuration recovery needs k = 2"),
+], ids=["n", "generator", "negative-sigma", "nan-sigma", "inf-sigma", "zero-radius",
+        "nan-radius", "inf-radius", "nan-p1", "negative-p2", "min-overlap", "first-of-three",
+        "first-of-two", "recover-k"])
+def test_invalid_settings_rejected(call, message):
+    pc = make_two_configurations(16, seed=0)
+    with pytest.raises(ValueError) as exc:
+        call(pc)
+    assert str(exc.value) == message
+
+
 class TestMakeTwoConfigurations:
     def test_congruent_pair_rejected(self):
         with pytest.raises(ValueError, match="congruent"):

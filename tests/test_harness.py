@@ -67,6 +67,19 @@ class TestDeriveSetup2Probs:
             p = derive_setup2_probs(k, eta, gamma)
             assert abs(sum(p) + eta - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("k, eta, gamma, message", [
+        (0, 0.2, 0.05, "k must be at least 1"),
+        (2, 0.2, -0.01, "gamma must be non-negative and finite"),
+        (2, 0.2, float("nan"), "gamma must be non-negative and finite"),
+        (1, 0.2, float("inf"), "gamma must be non-negative and finite"),
+        (2, 1.0, 0.05, "eta must lie in [0, 1)"),
+        (2, float("nan"), 0.05, "eta must lie in [0, 1)"),
+    ], ids=["k", "negative-gamma", "nan-gamma", "inf-gamma", "eta-one", "nan-eta"])
+    def test_invalid_arguments_rejected(self, k, eta, gamma, message):
+        with pytest.raises(ValueError) as exc:
+            derive_setup2_probs(k, eta, gamma)
+        assert str(exc.value) == message
+
     def test_nonpositive_smallest_rejected(self):
         with pytest.raises(ValueError, match="not positive"):
             derive_setup2_probs(4, 0.9, 0.05)
@@ -298,6 +311,17 @@ class TestValidateConfig:
             assert errors == []
         else:
             assert any(message in e for e in errors), errors
+
+
+    def test_grp_settings_reported_by_their_owner_one_at_a_time(self):
+        cfg = ExperimentConfig(n=16, sigma=-1.0, radius=0.0, min_overlap=2)
+        assert validate_config(cfg, "grp") == ["sigma must be non-negative and finite"]
+
+    def test_theory_bound_settings_asked_once_p_is_valid(self):
+        cfg = ExperimentConfig(**{**_VALID, "delta": float("nan"), "mu": 0.7})
+        assert validate_config(cfg, "theory") == ["delta must lie in [0, 1)"]
+        cfg = dataclasses.replace(cfg, p=(0.3, 0.4))
+        assert validate_config(cfg, "theory") == ["invalid p: p must be strictly decreasing"]
 
 
 class TestCsv:
@@ -623,6 +647,22 @@ class TestCli:
         (["sweep", "--mode", "setup1", "--n", "40", "--k", "2", "--p", "0.5,0.3",
           "--lambda-grid", "0.0,0.5", "--trials-angles", "1", "--trials-graphs", "1"], {},
          "sweep solves, so lambda_grid values must be positive"),
+        # non-finite numbers fail the rule that reads them
+        (["simulate", "--n", "50", "--k", "2", "--p", "nan,0.1", "--lam", "0.5"], {},
+         "invalid p: probabilities must be finite"),
+        (["simulate", "--n", "50", "--k", "1", "--p", "nan", "--lam", "0.5"], {},
+         "invalid p: probabilities must be finite"),
+        (["disentangle", "--n", "60", "--k", "2", "--p", "0.4,nan", "--lam", "0.5",
+          "--iterations", "2"], {}, "invalid p: probabilities must be finite"),
+        (["sweep", "--mode", "setup2", "--n", "40", "--k", "2", "--eta-grid", "0.2",
+          "--gamma", "nan", "--lam", "0.5", "--trials-angles", "1", "--trials-graphs", "1"], {},
+         "gamma must be non-negative and finite"),
+        (["grp", "--n", "64", "--iterations", "2", "--p1", "nan"], {},
+         "need p1, p2 >= 0 with p1 + p2 <= 1"),
+        (["grp", "--n", "64", "--iterations", "2", "--radius", "nan"], {},
+         "radius must be positive and finite"),
+        (["grp", "--n", "64", "--iterations", "2", "--sigma", "nan"], {},
+         "sigma must be non-negative and finite"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
@@ -630,7 +670,8 @@ class TestCli:
             "number-in-solvers", "simulate-k-above-match-limit",
             "disentangle-k-above-match-limit", "grp-prime-n", "theory-partly-read-eta-grid",
             "grp-two-solvers", "disentangle-two-solvers", "sweep-repeated-solver",
-            "sweep-lambda-zero"])
+            "sweep-lambda-zero", "simulate-nan-p", "simulate-k1-nan-p", "disentangle-nan-p",
+            "setup2-nan-gamma", "grp-nan-p1", "grp-nan-radius", "grp-nan-sigma"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

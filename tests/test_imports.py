@@ -1,5 +1,6 @@
 """The package imports only the standard library and numpy, exports what
-README documents, and README's library example runs as written.
+README documents, README's library example runs as written, and README's
+CLI examples pass the CLI's config check.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -13,6 +14,8 @@ import types
 from pathlib import Path
 
 import ksync
+from ksync import cli
+from ksync.harness import validate_config
 
 ALLOWED = sys.stdlib_module_names | {"numpy"}
 
@@ -50,3 +53,15 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == code.count("print(")
+
+
+def test_readme_cli_examples_pass_the_config_check():
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.split()[1:] for line in lines if line.startswith("ksync ")]
+    seen = set()
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)
+        assert validate_config(cli._config_from_args(args), args.command) == [], argv
+        seen.add(args.command)
+    assert seen == set(cli._COMMANDS)

@@ -76,6 +76,19 @@ def assert_matches_oracle(H, k, pairs):
             assert abs(np.vdot(V[:, j], pairs.vectors[:, j])) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: top_k_eig(np.ones((2, 3)), 1), "expected a square matrix, got shape (2, 3)"),
+    (lambda: top_k_eig(np.eye(3), 1, tol=0.0), "tol must be positive"),
+    (lambda: top_k_eig(np.eye(3), 0), "k must satisfy 1 <= k <= 3, got 0"),
+    # degree_normalized_eig leaves the k range to top_k_eig on S
+    (lambda: degree_normalized_eig(np.eye(3), 4), "k must satisfy 1 <= k <= 3, got 4"),
+], ids=["non-square", "tol", "k", "normalized-k"])
+def test_invalid_arguments_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestTopKEig:
     def test_rank_one(self):
         z = random_unit(5, 1)

@@ -315,6 +315,15 @@ class TestEvaluate:
             evaluate(sample_angles(5, 2, 1), sample_angles(6, 2, 1).theta)
 
 
+@pytest.mark.parametrize("solver", ["EIG-X", "eig-h"])
+def test_unknown_solver_rejected(solver):
+    _, g = noiseless_complete(6, 1)
+    with pytest.raises(ValueError) as exc:
+        sync.solve(g, 1, solver)
+    assert str(exc.value) == (f"unknown solver {solver!r}; "
+                              "expected one of ('EIG-H', 'EIG-R', 'SDP-BM')")
+
+
 class TestSolverDeterminism:
     def test_spectral_bit_identical(self):
         _, g = mixture_instance(90, (0.4, 0.3), 0.8, 99)
