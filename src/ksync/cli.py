@@ -35,10 +35,9 @@ from .harness import (
     rows_to_csv,
     run_sweep,
     sample_instance,
-    simulate_once,
     validate_config,
 )
-from .sync import SOLVERS, solve
+from .sync import SOLVERS, evaluate, solve
 
 _HISTORY_HEADER = ("iteration", "group", "matched_corr", "gamma_median", "gamma_median_good",
                    "n_good", "n_bad", "disconnected", "krylov_steps", "eig_residual_max")
@@ -132,16 +131,28 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows, meta = run_sweep(cfg, log=lambda msg: print(msg, file=sys.stderr))
     out = cfg.out or "sweep.csv"
-    write_text(out, rows_to_csv(rows))
-    write_text(out + ".meta", json_text(meta))
+    # every text is formatted before any is written, so a failed sweep writes no file
+    texts = {out: rows_to_csv(rows), out + ".meta": json_text(meta)}
     if args.plot:
-        write_text(args.plot, plot_svg(rows))
+        texts[args.plot] = plot_svg(rows)
+    for path, text in texts.items():
+        write_text(path, text)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    graph, groups, report = simulate_once(cfg)
+    groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))
+    report = {}
+    for solver in cfg.solvers:
+        est = solve(graph, cfg.k, solver, seed=cfg.seed)
+        ev = evaluate(groups, est.theta_hat)
+        report[solver] = {
+            "matched_by_index": [float(x) for x in np.diag(ev.corr)],
+            "matched_best": [float(x) for x in ev.matched],
+            "assignment_best": list(ev.assignment),
+            "degenerate": len(est.degenerate_entries),
+        }
     if cfg.out:
         save_graph(graph, cfg.out, k=cfg.k)
     print(json_text(report), end="")
@@ -153,7 +164,7 @@ def _median(values) -> float:
 
 
 def _cmd_disentangle(cfg: ExperimentConfig, args) -> int:
-    groups, graph, _ = sample_instance(cfg, cfg.lam, cfg.p, (0,), (0,))
+    groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))
     solver = cfg.solvers[0]
     initial = solve(graph, cfg.k, solver)
     dcfg = DisentangleConfig(k=cfg.k, iterations=cfg.iterations, solver=solver)

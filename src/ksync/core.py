@@ -245,12 +245,15 @@ def save_graph(g: MeasurementGraph, path, k: int | None = None) -> None:
     """Write a graph as text: header "n m k", then "i j theta label" lines.
 
     Indices are 1-based; labels are 1..k for groups, 0 for outliers, -1 when
-    unknown.  ``k`` defaults to the largest group label present (0 if none).
+    unknown.  ``k`` defaults to the largest group label present (0 if none)
+    and may not lie below it.
     """
     labels = g.labels
+    top = int(labels.max()) if labels is not None and labels.size else 0
     if k is None:
-        k = int(labels.max()) if labels is not None and labels.size else 0
-        k = max(k, 0)
+        k = top
+    elif k < top:
+        raise ValueError(f"k = {k} is below the graph's largest label {top}")
     lab = labels if labels is not None else np.full(g.m, UNKNOWN, dtype=np.int64)
     edges = (f"{i + 1} {j + 1} {float(t)!r} {int(l)}\n"
              for i, j, t, l in zip(g.ii, g.jj, g.theta, lab))
@@ -261,7 +264,8 @@ def load_graph(path) -> tuple[MeasurementGraph, int]:
     """Read a graph written by :func:`save_graph`; returns (graph, k).
 
     A file with only UNKNOWN labels loads unlabelled; mixed labels are rejected,
-    and so is a non-blank line after the header's m edge lines.
+    and so are a label above the header's k and a non-blank line after the
+    header's m edge lines.
     """
     with open(path) as fh:
         first = fh.readline().split()
@@ -280,6 +284,9 @@ def load_graph(path) -> tuple[MeasurementGraph, int]:
             jj[row] = int(parts[1]) - 1
             theta[row] = float(parts[2])
             labels[row] = int(parts[3])
+            if labels[row] > k:
+                raise ValueError(f"edge line {row + 2}: label {labels[row]} exceeds the "
+                                 f"header's k = {k}")
         for row, line in enumerate(fh, start=m + 2):
             if line.strip():
                 raise ValueError(f"extra edge line {row}: the header gives m = {m}")

@@ -1,10 +1,13 @@
 """Generative measurement models and closed-form theoretical quantities.
 
-Randomness policy: every sampler derives its generator from a 64-bit seed
+Randomness policy: every generator in the package comes from a 64-bit seed
 through :func:`substream`, which feeds ``(seed, *key)`` into a
-``numpy.random.SeedSequence`` (PCG64).  One substream per trial index makes
-Monte-Carlo sweeps reproducible and order-independent: use
-:func:`child_seed` to derive per-trial seeds from a master seed.
+``numpy.random.SeedSequence`` (PCG64); the samplers here, GRP's patch draws,
+SDP-BM's fill columns and the Lanczos start block all call it.  One
+substream per trial index makes Monte-Carlo sweeps reproducible and
+order-independent: use :func:`child_seed` to derive per-trial seeds from a
+master seed.  The Erdos-Renyi and Barabasi-Albert samplers differ only in
+their edge lists; one tail labels the edges and draws their offsets.
 """
 
 from __future__ import annotations
@@ -97,24 +100,26 @@ def sample_angles(n: int, k: int, seed: int) -> AngleGroups:
     return AngleGroups(theta=wrap_angle(TWO_PI * rng.random((k, n))))
 
 
-def _draw_offsets(rng, params, groups, ii, jj):
-    """Offsets and ground-truth labels for a fixed set of edges."""
-    m = ii.size
-    u = rng.random(m)
-    labels = np.zeros(m, dtype=np.int64)
-    acc = np.zeros(m)
-    for l, pl in enumerate(params.p, start=1):
-        acc_next = acc + pl
-        labels[(u >= acc) & (u < acc_next)] = l
-        acc = acc_next
-    theta = np.empty(m)
+def _check_shape(params: MixtureParams, groups: AngleGroups) -> None:
+    if groups.k != params.k or groups.n != params.n:
+        raise ValueError("groups shape does not match params")
+
+
+def _mixture_graph(rng, params, groups, ii, jj) -> MeasurementGraph:
+    """The graph on edges (ii, jj), each labelled and given its offset from ``rng``
+    as in :func:`sample_er_mixture`; the one tail of both samplers."""
+    _check_shape(params, groups)
+    # label l when p_1 + ... + p_{l-1} <= u < p_1 + ... + p_l, OUTLIER past the sum
+    labels = np.searchsorted(np.cumsum(params.p), rng.random(ii.size), side="right") + 1
+    labels[labels > params.k] = OUTLIER
+    theta = np.empty(ii.size)
     outliers = labels == OUTLIER
     theta[outliers] = TWO_PI * rng.random(int(outliers.sum()))
     for l in range(1, params.k + 1):
         sel = labels == l
         row = groups.theta[l - 1]
         theta[sel] = row[ii[sel]] - row[jj[sel]]
-    return wrap_angle(theta), labels
+    return MeasurementGraph(n=params.n, ii=ii, jj=jj, theta=wrap_angle(theta), labels=labels)
 
 
 def sample_er_mixture(params: MixtureParams, groups: AngleGroups) -> MeasurementGraph:
@@ -125,14 +130,11 @@ def sample_er_mixture(params: MixtureParams, groups: AngleGroups) -> Measurement
     (labeled l) or a fresh uniform draw with probability eta (labeled
     OUTLIER).  Ground-truth labels are recorded on the graph.
     """
-    if groups.k != params.k or groups.n != params.n:
-        raise ValueError("groups shape does not match params")
     rng = substream(params.seed)
-    iu, ju = np.triu_indices(params.n, k=1)
-    present = rng.random(iu.size) < params.lam
-    ii, jj = iu[present], ju[present]
-    theta, labels = _draw_offsets(rng, params, groups, ii, jj)
-    return MeasurementGraph(n=params.n, ii=ii, jj=jj, theta=theta, labels=labels)
+    # the pair mask first, so the two n(n-1)/2 index arrays are freed before the tail
+    present = rng.random(params.n * (params.n - 1) // 2) < params.lam
+    ii, jj = (idx[present] for idx in np.triu_indices(params.n, k=1))
+    return _mixture_graph(rng, params, groups, ii, jj)
 
 
 def _ba_edges(n: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -169,20 +171,15 @@ def sample_ba_mixture(params: MixtureParams, m: int, groups: AngleGroups) -> Mea
     arriving node; conditional on presence, each edge's offset is drawn as
     in :func:`sample_er_mixture` with density 1 (``params.lam`` is unused).
     """
-    if groups.k != params.k or groups.n != params.n:
-        raise ValueError("groups shape does not match params")
     if not 1 <= m < params.n:
         raise ValueError("attachment count m must satisfy 1 <= m < n")
     rng = substream(params.seed)
-    ii, jj = _ba_edges(params.n, m, rng)
-    theta, labels = _draw_offsets(rng, params, groups, ii, jj)
-    return MeasurementGraph(n=params.n, ii=ii, jj=jj, theta=theta, labels=labels)
+    return _mixture_graph(rng, params, groups, *_ba_edges(params.n, m, rng))
 
 
 def expected_measurement_matrix(params: MixtureParams, groups: AngleGroups) -> np.ndarray:
     """E[H] = sum_l n p_l lam z_l z_l^*, with diagonal lam * sum(p)."""
-    if groups.k != params.k or groups.n != params.n:
-        raise ValueError("groups shape does not match params")
+    _check_shape(params, groups)
     z = to_unit_vectors(groups)
     coeff = params.n * params.lam * np.asarray(params.p)
     EH = (z.T * coeff) @ np.conj(z)
@@ -225,6 +222,11 @@ def spectral_norm_bound(n: int, lam: float, p, epsilon: float) -> float:
     return (2.0 + epsilon) * 6.0 * math.sqrt(2.0 * noise_constant(lam, p) * n)
 
 
+def _rank2_root(p1: float, p2: float, inner: float) -> float:
+    """sqrt((p1 - p2)^2 + 4 p1 p2 inner^2), by ``hypot`` so tiny p cannot underflow it to 0."""
+    return math.hypot(p1 - p2, 2.0 * math.sqrt(p1 * p2) * inner)
+
+
 def rank2_eigenvalues(n, lam, p1, p2, inner) -> tuple[float, float]:
     """Closed-form top-2 eigenvalues of n lam (p1 z1 z1^* + p2 z2 z2^*).
 
@@ -236,7 +238,7 @@ def rank2_eigenvalues(n, lam, p1, p2, inner) -> tuple[float, float]:
     if not 0.0 <= inner <= 1.0:
         raise ValueError("inner must lie in [0, 1]")
     s = n * lam * (p1 + p2)
-    disc = math.sqrt((n * lam * (p1 - p2)) ** 2 + 4.0 * n * n * p1 * p2 * lam * lam * inner * inner)
+    disc = n * lam * _rank2_root(p1, p2, inner)
     lam1 = 0.5 * (s + disc)
     lam2 = 0.5 * (s - disc)
     if not (lam2 <= n * p2 * lam + 1e-9 and n * p1 * lam <= lam1 + 1e-9):
@@ -386,7 +388,7 @@ def theory_bounds(params: MixtureParams, delta: float, mu: float, epsilon: float
     if k == 2:
         p1, p2 = float(p[0]), float(p[1])
         closed = rank2_eigenvalues(n, lam, p1, p2, delta)
-        den = math.sqrt((p1 - p2) ** 2 + 4.0 * p1 * p2 * delta * delta)
+        den = _rank2_root(p1, p2, delta)
         vec_bounds = ((p1 - p2) / den, (p1 * (1.0 - delta * delta) - p2) / den)
         noise_term = math.sqrt(2.0 * mu / (1.0 - mu))
         two_group = tuple(

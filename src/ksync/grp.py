@@ -193,23 +193,27 @@ def build_patches(
     """Cover the cloud with one patch per node and align overlapping pairs.
 
     Patch membership comes from X's geometry (center plus neighbors within
-    ``radius``); patches with fewer than 3 members are dropped with a
-    warning.  Patch pairs sharing at least ``min_overlap`` nodes become
-    edges of the measurement graph: with probability p1 the two type-X
-    embeddings are aligned (group 1), with probability p2 the type-Y ones
-    (group 2), otherwise one of each (outlier).  The rotation estimate is
-    the rotation-only Procrustes angle over the common nodes, read for every
-    pair at once from products of the zero-filled local coordinates.
+    ``radius``); patches with fewer than 3 members are dropped, with one
+    warning for all of them, and none left is an error.  Patch pairs sharing
+    at least ``min_overlap`` nodes become edges of the measurement graph:
+    with probability p1 the two type-X embeddings are aligned (group 1), with
+    probability p2 the type-Y ones (group 2), otherwise one of each
+    (outlier).  The rotation estimate is the rotation-only Procrustes angle
+    over the common nodes, read for every pair at once from products of the
+    zero-filled local coordinates.
     """
     check_patch_settings(radius, min_overlap, sigma, p1, p2)
     X, Y = pc.X, pc.Y
     incidence = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= radius  # patch x node
     sizes = incidence.sum(axis=1)
-    for i in np.nonzero(sizes < 3)[0]:
-        warnings.warn(f"dropping patch {i}: only {sizes[i]} members")
     centers = np.nonzero(sizes >= 3)[0]
     if not centers.size:
         raise ValueError("no patch has 3 or more members")
+    small = np.nonzero(sizes < 3)[0]
+    if small.size:
+        shown = ", ".join(str(i) for i in small[:10]) + (", ..." if small.size > 10 else "")
+        warnings.warn(f"dropping patches with fewer than 3 members: {small.size} of "
+                      f"{sizes.size} (patches {shown})")
     incidence = incidence[centers]
     sizes = sizes[centers]
     rows, cols = np.nonzero(incidence)  # memberships, patch-major

@@ -1,5 +1,8 @@
 """Experiment configuration, Monte-Carlo sweeps, and the text of every output file.
 
+:func:`sample_instance` is the one way a command or a sweep trial samples an
+instance; solving and scoring a single instance is the CLI's work.
+
 Sweeps are reproducible by construction: every (grid point, angle trial,
 graph trial) tuple gets its own RNG substream derived from the master seed,
 and aggregation iterates results in a fixed order, so serial and threaded
@@ -32,7 +35,7 @@ from .genmodel import (
     theory_bounds,
 )
 from .grp import check_patch_settings, make_two_configurations
-from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, evaluate, solve
+from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -476,21 +479,3 @@ def plot_svg(rows) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def simulate_once(cfg: ExperimentConfig):
-    """One end-to-end instance: sample, solve with every solver, evaluate."""
-    errors = validate_config(cfg, "simulate")
-    if errors:
-        raise ConfigError(errors)
-    groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))
-    report = {}
-    for solver in cfg.solvers:
-        est = solve(graph, cfg.k, solver, seed=cfg.seed)
-        ev = evaluate(groups, est.theta_hat)
-        report[solver] = {
-            "matched_by_index": [float(x) for x in np.diag(ev.corr)],
-            "matched_best": [float(x) for x in ev.matched],
-            "assignment_best": list(ev.assignment),
-            "degenerate": len(est.degenerate_entries),
-        }
-    return graph, groups, report

@@ -32,6 +32,8 @@ import threading
 
 import numpy as np
 
+from .genmodel import substream
+
 DEFAULT_TOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 # rows per block of the Hermitian check
@@ -213,9 +215,9 @@ def _block_lanczos(H: np.ndarray, k: int, tol: float, warm: np.ndarray | None = 
     """Top min(k + 1, n) Ritz pairs of H by block Lanczos.
 
     The block width is p = min(k + 1, n), so an eigenvalue of multiplicity
-    up to p is found in full; the start block comes from a fixed PCG64 seed,
-    and the columns of a ``warm`` start (n x s, s <= p) replace its first s
-    rows.
+    up to p is found in full; the start block is drawn from
+    ``genmodel.substream(LANCZOS_SEED)``, and the columns of a ``warm`` start
+    (n x s, s <= p) replace its first s rows.
     The basis is kept as conjugated rows (row i holds conj(q_i)), so a step
     is the product ``Q_block @ H`` = (H Q_block)^H, followed by two
     Gram-Schmidt passes against the whole basis.  The projected matrix
@@ -231,7 +233,7 @@ def _block_lanczos(H: np.ndarray, k: int, tol: float, warm: np.ndarray | None = 
     """
     n = H.shape[0]
     p = min(k + 1, n)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(LANCZOS_SEED)))
+    rng = substream(LANCZOS_SEED)
     cap = min(n, 16 * p)
     Q = np.empty((cap, n), dtype=complex)
     T = np.zeros((cap, cap), dtype=complex)

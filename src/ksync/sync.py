@@ -25,6 +25,7 @@ from .core import (
     to_unit_vectors,
     wrap_angle,
 )
+from .genmodel import substream
 
 EIG_H = "EIG-H"
 EIG_R = "EIG-R"
@@ -152,8 +153,8 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     which avoids the rank-deficient saddle (Boumal-Voroninski-Bandeira
     2016).  V starts from the top-min(k, n) eigenvectors of H, computed by
     Lanczos to the default tolerance; the remaining columns are unit-norm
-    columns of a random stream seeded by ``seed`` (pairs k+1 and k+2 sit in
-    the bulk of the spectrum, where Lanczos converges slowly), the same
+    columns drawn from ``genmodel.substream(seed)`` (pairs k+1 and k+2 sit
+    in the bulk of the spectrum, where Lanczos converges slowly), the same
     stream fills any zero row, and the rows are normalized.  V is updated
     by V <- row_normalize((H + beta I) V), where beta = max(0, theta +
     residual + 1e-8 |lambda_max|) and (theta, residual) is the top Ritz
@@ -181,7 +182,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     low = linalg._top_k(-H, 1, SDP_SHIFT_TOL)
     shift = max(0.0, float(low.values[0] + low.residuals[0])
                 + 1e-8 * abs(float(top.values[0])))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = substream(seed)
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     fill = fallback[:, top.values.size:]
     V = _row_normalize(np.hstack([top.vectors, fill / np.linalg.norm(fill, axis=0)]),

@@ -8,6 +8,7 @@ from ksync.core import (
     TWO_PI,
     AngleGroups,
     MeasurementGraph,
+    SyncEstimate,
     build_measurement_matrix,
     circular_distance,
     connected_components,
@@ -172,7 +173,13 @@ class TestCorrelation:
     (lambda: MeasurementGraph(n=3, ii=[0, 1], jj=[2], theta=[0.5]),
      "ii, jj, theta must have equal lengths"),
     (lambda: MeasurementGraph(n=3, ii=[0], jj=[3], theta=[0.5]), "edge endpoints out of range"),
-], ids=["nan-angle", "no-nodes", "unequal-lengths", "endpoint-out-of-range"])
+    (lambda: SyncEstimate(theta_hat=np.zeros((2, 3)), eigenvalues=[1.0, 2.0],
+                          eigenvectors=np.zeros((2, 3))), "eigenvalues must be sorted descending"),
+    (lambda: SyncEstimate(theta_hat=np.zeros((2, 3)), eigenvalues=[2.0, 1.0],
+                          eigenvectors=[[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+     "eigenvectors must have unit norm or be zero"),
+], ids=["nan-angle", "no-nodes", "unequal-lengths", "endpoint-out-of-range",
+        "unsorted-eigenvalues", "non-unit-eigenvector"])
 def test_invalid_values_rejected(make, message):
     with pytest.raises(ValueError) as exc:
         make()
@@ -218,7 +225,8 @@ class TestGraphFile:
         ("3 2 1\n1 2 0.5 1\n2 3 0.5\n", "malformed edge line 3"),
         ("3 1 1\n1 2 0.5 1\n2 3 0.1 1\n", "extra edge line 3: the header gives m = 1"),
         ("3 1 1\n1 2 0.5 1\n\n2 3 0.1 1\n", "extra edge line 4: the header gives m = 1"),
-    ], ids=["header", "edge-line", "extra-edge-line", "extra-after-blank"])
+        ("3 2 1\n1 2 0.5 1\n2 3 0.5 5\n", "edge line 3: label 5 exceeds the header's k = 1"),
+    ], ids=["header", "edge-line", "extra-edge-line", "extra-after-blank", "label-above-k"])
     def test_malformed_file_rejected(self, text, message, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(text)
@@ -230,6 +238,16 @@ class TestGraphFile:
         path = tmp_path / "g.txt"
         path.write_text("3 1 1\n1 2 0.5 1\n\n")
         assert load_graph(path)[0].m == 1
+
+    def test_save_rejects_k_below_largest_label(self, tmp_path):
+        g = MeasurementGraph(n=3, ii=[0, 1], jj=[1, 2], theta=[1.0, 2.0], labels=[3, 0])
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError) as exc:
+            save_graph(g, path, k=2)
+        assert str(exc.value) == "k = 2 is below the graph's largest label 3"
+        assert not path.exists()
+        save_graph(g, path, k=3)
+        assert load_graph(path)[1] == 3
 
     def test_unknown_labels_round_trip_to_none(self, tmp_path):
         g = MeasurementGraph(n=3, ii=[0], jj=[1], theta=[1.0])

@@ -46,7 +46,12 @@ def mixture(n, p, lam, seed, k=None):
     (lambda g, truth: iterate_disentangle(
         g, DisentangleConfig(k=2), estimate_from_angles(AngleGroups(theta=truth.theta[:, 1:]))),
      "initial estimate has wrong number of nodes"),
-], ids=["k", "iterations", "solver", "bad-fractions", "initial-groups", "initial-nodes"])
+    (lambda g, truth: classification_errors(
+        MeasurementGraph(n=g.n, ii=g.ii, jj=g.jj, theta=g.theta),
+        iterate_disentangle(g, DisentangleConfig(k=2, iterations=1), spectral_ksync(g, 2))[-1]),
+     "graph carries no ground-truth labels"),
+], ids=["k", "iterations", "solver", "bad-fractions", "initial-groups", "initial-nodes",
+        "unlabelled-classification"])
 def test_invalid_settings_rejected(call, message):
     truth, g = mixture(20, (0.6, 0.3), 1.0, 3)
     with pytest.raises(ValueError) as exc:

@@ -80,7 +80,12 @@ class TestMixtureParams:
     (lambda: MixtureParams(n=10, k=1, lam=1.0, p=(np.inf,)), "probabilities must be finite"),
     (lambda: sample_angles(0, 2, 1), "n and k must be at least 1"),
     (lambda: sample_angles(5, 0, 1), "n and k must be at least 1"),
-], ids=["negative-p", "nan-p1", "nan-p2", "inf-p", "angles-n", "angles-k"])
+    (lambda: MixtureParams(n=0, k=1, lam=1.0, p=(0.5,)), "n and k must be at least 1"),
+    (lambda: MixtureParams(n=10, k=0, lam=1.0, p=()), "n and k must be at least 1"),
+    (lambda: rank2_eigenvalues(10, 1.0, 0.3, 0.2, 1.5), "inner must lie in [0, 1]"),
+    (lambda: rank2_eigenvalues(10, 1.0, 0.3, 0.2, -0.1), "inner must lie in [0, 1]"),
+], ids=["negative-p", "nan-p1", "nan-p2", "inf-p", "angles-n", "angles-k", "params-n",
+        "params-k", "inner-above-1", "inner-below-0"])
 def test_invalid_values_rejected(call, message):
     with pytest.raises(ValueError) as exc:
         call()
@@ -133,6 +138,13 @@ class TestSampleErMixture:
         params = MixtureParams(n=10, k=2, lam=1.0, p=(0.5, 0.4), seed=0)
         with pytest.raises(ValueError):
             sample_er_mixture(params, sample_angles(11, 2, 0))
+        # one shape rule for both samplers and the expectation
+        for call in (lambda g: sample_er_mixture(params, g),
+                     lambda g: sample_ba_mixture(params, 3, g),
+                     lambda g: expected_measurement_matrix(params, g)):
+            for groups in (sample_angles(11, 2, 0), sample_angles(10, 1, 0)):
+                with pytest.raises(ValueError, match="^groups shape does not match params$"):
+                    call(groups)
 
 
 class TestSampleBaMixture:
@@ -253,6 +265,10 @@ class TestRank2Eigenvalues:
         with pytest.raises(ValueError):
             rank2_eigenvalues(10, 1.0, 0.2, 0.3, 0.0)
 
+    def test_tiny_p_does_not_underflow(self):
+        # (n lam p1)^2 underflows to 0 in double precision; the discriminant must not
+        assert rank2_eigenvalues(10, 1.0, 1e-300, 0.0, 0.5) == (1e-299, 0.0)
+
 
 class TestTheoryBounds:
     def make(self, **kw):
@@ -282,6 +298,21 @@ class TestTheoryBounds:
             theory_bounds(params, delta=0.1, mu=0.6, epsilon=0.5)
         with pytest.raises(ValueError):
             theory_bounds(params, delta=0.1, mu=0.2, epsilon=1.0)
+
+    def test_tiny_p_rank2_bounds_finite(self):
+        rep = theory_bounds(self.make(n=10, p=(1e-300, 0.0)), delta=0.5, mu=0.25, epsilon=0.5)
+        assert rep.closed_eigs == (1e-299, 0.0)
+        assert rep.rank2_vector_bounds == (1.0, 0.75)
+
+    def test_single_group_report(self):
+        rep = theory_bounds(self.make(k=1, lam=0.5, p=(0.6,)), delta=0.3, mu=0.25, epsilon=0.5)
+        assert rep.closed_eigs is None and rep.rank2_vector_bounds is None
+        assert rep.thm2group_bounds is None
+        assert rep.psi == (0.0,) and rep.c_recursion == () and rep.ej == ()
+        assert rep.etilde == 0.0 and rep.lj == (0.0,) and rep.uj == (0.0,)
+        assert rep.deflation_lower == rep.deflation_upper == (30.0,)
+        assert rep.kgroup_bounds == pytest.approx((1.0 - (0.25 / 0.75) ** 2,))
+        assert rep.conditions == (True, True, True, True)
 
     def test_prob_expression_symbolic_in_c_eps(self):
         rep = theory_bounds(self.make(), delta=0.1, mu=0.25, epsilon=0.5)

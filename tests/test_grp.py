@@ -81,9 +81,18 @@ _P1_P2 = "need p1, p2 >= 0 with p1 + p2 <= 1"
     (lambda pc: build_patches(pc, radius=0.0, p1=2.0), _RADIUS),
     (lambda pc: asap_recover(*build_patches(pc), DisentangleConfig(k=3)),
      "two-configuration recovery needs k = 2"),
+    # every patch of the unit grid holds only its center, so none is left,
+    # and no warning is issued before the error
+    (lambda pc: build_patches(pc, radius=0.5), "no patch has 3 or more members"),
+    (lambda pc: procrustes_error(pc.X, pc.Y[:-1]),
+     "A and B must be equal n x 2 arrays with n >= 2"),
+    (lambda pc: PointCloudPair(X=pc.X[:, :1], Y=pc.Y[:, :1]),
+     "X and Y must be equal n x 2 arrays"),
+    (lambda pc: PointCloudPair(X=pc.X, Y=pc.Y[:-1]), "X and Y must be equal n x 2 arrays"),
 ], ids=["n", "generator", "negative-sigma", "nan-sigma", "inf-sigma", "zero-radius",
         "nan-radius", "inf-radius", "nan-p1", "negative-p2", "min-overlap", "first-of-three",
-        "first-of-two", "recover-k"])
+        "first-of-two", "recover-k", "no-patch-left", "procrustes-shapes", "cloud-columns",
+        "cloud-rows"])
 def test_invalid_settings_rejected(call, message):
     pc = make_two_configurations(16, seed=0)
     with pytest.raises(ValueError) as exc:
@@ -173,6 +182,18 @@ class TestBuildPatches:
             ps, _ = build_patches(pc, radius=1.5, seed=0)
         assert ps.n_patches == 3
         assert any("dropping patch" in str(w.message) for w in caught)
+
+    def test_dropped_patches_share_one_warning(self):
+        X = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
+                       [[10.0 * i, 50.0] for i in range(12)]])
+        pc = PointCloudPair(X=X, Y=X @ np.array([[1.0, 0.4], [0.0, 1.0]]).T)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ps, _ = build_patches(pc, radius=1.5, seed=0)
+        assert ps.n_patches == 3
+        assert [str(w.message) for w in caught] == [
+            "dropping patches with fewer than 3 members: 12 of 15 "
+            "(patches 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...)"]
 
     def test_mixed_type_fits_are_poor(self):
         # non-congruence makes cross-type alignments high-residual; frozen

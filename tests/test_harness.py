@@ -23,7 +23,6 @@ from ksync.harness import (
     plot_svg,
     rows_to_csv,
     run_sweep,
-    simulate_once,
     validate_config,
 )
 
@@ -198,8 +197,7 @@ class TestRunSweep:
         assert any("p must not be set" in e for e in validate_config(cfg, "sweep"))
         with pytest.raises(ConfigError):
             run_sweep(cfg)
-        with pytest.raises(ConfigError):
-            simulate_once(cfg)
+        assert any("p must not be set" in e for e in validate_config(cfg, "simulate"))
 
     @pytest.mark.parametrize("mode", ["setup2", "compare"])
     def test_eta_rejected_where_swept(self, mode, tmp_path):
@@ -313,6 +311,22 @@ class TestValidateConfig:
             assert any(message in e for e in errors), errors
 
 
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("sweep", {"trials_angles": 0}, "trial counts must be at least 1"),
+        ("compare", {**_SETUP2, "mode": "compare", "trials_graphs": 0},
+         "trial counts must be at least 1"),
+        ("sweep", {"lambda_grid": ()}, "lambda_grid must be non-empty"),
+        ("simulate", {"ba_attachment": 0}, "ba_attachment must satisfy 1 <= m < n"),
+        ("disentangle", {"ba_attachment": 20}, "ba_attachment must satisfy 1 <= m < n"),
+        ("sweep", {**_SETUP2, "eta_grid": ()}, "eta_grid must be non-empty"),
+        ("sweep", {**_SETUP2, "eta_grid": (0.2, 1.0)}, "eta_grid values must lie in [0, 1)"),
+        ("simulate", {**_SETUP2, "eta_grid": (-0.1,)}, "eta_grid values must lie in [0, 1)"),
+    ], ids=["trials-angles", "trials-graphs", "empty-lambda-grid", "ba-attachment-0",
+            "ba-attachment-n", "empty-eta-grid", "eta-1", "eta-negative"])
+    def test_command_rule_messages(self, command, overrides, message):
+        errors = validate_config(ExperimentConfig(**{**_VALID, **overrides}), command)
+        assert message in errors, errors
+
     def test_grp_settings_reported_by_their_owner_one_at_a_time(self):
         cfg = ExperimentConfig(n=16, sigma=-1.0, radius=0.0, min_overlap=2)
         assert validate_config(cfg, "grp") == ["sigma must be non-negative and finite"]
@@ -386,27 +400,30 @@ class TestPlot:
 
 
 class TestSimulate:
-    def test_report_structure(self):
-        cfg = ExperimentConfig(mode="setup1", n=30, k=1, p=(1.0,), lambda_grid=(1.0,),
-                               solvers=("EIG-H",))
-        graph, groups, report = simulate_once(cfg)
-        assert graph.n == 30 and groups.k == 1
+    def test_report_structure(self, tmp_path, capsys):
+        out = tmp_path / "s.graph"
+        assert cli_main(["simulate", "--n", "30", "--k", "1", "--p", "1.0", "--lam", "1.0",
+                         "--solvers", "EIG-H", "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        graph, k = load_graph(out)
+        assert graph.n == 30 and k == 1
         assert report["EIG-H"]["matched_by_index"][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_simulate_and_theory_share_p(self, tmp_path, monkeypatch, capsys):
         data = {"mode": "setup2", "n": 40, "k": 2, "lam": 0.5, "gamma": 0.05,
                 "eta_grid": [0.3]}
         sampled = []
-        sample = harness.sample_instance
+        sample = cli.sample_instance
 
         def spy(cfg, lam, p, *keys):
             sampled.append(p)
             return sample(cfg, lam, p, *keys)
 
-        monkeypatch.setattr(harness, "sample_instance", spy)
-        simulate_once(ExperimentConfig(**data))
+        monkeypatch.setattr(cli, "sample_instance", spy)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(data))
+        assert cli_main(["simulate", "--config", str(config)]) == 0
+        capsys.readouterr()
         assert cli_main(["theory", "--config", str(config)]) == 0
         line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("p: "))
         assert sampled == [derive_setup2_probs(2, 0.3, 0.05)]
@@ -699,6 +716,16 @@ class TestCli:
                          "--out", str(tmp_path / "missing" / "deep" / "s.csv")])
         assert code == 1
 
+    def test_sweep_that_cannot_plot_writes_no_file(self, tmp_path, capsys):
+        # eta = 0.9 at gamma = 0.2 leaves a negative p3, so the one grid point is skipped
+        code = cli_main(["sweep", "--mode", "setup2", "--n", "40", "--k", "3",
+                         "--eta-grid", "0.9", "--gamma", "0.2", "--lam", "0.5",
+                         "--trials-angles", "1", "--trials-graphs", "1",
+                         "--plot", str(tmp_path / "x.svg"), "--out", str(tmp_path / "sw.csv")])
+        assert code == 1
+        assert "error: no rows to plot" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_simulate_writes_graph(self, tmp_path):
         out = tmp_path / "inst.graph"
         code = cli_main(["simulate", "--n", "20", "--k", "1", "--p", "1.0",
@@ -775,6 +802,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "config error: " in captured.err and message in captured.err
         assert captured.out == ""
+
+    def test_theory_at_underflowing_rank2_discriminant(self, capsys):
+        code = cli_main(["theory", "--n", "10", "--k", "2", "--p", "1e-300,0", "--lam", "1.0",
+                         "--delta", "0.5"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "closed_eigs: (1e-299, 0.0)" in lines
+        assert "rank2_vector_bounds: (1.0, 0.75)" in lines
 
     def test_theory_prints(self, capsys):
         code = cli_main(["theory", "--n", "50", "--k", "2", "--p", "0.3,0.2",

@@ -1,6 +1,7 @@
-"""The package imports only the standard library and numpy, exports what
-README documents, README's library example runs as written, and README's
-CLI examples pass the CLI's config check.
+"""The package imports only the standard library and numpy, builds random
+generators only in its two seed helpers, exports what README documents,
+README's library example runs as written, and README's CLI examples pass the
+CLI's config check.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -33,6 +34,26 @@ def test_absolute_imports_are_stdlib_or_numpy():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not outside
+
+
+# numpy's generator constructors, and the genmodel functions that alone may
+# name them, so every stream is a ``substream`` or ``child_seed`` of a seed
+RNG_NAMES = {"Generator", "PCG64", "SeedSequence", "default_rng"}
+RNG_OWNERS = {("genmodel.py", "substream"), ("genmodel.py", "child_seed")}
+
+
+def test_generators_built_only_by_the_seed_helpers():
+    found = []
+    for path in sorted(Path(ksync.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in RNG_NAMES and (path.name, owner) not in RNG_OWNERS:
+                    found.append(f"{path.name}:{node.lineno} in {owner}: {name}")
+    assert not found
 
 
 README = Path(ksync.__file__).parents[2] / "README.md"
