@@ -357,7 +357,11 @@ class TheoryReport:
 
 
 def theory_bounds(params: MixtureParams, delta: float, mu: float, epsilon: float) -> TheoryReport:
-    """Evaluate every closed-form bound for the given mixture parameters."""
+    """Evaluate every closed-form bound for the given mixture parameters.
+
+    Raises ValueError for delta, mu or epsilon out of range, and for a point
+    whose deflation brackets come out NaN.
+    """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     if not 0.0 <= mu <= 0.5:
@@ -376,7 +380,13 @@ def theory_bounds(params: MixtureParams, delta: float, mu: float, epsilon: float
     psi = _psi_sequence(p, k, delta)
     crec = tuple(_c_recursion(p, k, j) for j in range(2, k + 1))
     ej, etilde = _e_coefficients(p, k)
-    lj, uj = _deflation_bounds(p, k, n, lam, delta, psi)
+    with np.errstate(invalid="ignore"):  # an infinite psi times a factor of 0 is NaN
+        lj, uj = _deflation_bounds(p, k, n, lam, delta, psi)
+    if np.isnan(lj).any() or np.isnan(uj).any():
+        raise ValueError(
+            f"deflation brackets are undefined at n={n}, k={k}, lam={lam!r}, p={params.p}, "
+            f"delta={delta!r}: an infinite psi meets a factor that underflows to 0"
+        )
     signal = n * lam * p
 
     mu_term = mu / (1.0 - mu)

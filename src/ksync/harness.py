@@ -156,10 +156,10 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
     A rule on a value the library reads is stated once, by the function that
     reads it, and reported here in its words, one problem per owner: grp's
     ``make_two_configurations`` and ``check_patch_settings``, ``MixtureParams``
-    for the instance's p, and ``theory_bounds`` for delta, mu and epsilon
-    (asked once all else is valid).  The command's own rules stay here,
-    setup2's eta_grid and gamma among them: a setup2 sweep skips the grid
-    points that its library rules reject.
+    for the instance's p, and ``theory_bounds`` for delta, mu, epsilon and
+    a point whose bounds come out NaN (asked once all else is valid).  The
+    command's own rules stay here, setup2's eta_grid and gamma among them: a
+    setup2 sweep skips the grid points that its library rules reject.
     """
     sweep = command in ("sweep", "compare")
     errors = []
@@ -246,7 +246,8 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
         params = check(lambda: MixtureParams(n=cfg.n, k=cfg.k, lam=1.0, p=instance_probs(cfg)),
                        prefix="invalid p: ")
         if params is not None and command == "theory":
-            check(theory_bounds, params, cfg.delta, cfg.mu, cfg.epsilon)
+            check(theory_bounds, dataclasses.replace(params, lam=cfg.lam),
+                  cfg.delta, cfg.mu, cfg.epsilon)
     return errors
 
 
@@ -307,15 +308,15 @@ def sample_instance(cfg: ExperimentConfig, lam: float, p, angle_key: tuple, grap
 
 
 def _run_trial(cfg, point, gi, a, gidx) -> list:
-    """(matched, degenerate, iterations, converged) per solver, in cfg.solvers order."""
+    """(matched, degenerate, iterations, converged, shifted) per solver, in cfg.solvers order."""
     lam, _, p, _ = point
     groups, graph, graph_seed = sample_instance(cfg, lam, p, (gi, a), (gi, a, gidx))
     out = []
     for solver in cfg.solvers:
         est = solve(graph, cfg.k, solver, seed=graph_seed)
         matched = [correlation(groups.theta[l], est.theta_hat[l]) for l in range(cfg.k)]
-        out.append((matched, len(est.degenerate_entries),
-                    est.meta.get("iterations"), est.meta.get("converged")))
+        out.append((matched, len(est.degenerate_entries), est.meta.get("iterations"),
+                    est.meta.get("converged"), est.meta.get("shifted_at") is not None))
     return out
 
 
@@ -348,7 +349,7 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
         # trials in (angle, graph) order; one contiguous row per group
         point_trials = results[gi * trials:(gi + 1) * trials]
         for s, solver in enumerate(cfg.solvers):
-            matched, degen, iters, converged = zip(*(trial[s] for trial in point_trials))
+            matched, degen, iters, converged, shifted = zip(*(trial[s] for trial in point_trials))
             vals = np.stack(matched, axis=1)
             for l in range(cfg.k):
                 rows.append((
@@ -362,6 +363,7 @@ def run_sweep(cfg: ExperimentConfig, log=None) -> tuple[list, dict]:
                 "degenerate_entries": sum(degen),
                 "sdp_iterations_mean": float(np.mean(iters)) if iters else None,
                 "sdp_non_converged": sum(c is False for c in converged),
+                "sdp_shifted": sum(shifted),
             }
     meta = {
         "config": dataclasses.asdict(cfg),

@@ -36,7 +36,8 @@ DEGENERATE_MODULUS = 1e-12
 # SDP-BM ascent: step cap and relative objective change that counts as converged
 SDP_MAX_ITERS = 1000
 SDP_REL_TOL = 1e-8
-# residual tolerance of the Lanczos estimate of lambda_min(H) behind the shift
+# residual tolerance of the Lanczos estimate of lambda_min(H) behind the shift, solved
+# only when the unshifted ascent falls or passes half of SDP_MAX_ITERS
 SDP_SHIFT_TOL = 1e-4
 # Gram eigenvalues of V V^* below this share of the largest are rounding noise
 GRAM_RANK_REL = 1e-12
@@ -156,19 +157,27 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     columns drawn from ``genmodel.substream(seed)`` (pairs k+1 and k+2 sit
     in the bulk of the spectrum, where Lanczos converges slowly), the same
     stream fills any zero row, and the rows are normalized.  V is updated
-    by V <- row_normalize((H + beta I) V), where beta = max(0, theta +
-    residual + 1e-8 |lambda_max|) and (theta, residual) is the top Ritz
-    pair of -H to the loose tolerance ``SDP_SHIFT_TOL``.  The Ritz value
-    never exceeds -lambda_min(H) and, once Lanczos has found the extreme
-    pair, lies within its residual of it, so ``meta["shift"]`` is an upper
-    bound on -lambda_min(H) and the iteration matrix is PSD; the
-    monotonicity check below guards the rest.  The shift adds the constant
-    n*beta to the objective, so ascent of the shifted objective is ascent
-    of trace(H V V^*) as well.  One product H V per step gives the
-    objective at V and the next iterate; the objective sequence is checked
-    to be non-decreasing.  The ascent stops once the
-    objective changes by at most 1e-8 relative, or after 1000 steps with
-    ``meta["converged"]`` False.  Angles come from the top-k
+    by V <- row_normalize((H + beta I) V), starting with beta = 0.  The
+    unshifted ascent is usually monotone and takes fewer steps, but it is
+    not guaranteed to be: the first step whose objective falls by more than
+    1e-9 relative is discarded, as is the step that would pass half the step
+    cap unshifted (an ascent that oscillates without falling), and that step
+    is redone from the same V with beta = max(0, theta + residual + 1e-8
+    |lambda_max|), where (theta, residual) is the top Ritz pair of -H to the
+    loose tolerance ``SDP_SHIFT_TOL``.  The ascent stays shifted from there;
+    ``meta["shifted_at"]`` is that step, or None with ``meta["shift"]`` 0.0
+    when no shift was taken.  The Ritz value never exceeds -lambda_min(H)
+    and, once Lanczos has found the extreme pair, lies within its residual
+    of it, so the shift is an upper bound on -lambda_min(H) and the
+    iteration matrix is PSD, which makes the shifted ascent monotone; the
+    check below guards the rest and raises RuntimeError on any falling step
+    after the shift.  The shift adds the constant n*beta to the objective,
+    so ascent of the shifted objective is ascent of trace(H V V^*) as well.
+    One product H V per step gives the objective at V and the next iterate;
+    ``meta["objective_path"]`` holds the objective of every kept step and is
+    non-decreasing.  The ascent stops once the objective changes by at most
+    1e-8 relative, or after 1000 kept steps with ``meta["converged"]``
+    False.  Angles come from the top-k
     eigenvectors of V V^* through the r x r Gram matrix; slots past its
     numerical rank (eigenvalues at most 1e-12 times the largest) get
     eigenvalue 0 and a zero vector, all of whose entries are reported
@@ -179,9 +188,6 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     r = min(k + 2, n)
 
     top = linalg._top_k(H, min(k, n), linalg.DEFAULT_TOL)
-    low = linalg._top_k(-H, 1, SDP_SHIFT_TOL)
-    shift = max(0.0, float(low.values[0] + low.residuals[0])
-                + 1e-8 * abs(float(top.values[0])))
     rng = substream(seed)
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     fill = fallback[:, top.values.size:]
@@ -191,16 +197,28 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     HV = H @ V
     obj = float(np.real(np.sum(np.conj(V) * HV)))
     path = [obj]
+    shift = 0.0
+    shifted_at = None
     converged = False
     iterations = 0
-    for iterations in range(1, SDP_MAX_ITERS + 1):
-        V = _row_normalize(HV + shift * V, fallback)
-        HV = H @ V
-        new_obj = float(np.real(np.sum(np.conj(V) * HV)))
-        if new_obj < obj - 1e-9 * max(1.0, abs(obj)):
+    while iterations < SDP_MAX_ITERS:
+        W = _row_normalize(HV + shift * V, fallback)
+        HW = H @ W
+        new_obj = float(np.real(np.sum(np.conj(W) * HW)))
+        fell = new_obj < obj - 1e-9 * max(1.0, abs(obj))
+        if shifted_at is None and (fell or iterations == SDP_MAX_ITERS // 2):
+            # discard the step and redo it from V on the PSD matrix H + shift I
+            shifted_at = iterations + 1
+            low = linalg._top_k(-H, 1, SDP_SHIFT_TOL)
+            shift = max(0.0, float(low.values[0] + low.residuals[0])
+                        + 1e-8 * abs(float(top.values[0])))
+            continue
+        if fell:
             raise RuntimeError(
-                f"objective decreased at iteration {iterations}: {obj} -> {new_obj}"
+                f"objective decreased at iteration {iterations + 1}: {obj} -> {new_obj}"
             )
+        iterations += 1
+        V, HV = W, HW
         path.append(new_obj)
         if abs(new_obj - obj) <= SDP_REL_TOL * max(1.0, abs(obj)):
             obj = new_obj
@@ -224,6 +242,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
         "objective": obj,
         "objective_path": tuple(path),
         "shift": shift,
+        "shifted_at": shifted_at,
         "rank": r,
     }
     return _estimate(values, vectors, meta)

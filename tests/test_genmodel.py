@@ -304,6 +304,11 @@ class TestTheoryBounds:
         assert rep.closed_eigs == (1e-299, 0.0)
         assert rep.rank2_vector_bounds == (1.0, 0.75)
 
+    def test_undefined_deflation_brackets_rejected(self):
+        params = self.make(n=2, k=3, lam=1e-300, p=(0.5, 1e-310, 0.0))
+        with pytest.raises(ValueError, match=r"deflation brackets are undefined .*lam=1e-300"):
+            theory_bounds(params, delta=0.999, mu=0.25, epsilon=1e-300)
+
     def test_single_group_report(self):
         rep = theory_bounds(self.make(k=1, lam=0.5, p=(0.6,)), delta=0.3, mu=0.25, epsilon=0.5)
         assert rep.closed_eigs is None and rep.rank2_vector_bounds is None

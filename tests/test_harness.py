@@ -226,6 +226,28 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(cfg)
 
+    def test_diagnostics_count_shifted_sdp_solves(self, monkeypatch):
+        shifted = []
+        solve = harness.solve
+
+        def recording(graph, k, solver, seed=0):
+            est = solve(graph, k, solver, seed=seed)
+            if solver == "SDP-BM":
+                shifted.append(est.meta["shifted_at"] is not None)
+            return est
+
+        monkeypatch.setattr(harness, "solve", recording)
+        # setup II at n=100, lambda=1: SDP-BM shifts only in the eta=0.9 instances
+        cfg = ExperimentConfig(mode="compare", n=100, k=2, gamma=0.05, eta_grid=(0.3, 0.9),
+                               lam=1.0, trials_angles=2, trials_graphs=2,
+                               solvers=("EIG-H", "SDP-BM"), threads=2)
+        _, meta = run_sweep(cfg)
+        diag = meta["diagnostics"]
+        assert [diag[f"grid{gi}/EIG-H"]["sdp_shifted"] for gi in (0, 1)] == [0, 0]
+        assert diag["grid0/SDP-BM"]["sdp_shifted"] == 0
+        assert diag["grid1/SDP-BM"]["sdp_shifted"] == sum(shifted) > 0
+        assert all(diag[f"grid{gi}/SDP-BM"]["sdp_non_converged"] == 0 for gi in (0, 1))
+
     def test_setup1_eta_never_negative(self):
         # these p sum to 1.0000000000000002 in floating point
         cfg = ExperimentConfig(mode="setup1", n=60, k=3, p=(0.56, 0.34, 0.1),
@@ -810,6 +832,17 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "closed_eigs: (1e-299, 0.0)" in lines
         assert "rank2_vector_bounds: (1.0, 0.75)" in lines
+
+    def test_theory_rejects_undefined_deflation_brackets(self, capsys):
+        # an infinite psi times a factor (n p_i - n p_(j+1)) lam that underflows to 0
+        code = cli_main(["theory", "--n", "2", "--k", "3", "--p", "0.5,1e-310,0.0",
+                         "--lam", "1e-300", "--delta", "0.999", "--mu", "0.25",
+                         "--epsilon", "1e-300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("config error: deflation brackets are undefined at n=2, k=3, lam=1e-300"
+                in captured.err)
 
     def test_theory_prints(self, capsys):
         code = cli_main(["theory", "--n", "50", "--k", "2", "--p", "0.3,0.2",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from ksync.genmodel import (
     to_unit_vectors,
     expected_measurement_matrix,
 )
-from ksync import sync
+from ksync import linalg, sync
 from ksync.linalg import spectral_norm
 from ksync.sync import (
     MAX_MATCHED_GROUPS,
@@ -154,6 +156,18 @@ def dense_start_ascent(H, k):
     return obj, theta
 
 
+def assert_monotone(path):
+    path = np.array(path)
+    assert np.all(np.diff(path) >= -1e-9 * np.maximum(1.0, np.abs(path[:-1])))
+
+
+def assert_shift_bounds_minus_lambda_min(est, g):
+    w = np.linalg.eigvalsh(build_measurement_matrix(g, diagonal=1.0))
+    shift = est.meta["shift"]
+    assert shift >= -w[0]
+    assert shift - max(0.0, -w[0]) <= 1e-3 * max(abs(w[0]), abs(w[-1]))
+
+
 def sparse_instances(count=5):
     # setup II at eta = 0.3, gamma = 0.05, with about 60 edges per node
     return [mixture_instance(300, (0.375, 0.325), 0.2, 900 + trial) for trial in range(count)]
@@ -172,12 +186,55 @@ class TestSdpBm:
             assert np.max(np.abs(got.matched - ref.matched)) <= 1e-3
 
     def test_shift_bounds_minus_lambda_min_from_above(self):
+        # no shift unless the ascent needed one; a shift taken is an upper bound
         for trial, (_, g) in enumerate(sparse_instances()):
-            H = build_measurement_matrix(g, diagonal=1.0)
-            w = np.linalg.eigvalsh(H)
-            shift = sdp_bm_ksync(g, 2, seed=trial).meta["shift"]
-            assert shift >= -w[0]
-            assert shift - max(0.0, -w[0]) <= 1e-3 * max(abs(w[0]), abs(w[-1]))
+            est = sdp_bm_ksync(g, 2, seed=trial)
+            if est.meta["shifted_at"] is None:
+                assert est.meta["shift"] == 0.0
+            else:
+                assert_shift_bounds_minus_lambda_min(est, g)
+            assert_monotone(est.meta["objective_path"])
+
+    @pytest.mark.parametrize("seed", [106, 115])
+    def test_falling_step_switches_to_the_shifted_ascent(self, seed):
+        # setup II at eta = 0.9, gamma = 0.05: the unshifted ascent falls early
+        _, g = mixture_instance(100, (0.075, 0.025), 1.0, seed)
+        H = build_measurement_matrix(g, diagonal=1.0)
+        est = sdp_bm_ksync(g, 2, seed=seed)
+        assert est.meta["shifted_at"] is not None
+        assert est.meta["shifted_at"] <= sync.SDP_MAX_ITERS // 2
+        assert est.meta["converged"]
+        assert_shift_bounds_minus_lambda_min(est, g)
+        assert_monotone(est.meta["objective_path"])
+        assert len(est.meta["objective_path"]) == est.meta["iterations"] + 1
+        ref_obj, _ = dense_start_ascent(H, 2)
+        assert est.meta["objective"] >= ref_obj - 1e-7 * abs(ref_obj)
+
+    def test_half_spent_step_cap_switches_to_the_shifted_ascent(self, monkeypatch):
+        monkeypatch.setattr(sync, "SDP_MAX_ITERS", 20)
+        _, g = sparse_instances(1)[0]
+        est = sdp_bm_ksync(g, 2)
+        assert est.meta["shifted_at"] == 11
+        assert est.meta["iterations"] == 20
+        assert_shift_bounds_minus_lambda_min(est, g)
+        assert_monotone(est.meta["objective_path"])
+        assert len(est.meta["objective_path"]) == 21
+
+    def test_falling_step_after_the_shift_raises(self, monkeypatch):
+        # a shift estimate of 0 leaves H indefinite, so the redone step falls again
+        top_k = linalg._top_k
+
+        def no_shift(M, k, tol):
+            pairs = top_k(M, k, tol)
+            if tol == sync.SDP_SHIFT_TOL:
+                return dataclasses.replace(pairs, values=np.zeros_like(pairs.values),
+                                           residuals=np.zeros_like(pairs.residuals))
+            return pairs
+
+        monkeypatch.setattr(linalg, "_top_k", no_shift)
+        _, g = mixture_instance(100, (0.075, 0.025), 1.0, 115)
+        with pytest.raises(RuntimeError, match="objective decreased at iteration 7"):
+            sdp_bm_ksync(g, 2, seed=115)
 
     def test_no_dense_n_by_n_decomposition(self, monkeypatch):
         shapes = []
@@ -215,9 +272,7 @@ class TestSdpBm:
 
     def test_objective_path_monotone(self):
         _, g = mixture_instance(100, (0.4, 0.3), 0.7, 55)
-        est = sdp_bm_ksync(g, 2)
-        path = np.array(est.meta["objective_path"])
-        assert np.all(np.diff(path) >= -1e-9 * np.maximum(1.0, np.abs(path[:-1])))
+        assert_monotone(sdp_bm_ksync(g, 2).meta["objective_path"])
 
     def test_deterministic(self):
         _, g = mixture_instance(80, (0.5, 0.3), 0.9, 66)
