@@ -35,6 +35,7 @@ from .harness import (
     rows_to_csv,
     run_sweep,
     sample_instance,
+    solve_instance,
     validate_config,
 )
 from .sync import SOLVERS, evaluate, solve
@@ -143,9 +144,10 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_simulate(cfg: ExperimentConfig, args) -> int:
     groups, graph, _ = sample_instance(cfg, cfg.lam, instance_probs(cfg), (0,), (0,))
+    estimates = solve_instance(graph, cfg.k, cfg.solvers, cfg.seed)
     report = {}
     for solver in cfg.solvers:
-        est = solve(graph, cfg.k, solver, seed=cfg.seed)
+        est = estimates[solver]
         ev = evaluate(groups, est.theta_hat)
         report[solver] = {
             "matched_by_index": [float(x) for x in np.diag(ev.corr)],

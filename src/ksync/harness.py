@@ -1,7 +1,8 @@
 """Experiment configuration, Monte-Carlo sweeps, and the text of every output file.
 
 :func:`sample_instance` is the one way a command or a sweep trial samples an
-instance; solving and scoring a single instance is the CLI's work.
+instance and :func:`solve_instance` the one way it solves it; scoring a
+single instance is the CLI's work.
 
 Sweeps are reproducible by construction: every (grid point, angle trial,
 graph trial) tuple gets its own RNG substream derived from the master seed,
@@ -35,7 +36,7 @@ from .genmodel import (
     theory_bounds,
 )
 from .grp import check_patch_settings, make_two_configurations
-from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, solve
+from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SDP_BM, SOLVERS, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -307,13 +308,28 @@ def sample_instance(cfg: ExperimentConfig, lam: float, p, angle_key: tuple, grap
     return groups, graph, graph_seed
 
 
+def solve_instance(graph, k: int, solvers, seed: int) -> dict:
+    """Each of ``solvers`` on one graph: a dict from solver tag to its estimate.
+
+    The solvers run in ``SOLVERS`` order, so that SDP-BM takes its start
+    from EIG-H's eigenpairs when both are asked for instead of solving for
+    them again; ``seed`` is SDP-BM's.
+    """
+    estimates = {}
+    for solver in sorted(solvers, key=SOLVERS.index):
+        start = estimates.get(EIG_H) if solver == SDP_BM else None
+        estimates[solver] = solve(graph, k, solver, seed=seed, start=start)
+    return estimates
+
+
 def _run_trial(cfg, point, gi, a, gidx) -> list:
     """(matched, degenerate, iterations, converged, shifted) per solver, in cfg.solvers order."""
     lam, _, p, _ = point
     groups, graph, graph_seed = sample_instance(cfg, lam, p, (gi, a), (gi, a, gidx))
+    estimates = solve_instance(graph, cfg.k, cfg.solvers, graph_seed)
     out = []
     for solver in cfg.solvers:
-        est = solve(graph, cfg.k, solver, seed=graph_seed)
+        est = estimates[solver]
         matched = [correlation(groups.theta[l], est.theta_hat[l]) for l in range(cfg.k)]
         out.append((matched, len(est.degenerate_entries), est.meta.get("iterations"),
                     est.meta.get("converged"), est.meta.get("shifted_at") is not None))

@@ -149,12 +149,19 @@ def _as_hermitian(M) -> np.ndarray:
     # row blocks against the matching column blocks: the same element-wise
     # maxima as over M and M - M^H, without any n x n temporary.  The
     # asymmetry is scanned on and above the diagonal only: |a - conj(b)| and
-    # |b - conj(a)| are equal bit for bit, so the lower triangle repeats it
+    # |b - conj(a)| are equal bit for bit, so the lower triangle repeats it.
+    # A non-finite entry makes its block's largest modulus NaN or inf, which
+    # is caught here: max() with a NaN would drop it
     scale, asym = 1.0, 0.0
     for i in range(0, M.shape[0], HERMITIAN_BLOCK):
         block = slice(i, i + HERMITIAN_BLOCK)
         rows = M[block]
-        scale = max(scale, float(np.max(np.abs(rows))))
+        moduli = np.abs(rows)
+        peak = float(np.max(moduli))
+        if not peak < np.inf:
+            r, c = np.argwhere(~(moduli < np.inf))[0]
+            raise HermitianityError(f"matrix entry ({i + r}, {c}) is {rows[r, c]}, not finite")
+        scale = max(scale, peak)
         asym = max(asym, float(np.max(np.abs(rows[:, i:] - M[i:, block].T.conj()))))
     if asym > HERMITIAN_ATOL * scale:
         raise HermitianityError(f"matrix asymmetry {asym:.3e} exceeds tolerance")

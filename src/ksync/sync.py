@@ -147,17 +147,22 @@ def angle_objective(H: np.ndarray, theta_hat: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(V) * (H @ V))))
 
 
-def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
+def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0,
+                 start: SyncEstimate | None = None) -> SyncEstimate:
     """SDP-BM: Burer-Monteiro ascent on trace(H V V^*) with unit-norm rows.
 
     V is n x r with r = min(k + 2, n): rank k + 2 is strictly above k,
     which avoids the rank-deficient saddle (Boumal-Voroninski-Bandeira
-    2016).  V starts from the top-min(k, n) eigenvectors of H, computed by
-    Lanczos to the default tolerance; the remaining columns are unit-norm
-    columns drawn from ``genmodel.substream(seed)`` (pairs k+1 and k+2 sit
-    in the bulk of the spectrum, where Lanczos converges slowly), the same
-    stream fills any zero row, and the rows are normalized.  V is updated
-    by V <- row_normalize((H + beta I) V), starting with beta = 0.  The
+    2016).  V starts from the top-min(k, n) eigenpairs of H, computed by
+    Lanczos to the default tolerance unless ``start`` holds them: ``start``
+    is EIG-H's estimate of the same graph (:func:`spectral_ksync`), whose
+    eigenpairs are those of the same Lanczos solve, so passing it saves that
+    solve and leaves the result unchanged; a start with other than min(k, n)
+    eigenpairs of length n raises ValueError.  The remaining columns are
+    unit-norm columns drawn from ``genmodel.substream(seed)`` (pairs k+1 and
+    k+2 sit in the bulk of the spectrum, where Lanczos converges slowly),
+    the same stream fills any zero row, and the rows are normalized.  V is
+    updated by V <- row_normalize((H + beta I) V), starting with beta = 0.  The
     unshifted ascent is usually monotone and takes fewer steps, but it is
     not guaranteed to be: the first step whose objective falls by more than
     1e-9 relative is discarded, as is the step that would pass half the step
@@ -177,8 +182,8 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     ``meta["objective_path"]`` holds the objective of every kept step and is
     non-decreasing.  The ascent stops once the objective changes by at most
     1e-8 relative, or after 1000 kept steps with ``meta["converged"]``
-    False.  Angles come from the top-k
-    eigenvectors of V V^* through the r x r Gram matrix; slots past its
+    False.  Angles come from the top-k eigenvectors of V V^* through the
+    r x r Gram matrix; slots past its
     numerical rank (eigenvalues at most 1e-12 times the largest) get
     eigenvalue 0 and a zero vector, all of whose entries are reported
     degenerate.
@@ -187,11 +192,19 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     n = g.n
     r = min(k + 2, n)
 
-    top = linalg._top_k(H, min(k, n), linalg.DEFAULT_TOL)
+    if start is None:
+        top = linalg._top_k(H, min(k, n), linalg.DEFAULT_TOL)
+        top_values, top_vectors = top.values, top.vectors
+    else:
+        top_values, top_vectors = start.eigenvalues, start.eigenvectors.T
+        if top_values.shape != (min(k, n),) or top_vectors.shape != (n, min(k, n)):
+            raise ValueError(f"start must hold {min(k, n)} eigenpairs of length {n}, got "
+                             f"eigenvalues {top_values.shape} and eigenvectors "
+                             f"{start.eigenvectors.shape}")
     rng = substream(seed)
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    fill = fallback[:, top.values.size:]
-    V = _row_normalize(np.hstack([top.vectors, fill / np.linalg.norm(fill, axis=0)]),
+    fill = fallback[:, top_values.size:]
+    V = _row_normalize(np.hstack([top_vectors, fill / np.linalg.norm(fill, axis=0)]),
                        fallback)
 
     HV = H @ V
@@ -211,7 +224,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
             shifted_at = iterations + 1
             low = linalg._top_k(-H, 1, SDP_SHIFT_TOL)
             shift = max(0.0, float(low.values[0] + low.residuals[0])
-                        + 1e-8 * abs(float(top.values[0])))
+                        + 1e-8 * abs(float(top_values[0])))
             continue
         if fell:
             raise RuntimeError(
@@ -248,14 +261,21 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     return _estimate(values, vectors, meta)
 
 
-def solve(g: MeasurementGraph, k: int, solver: str, seed: int = 0) -> SyncEstimate:
-    """Dispatch to one of the three solvers by tag; ``seed`` is SDP-BM's."""
+def solve(g: MeasurementGraph, k: int, solver: str, seed: int = 0,
+          start: SyncEstimate | None = None) -> SyncEstimate:
+    """Dispatch to one of the three solvers by tag.
+
+    ``seed`` and ``start`` are SDP-BM's (see :func:`sdp_bm_ksync`); a
+    ``start`` given to EIG-H or EIG-R raises ValueError.
+    """
+    if start is not None and solver != SDP_BM:
+        raise ValueError(f"only {SDP_BM} takes a start, not {solver!r}")
     if solver == EIG_H:
         return spectral_ksync(g, k)
     if solver == EIG_R:
         return normalized_spectral_ksync(g, k)
     if solver == SDP_BM:
-        return sdp_bm_ksync(g, k, seed)
+        return sdp_bm_ksync(g, k, seed, start)
     raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
 
 

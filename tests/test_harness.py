@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ksync import cli, harness
+from ksync import cli, harness, linalg
 from ksync.cli import main as cli_main
 from ksync.core import load_graph, write_text
 from ksync.harness import (
@@ -25,6 +25,7 @@ from ksync.harness import (
     run_sweep,
     validate_config,
 )
+from ksync.sync import SOLVERS
 
 
 def blas_env(blas_threads):
@@ -230,8 +231,8 @@ class TestRunSweep:
         shifted = []
         solve = harness.solve
 
-        def recording(graph, k, solver, seed=0):
-            est = solve(graph, k, solver, seed=seed)
+        def recording(graph, k, solver, seed=0, start=None):
+            est = solve(graph, k, solver, seed=seed, start=start)
             if solver == "SDP-BM":
                 shifted.append(est.meta["shifted_at"] is not None)
             return est
@@ -247,6 +248,45 @@ class TestRunSweep:
         assert diag["grid0/SDP-BM"]["sdp_shifted"] == 0
         assert diag["grid1/SDP-BM"]["sdp_shifted"] == sum(shifted) > 0
         assert all(diag[f"grid{gi}/SDP-BM"]["sdp_non_converged"] == 0 for gi in (0, 1))
+
+    def test_sdp_rows_independent_of_the_other_solvers(self):
+        # SDP-BM starts from EIG-H's pairs when both run, and from its own
+        # solve of the same pairs alone; eta = 0.9 takes the shift
+        base = dict(mode="compare", n=100, k=2, gamma=0.05, eta_grid=(0.3, 0.9), lam=1.0,
+                    trials_angles=2, trials_graphs=2, threads=2)
+        alone, forward, backward = (run_sweep(ExperimentConfig(**base, solvers=solvers))
+                                    for solvers in (("SDP-BM",), SOLVERS, SOLVERS[::-1]))
+        col = CSV_HEADER.index("solver")
+
+        def part(run, solver):
+            rows, meta = run
+            return ([row for row in rows if row[col] == solver],
+                    {key: d for key, d in meta["diagnostics"].items()
+                     if key.endswith("/" + solver)})
+
+        assert part(alone, "SDP-BM") == part(forward, "SDP-BM")
+        for solver in SOLVERS:
+            assert part(forward, solver) == part(backward, solver)
+        assert alone[1]["diagnostics"]["grid1/SDP-BM"]["sdp_shifted"] > 0
+        # rows keep the configured solver order
+        assert [row[col] for row in backward[0]] == [s for s in SOLVERS[::-1] for _ in range(2)] * 2
+
+    def test_one_top_k_solve_per_spectral_solver(self, monkeypatch):
+        calls = []
+        top_k = linalg._top_k
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return top_k(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_top_k", counting)
+        cfg = ExperimentConfig(mode="compare", n=100, k=2, gamma=0.05, eta_grid=(0.3,),
+                               lam=1.0, trials_angles=1, trials_graphs=1,
+                               solvers=SOLVERS[::-1])
+        _, meta = run_sweep(cfg)
+        # EIG-H and EIG-R solve once each; SDP-BM starts from EIG-H's pairs
+        assert meta["diagnostics"]["grid0/SDP-BM"]["sdp_shifted"] == 0
+        assert len(calls) == 2
 
     def test_setup1_eta_never_negative(self):
         # these p sum to 1.0000000000000002 in floating point
@@ -430,6 +470,15 @@ class TestSimulate:
         graph, k = load_graph(out)
         assert graph.n == 30 and k == 1
         assert report["EIG-H"]["matched_by_index"][0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_simulate_sdp_report_independent_of_the_other_solvers(self, capsys):
+        reports = []
+        for solvers in ("SDP-BM", "EIG-H,EIG-R,SDP-BM", "SDP-BM,EIG-R,EIG-H"):
+            assert cli_main(["simulate", "--n", "80", "--k", "2", "--p", "0.4,0.3",
+                             "--lam", "0.8", "--seed", "3", "--solvers", solvers]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["SDP-BM"] == reports[1]["SDP-BM"]
+        assert reports[1] == reports[2]
 
     def test_simulate_and_theory_share_p(self, tmp_path, monkeypatch, capsys):
         data = {"mode": "setup2", "n": 40, "k": 2, "lam": 0.5, "gamma": 0.05,

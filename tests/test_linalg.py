@@ -49,6 +49,13 @@ def random_hermitian(n, seed):
     return (A + A.conj().T) / 2
 
 
+def with_entry(n, index, value):
+    """A random n x n Hermitian matrix with ``value`` at ``index`` only."""
+    M = random_hermitian(n, n)
+    M[index] = value
+    return M
+
+
 def random_unitary(n, seed):
     rng = substream(seed)
     Z, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -82,7 +89,16 @@ def assert_matches_oracle(H, k, pairs):
     (lambda: top_k_eig(np.eye(3), 0), "k must satisfy 1 <= k <= 3, got 0"),
     # degree_normalized_eig leaves the k range to top_k_eig on S
     (lambda: degree_normalized_eig(np.eye(3), 4), "k must satisfy 1 <= k <= 3, got 4"),
-], ids=["non-square", "tol", "k", "normalized-k"])
+    # a non-finite entry, mirrored or not, is named without a RuntimeWarning
+    (lambda: top_k_eig(with_entry(6, (2, 3), np.nan), 2), "matrix entry (2, 3) is (nan+0j), not finite"),
+    (lambda: degree_normalized_eig(with_entry(6, (2, 3), np.nan), 2),
+     "matrix entry (2, 3) is (nan+0j), not finite"),
+    (lambda: spectral_norm([[1.0, np.nan], [np.nan, 1.0]]), "matrix entry (0, 1) is (nan+0j), not finite"),
+    (lambda: spectral_norm([[1.0, np.inf], [np.inf, 1.0]]), "matrix entry (0, 1) is (inf+0j), not finite"),
+    (lambda: spectral_norm(with_entry(200, (150, 7), -np.inf)),
+     "matrix entry (150, 7) is (-inf+0j), not finite"),
+], ids=["non-square", "tol", "k", "normalized-k", "nan-top-k", "nan-normalized", "nan-norm",
+        "inf-norm", "inf-second-row-block"])
 def test_invalid_arguments_rejected(call, message):
     with pytest.raises(ValueError) as exc:
         call()

@@ -312,6 +312,34 @@ class TestSdpBm:
         assert set(est.degenerate_entries) == {(1, i) for i in range(n)}
 
 
+class TestSdpBmStart:
+    @pytest.mark.parametrize("k, p, lam, seed, shifts", [
+        (1, (0.6,), 0.8, 21, False),
+        (2, (0.4, 0.3), 0.8, 22, False),
+        (3, (0.3, 0.25, 0.2), 1.0, 23, False),
+        # setup II at eta = 0.9, gamma = 0.05: the ascent takes its shift
+        (2, (0.075, 0.025), 1.0, 115, True),
+    ])
+    def test_eig_h_start_gives_the_same_estimate(self, k, p, lam, seed, shifts):
+        _, g = mixture_instance(100, p, lam, seed, k=k)
+        own = sdp_bm_ksync(g, k, seed)
+        shared = sdp_bm_ksync(g, k, seed, start=spectral_ksync(g, k))
+        assert (own.meta["shifted_at"] is not None) == shifts
+        assert shared.theta_hat.tobytes() == own.theta_hat.tobytes()
+        assert shared.meta == own.meta
+
+    def test_start_of_another_k_rejected(self):
+        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
+        with pytest.raises(ValueError, match="start must hold 2 eigenpairs of length 60"):
+            sdp_bm_ksync(g, 2, start=spectral_ksync(g, 1))
+
+    @pytest.mark.parametrize("solver", [sync.EIG_H, sync.EIG_R])
+    def test_start_rejected_by_the_spectral_solvers(self, solver):
+        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
+        with pytest.raises(ValueError, match=f"only SDP-BM takes a start, not '{solver}'"):
+            sync.solve(g, 2, solver, start=spectral_ksync(g, 2))
+
+
 class TestExtraction:
     def test_degenerate_entries_flagged(self):
         vectors = np.array([[0.0 + 0.0j, 1.0]]).T  # column with a zero entry
