@@ -5,8 +5,10 @@ against the current per-group angle estimates, re-synchronizes every group
 on its assigned subgraph, and classifies a per-group quantile of the
 largest residuals as bad.  Good edges per group plus the pooled bad edges
 always partition the edge set exactly.  Each re-synchronization starts
-Lanczos from the group's previous angles; only the last round's angles are
-output, so only the last round is solved to ``linalg.DEFAULT_TOL``.
+Lanczos from the group's previous eigenvector, which keeps the modulus the
+angles drop, so a round whose subgraph did not change converges in one
+block step; only the last round's angles are output, so only the last
+round is solved to ``linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -134,21 +136,29 @@ def _largest_component(n: int, ii, jj) -> tuple[np.ndarray, bool]:
 
 
 def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
-                   prev: np.ndarray | None = None,
-                   tol: float = linalg.DEFAULT_TOL) -> tuple[np.ndarray, bool, dict]:
+                   prev: tuple[np.ndarray, np.ndarray] | None = None,
+                   tol: float = linalg.DEFAULT_TOL
+                   ) -> tuple[np.ndarray, np.ndarray, bool, dict]:
     """Synchronize one assigned subgraph (k=1) to eigen-residual ``tol``.
 
     Only the largest connected component of the subgraph support is
-    synchronized; remaining nodes get angle 0.  With ``prev`` angles the
-    solve starts from e^{i prev} on that component, else cold.  Returns
-    (angles, flag, meta) where the flag marks a disconnected support and
-    meta holds the solve's ``krylov_steps`` and ``eig_residual_max`` (0 and
-    nan without an edge to solve).
+    synchronized; remaining nodes get angle 0 and eigenvector entry 0.
+    ``prev`` is the group's previous (eigenvector, angles), both of length n;
+    the solve starts from the eigenvector restricted to the component, or
+    from e^{i angles} there when that restriction is all zero (the support
+    moved off the previous component, or an estimate with a zero row), and
+    cold without ``prev``.  Returns (angles, eigenvector, flag, meta): the
+    eigenvector is the solver's, scattered back to length n and zero off the
+    component, the flag marks a disconnected support, and meta holds the
+    solve's ``krylov_steps``, ``eig_residual_max`` and ``ties`` (0, nan and
+    () without an edge to solve).
     """
     theta = np.zeros(g.n)
+    vector = np.zeros(g.n, dtype=complex)
     ii, jj = g.ii[mask], g.jj[mask]
     if ii.size == 0:
-        return theta, True, {"krylov_steps": 0, "eig_residual_max": float("nan")}
+        return theta, vector, True, {"krylov_steps": 0, "eig_residual_max": float("nan"),
+                                     "ties": ()}
     comp, disconnected = _largest_component(g.n, ii, jj)
     index = np.full(g.n, -1, dtype=np.int64)
     index[comp] = np.arange(comp.size)
@@ -156,10 +166,17 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
     sub = MeasurementGraph(
         n=comp.size, ii=index[ii[edge_in]], jj=index[jj[edge_in]], theta=g.theta[mask][edge_in]
     )
-    start = None if prev is None else np.exp(1j * prev[comp])[:, None]
+    start = None
+    if prev is not None:
+        prev_vector, prev_theta = prev
+        start = prev_vector[comp]
+        if not np.any(start):
+            start = np.exp(1j * prev_theta[comp])
+        start = start[:, None]
     est = _spectral(sub, 1, solver, start=start, tol=tol)
     theta[comp] = est.theta_hat[0]
-    return theta, disconnected, est.meta
+    vector[comp] = est.eigenvectors[0]
+    return theta, vector, disconnected, est.meta
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,20 +186,24 @@ class DisentangleState:
     ``assignment`` maps every edge to a group (0-based); ``good`` marks the
     edges kept in that group's recovered subgraph, the rest being pooled as
     bad.  ``recovered`` (derived, read-only) labels each edge as graph labels
-    do: group + 1 for a good edge, 0 for a bad one.  ``krylov_steps`` and
-    ``eig_residual_max`` hold each group's eigensolve diagnostics (see
-    :func:`_sync_subgraph`).  ``matched_corr`` holds per-group correlations
-    against ground truth when it was supplied.
+    do: group + 1 for a good edge, 0 for a bad one.  ``eigenvectors`` (k x n)
+    holds each group's eigenvector behind ``theta_hat``, zero off its
+    synchronized component; the next solve of the group starts from it.
+    ``krylov_steps``, ``eig_residual_max`` and ``ties`` hold each group's
+    eigensolve diagnostics (see :func:`_sync_subgraph`).  ``matched_corr``
+    holds per-group correlations against ground truth when it was supplied.
     """
 
     iteration: int
     theta_hat: np.ndarray
+    eigenvectors: np.ndarray
     assignment: np.ndarray
     good: np.ndarray
     gamma: np.ndarray
     disconnected: tuple
     krylov_steps: tuple
     eig_residual_max: tuple
+    ties: tuple
     matched_corr: tuple | None = None
 
     @property
@@ -212,8 +233,9 @@ def iterate_disentangle(
     edge to its best group, re-synchronize each group on all its assigned
     edges, then classify the top per-group residual quantile as bad (ties
     at the threshold stay good).  Each group's solve starts from its
-    previous angles (round 1 from ``initial``) and meets eigen-residual
-    tolerance 1e-6, the last round's ``linalg.DEFAULT_TOL``.  Returns one
+    previous eigenvector (round 1 from ``initial.eigenvectors``), see
+    :func:`_sync_subgraph`, and meets eigen-residual tolerance 1e-6, the
+    last round's ``linalg.DEFAULT_TOL``.  Returns one
     state per round.  A ``truth`` that :func:`evaluate` cannot score is
     rejected before any round runs.
     """
@@ -221,6 +243,8 @@ def iterate_disentangle(
         raise ValueError("initial estimate has wrong number of groups")
     if initial.n != g.n:
         raise ValueError("initial estimate has wrong number of nodes")
+    if initial.eigenvectors.shape != initial.theta_hat.shape:
+        raise ValueError("initial estimate's eigenvectors differ in shape from its angles")
     if truth is not None:
         _check_matchable(truth, (cfg.k, g.n))
     fractions = cfg.bad_fractions
@@ -233,16 +257,18 @@ def iterate_disentangle(
         fractions = _outlier_shares(counts[1:], float(counts[0]))
 
     theta = np.asarray(initial.theta_hat, dtype=float)
+    vectors = np.asarray(initial.eigenvectors, dtype=complex)
     states: list[DisentangleState] = []
     for r in range(1, cfg.iterations + 1):
         psi = residual_matrices(g, theta)
         assignment, gamma = assign_edges(psi)
         tol = linalg.DEFAULT_TOL if r == cfg.iterations else _ROUND_TOL
         new_theta = np.zeros_like(theta)
+        new_vectors = np.zeros_like(vectors)
         flags, metas = [], []
         for l in range(cfg.k):
-            new_theta[l], flag, meta = _sync_subgraph(g, assignment == l, cfg.solver,
-                                                      theta[l], tol)
+            new_theta[l], new_vectors[l], flag, meta = _sync_subgraph(
+                g, assignment == l, cfg.solver, (vectors[l], theta[l]), tol)
             flags.append(flag)
             metas.append(meta)
         # each edge against its own group's new angles: row l of new_theta
@@ -266,16 +292,18 @@ def iterate_disentangle(
             DisentangleState(
                 iteration=r,
                 theta_hat=new_theta.copy(),
+                eigenvectors=new_vectors,
                 assignment=assignment,
                 good=good,
                 gamma=gamma,
                 disconnected=tuple(flags),
                 krylov_steps=tuple(m["krylov_steps"] for m in metas),
                 eig_residual_max=tuple(m["eig_residual_max"] for m in metas),
+                ties=tuple(m["ties"] for m in metas),
                 matched_corr=matched,
             )
         )
-        theta = new_theta
+        theta, vectors = new_theta, new_vectors
     return states
 
 

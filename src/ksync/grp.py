@@ -301,7 +301,7 @@ def asap_recover(
 
     Pipeline: bi-synchronize the patch graph, disentangle it into two good
     subgraphs, re-synchronize each good subgraph (warm-started from the last
-    round's angles, to ``linalg.DEFAULT_TOL``), then rotate each patch's
+    round's eigenvectors, to ``linalg.DEFAULT_TOL``), then rotate each patch's
     type-matched local embedding by its estimated angle and solve the
     node/translation least-squares system per recovered group as a
     patch-Laplacian solve.
@@ -333,7 +333,8 @@ def asap_recover(
         mask = recovered == label
         if not mask.any():
             raise ValueError(f"group {label}: recovered subgraph has no edges")
-        angles, _, _ = _sync_subgraph(g, mask, cfg.solver, final.theta_hat[label - 1])
+        angles, _, _, _ = _sync_subgraph(
+            g, mask, cfg.solver, (final.eigenvectors[label - 1], final.theta_hat[label - 1]))
         # restrict assembly to the synchronized (largest) component
         patch_ids, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
         results[gtype] = _assemble(ps, patch_ids, ps.local[gtype - 1], angles[patch_ids])

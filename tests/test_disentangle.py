@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ksync import linalg
+from ksync import disentangle, linalg
 from ksync.core import (
     AngleGroups,
     MeasurementGraph,
+    SyncEstimate,
     TWO_PI,
     circular_distance,
     load_graph,
@@ -24,7 +25,8 @@ from ksync.disentangle import (
     residual_matrices,
 )
 from ksync.genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, substream
-from ksync.sync import EIG_H, EIG_R, estimate_from_angles, evaluate, spectral_ksync
+from ksync.grp import build_patches, make_two_configurations
+from ksync.sync import EIG_H, EIG_R, estimate_from_angles, evaluate, solve, spectral_ksync
 
 
 def mixture(n, p, lam, seed, k=None):
@@ -46,12 +48,16 @@ def mixture(n, p, lam, seed, k=None):
     (lambda g, truth: iterate_disentangle(
         g, DisentangleConfig(k=2), estimate_from_angles(AngleGroups(theta=truth.theta[:, 1:]))),
      "initial estimate has wrong number of nodes"),
+    (lambda g, truth: iterate_disentangle(
+        g, DisentangleConfig(k=2), SyncEstimate(theta_hat=truth.theta, eigenvalues=[0.0, 0.0],
+                                                eigenvectors=np.zeros((2, g.n - 1)))),
+     "initial estimate's eigenvectors differ in shape from its angles"),
     (lambda g, truth: classification_errors(
         MeasurementGraph(n=g.n, ii=g.ii, jj=g.jj, theta=g.theta),
         iterate_disentangle(g, DisentangleConfig(k=2, iterations=1), spectral_ksync(g, 2))[-1]),
      "graph carries no ground-truth labels"),
 ], ids=["k", "iterations", "solver", "bad-fractions", "initial-groups", "initial-nodes",
-        "unlabelled-classification"])
+        "initial-vectors", "unlabelled-classification"])
 def test_invalid_settings_rejected(call, message):
     truth, g = mixture(20, (0.6, 0.3), 1.0, 3)
     with pytest.raises(ValueError) as exc:
@@ -353,8 +359,37 @@ class TestWarmRounds:
         for st in states:
             tol = linalg.DEFAULT_TOL if st is states[-1] else 1e-6
             for l in range(k):
-                cold += _sync_subgraph(g, st.assignment == l, EIG_H, tol=tol)[2]["krylov_steps"]
+                cold += _sync_subgraph(g, st.assignment == l, EIG_H, tol=tol)[3]["krylov_steps"]
         assert warm < cold
+
+    @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
+    def test_rounds_on_an_unchanged_subgraph_take_one_krylov_step(self, solver):
+        # noiseless GRP patch graph, whose eigenvector moduli are far from
+        # uniform: a start from e^{i theta} alone takes 13-17 block steps
+        # per solve here, settled round or not
+        pc = make_two_configurations(196, seed=5)
+        _, g = build_patches(pc, sigma=0.0, seed=5)
+        states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=20, solver=solver),
+                                     solve(g, 2, solver))
+        # rounds 2..T-1 share the previous round's tolerance
+        settled = [r for r in range(1, len(states) - 1)
+                   if np.array_equal(states[r].assignment, states[r - 1].assignment)]
+        assert len(settled) >= 3
+        assert [states[r].krylov_steps for r in settled] == [(1, 1)] * len(settled)
+
+    @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
+    def test_final_angles_match_a_cold_solve(self, solver):
+        groups, g = mixture(150, (0.45, 0.3), 0.5, 16)
+        final = iterate_disentangle(g, DisentangleConfig(k=2, iterations=5, solver=solver),
+                                    solve(g, 2, solver))[-1]
+        for l in range(2):
+            theta, vector, _, _ = _sync_subgraph(g, final.assignment == l, solver)
+            # both solves meet the DEFAULT_TOL residual contract, which pins
+            # the eigenvector to about 1e-11 here: align the global phase
+            align = np.vdot(vector, final.eigenvectors[l])
+            moved = np.angle(np.exp(1j * (final.theta_hat[l] - theta)) * np.conj(align))
+            assert np.abs(moved).max() <= 1e-8
+            assert np.linalg.norm(final.eigenvectors[l] - vector * align / abs(align)) <= 1e-8
 
 
 class TestSyncSubgraph:
@@ -365,12 +400,69 @@ class TestSyncSubgraph:
         g = MeasurementGraph.from_edges(7, [(i, j, wrap_angle(a[i] - a[j])) for i, j in tri])
         comp, disconnected = _largest_component(g.n, g.ii, g.jj)
         assert comp.tolist() == [1, 2, 3] and disconnected
-        theta, flag, _ = _sync_subgraph(g, np.ones(g.m, dtype=bool), EIG_H)
+        theta, vector, flag, _ = _sync_subgraph(g, np.ones(g.m, dtype=bool), EIG_H)
         assert flag
         assert theta[[0, 4, 5, 6]].tolist() == [0.0] * 4
+        assert vector[[0, 4, 5, 6]].tolist() == [0.0] * 4
+        assert np.isclose(np.linalg.norm(vector), 1.0)
+        assert np.array_equal(wrap_angle(np.angle(vector[1:4])), theta[1:4])
         on_comp = g.ii < 4
         res = _residuals(theta, g.ii[on_comp], g.jj[on_comp], g.theta[on_comp])
         assert res.max() <= 1e-10
+
+    def test_zero_previous_vector_on_the_component_falls_back_to_the_phases(self, monkeypatch):
+        groups, g = mixture(60, (0.6, 0.3), 1.0, 3)
+        mask = g.labels == 1
+        comp, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
+        # the previous support lay off this component
+        prev_vector = np.exp(1j * groups.theta[1]) / np.sqrt(g.n)
+        prev_vector[comp] = 0.0
+        starts = []
+        spectral = disentangle._spectral
+
+        def spy(sub, k, solver, start=None, tol=linalg.DEFAULT_TOL):
+            starts.append(start)
+            return spectral(sub, k, solver, start=start, tol=tol)
+
+        monkeypatch.setattr(disentangle, "_spectral", spy)
+        theta, vector, _, _ = _sync_subgraph(g, mask, EIG_H, (prev_vector, groups.theta[0]))
+        assert np.array_equal(starts[0][:, 0], np.exp(1j * groups.theta[0][comp]))
+        res = _residuals(theta, g.ii[mask], g.jj[mask], g.theta[mask])
+        assert res.max() <= 1e-8 and np.count_nonzero(vector) == comp.size
+
+    def test_initial_estimate_with_a_zero_eigenvector_runs(self):
+        # as SDP-BM reports a rank-deficient Gram matrix: the zero row has
+        # angle 0, so its first solve starts from the all-ones vector
+        groups, g = mixture(60, (0.6, 0.3), 1.0, 3)
+        z = estimate_from_angles(groups).eigenvectors
+        initial = SyncEstimate(theta_hat=np.vstack([groups.theta[0], np.zeros(g.n)]),
+                               eigenvalues=[1.0, 0.0], eigenvectors=np.vstack([z[0], 0 * z[1]]))
+        states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=2), initial)
+        assert all(min(st.krylov_steps) >= 1 for st in states)
+
+
+class TestStateDiagnostics:
+    def test_each_group_solve_keeps_its_ties(self):
+        # a 4-cycle whose offsets sum to pi has a double top eigenvalue
+        # (1 + sqrt 2); a consistent one has a simple one
+        frustrated = [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (0, 3, np.pi)]
+        consistent = [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (0, 3, 0.0)]
+        cfg = DisentangleConfig(k=1, iterations=1, bad_fractions=(0.0,))
+        start = estimate_from_angles(AngleGroups(theta=np.zeros((1, 4))))
+        for edges, ties in ((frustrated, (0,)), (consistent, ())):
+            g = MeasurementGraph.from_edges(4, edges)
+            final = iterate_disentangle(g, cfg, start)[-1]
+            assert final.ties == (ties,)
+            assert _sync_subgraph(g, np.ones(4, dtype=bool), EIG_H)[3]["ties"] == ties
+
+    def test_eigenvectors_carry_the_angles(self):
+        groups, g = mixture(80, (0.4, 0.3), 0.9, 12)
+        states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=3),
+                                     spectral_ksync(g, 2))
+        for st in states:
+            assert st.eigenvectors.shape == (2, g.n)
+            assert np.allclose(np.linalg.norm(st.eigenvectors, axis=1), 1.0)
+            assert np.array_equal(wrap_angle(np.angle(st.eigenvectors)), st.theta_hat)
 
 
 class TestSubgraphEmission:
