@@ -331,7 +331,8 @@ class TestWarmRounds:
         monkeypatch.setattr(linalg, "top_k_eig", spy)
         states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=3, solver=solver),
                                      initial)
-        assert [tol for _, tol, _, _ in solves] == [1e-6] * 4 + [linalg.DEFAULT_TOL] * 2
+        assert [tol for _, tol, _, _ in solves] == (
+            [disentangle._ROUND_TOL] * 4 + [linalg.DEFAULT_TOL] * 2)
         assert all(start is not None for _, _, start, _ in solves)
         # EIG-R's spy sees S = D^{-1/2} H D^{-1/2}; the state holds R's residuals
         for H, _, _, pairs in solves[-2:]:
@@ -357,10 +358,31 @@ class TestWarmRounds:
         warm = sum(sum(st.krylov_steps) for st in states)
         cold = 0
         for st in states:
-            tol = linalg.DEFAULT_TOL if st is states[-1] else 1e-6
+            tol = linalg.DEFAULT_TOL if st is states[-1] else disentangle._ROUND_TOL
             for l in range(k):
                 cold += _sync_subgraph(g, st.assignment == l, EIG_H, tol=tol)[3]["krylov_steps"]
         assert warm < cold
+
+    def test_round_tolerance_barely_moves_the_next_assignment(self):
+        # each round's subgraphs solved to _ROUND_TOL and to DEFAULT_TOL from
+        # the same starts: the next assignments differ on at most 0.1% of the
+        # edges, while every round itself moves hundreds of them
+        _, g = mixture(200, (0.18, 0.15, 0.12), 0.3, 1)
+        initial = spectral_ksync(g, 3)
+        states = iterate_disentangle(g, DisentangleConfig(k=3, iterations=5), initial)
+        theta, vectors = initial.theta_hat, initial.eigenvectors
+        differ = []
+        for st in states:
+            nxt = []
+            for tol in (disentangle._ROUND_TOL, linalg.DEFAULT_TOL):
+                angles = np.array([
+                    _sync_subgraph(g, st.assignment == l, EIG_H, (vectors[l], theta[l]), tol)[0]
+                    for l in range(3)])
+                nxt.append(assign_edges(residual_matrices(g, angles))[0])
+            differ.append(int(np.sum(nxt[0] != nxt[1])))
+            assert np.sum(nxt[1] != st.assignment) >= 100
+            theta, vectors = st.theta_hat, st.eigenvectors
+        assert max(differ) <= 1e-3 * g.m
 
     @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
     def test_rounds_on_an_unchanged_subgraph_take_one_krylov_step(self, solver):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ksync import linalg
+from ksync import disentangle, linalg
 from ksync.core import TWO_PI, AngleGroups, wrap_angle
 from ksync.disentangle import DisentangleConfig, classification_errors, iterate_disentangle
 from ksync.genmodel import substream
@@ -370,7 +370,7 @@ class TestAsapRecover:
         asap_recover(ps, g, DisentangleConfig(k=2, iterations=3))
         # the cold bi-synchronization, three rounds of two groups, two re-solves
         assert [tol for _, tol, _, _ in solves] == (
-            [linalg.DEFAULT_TOL] + [1e-6] * 4 + [linalg.DEFAULT_TOL] * 4)
+            [linalg.DEFAULT_TOL] + [disentangle._ROUND_TOL] * 4 + [linalg.DEFAULT_TOL] * 4)
         assert [start is None for _, _, start, _ in solves] == [True] + [False] * 8
         for H, _, _, pairs in solves[-4:]:
             assert pairs.residuals.max() <= linalg.DEFAULT_TOL * linalg.spectral_norm(H)

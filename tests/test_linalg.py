@@ -193,6 +193,135 @@ class TestHermitianCheck:
             assert spectral_norm(M) > 0.0
 
 
+def measured_as_hermitian(M):
+    """The measuring scan of ``linalg._as_hermitian``, kept as the reference
+    its exact-mirror pass must agree with."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise HermitianityError(f"expected a square matrix, got shape {M.shape}")
+    scale, asym = 1.0, 0.0
+    for i in range(0, M.shape[0], linalg.HERMITIAN_BLOCK):
+        block = slice(i, i + linalg.HERMITIAN_BLOCK)
+        rows = M[block]
+        moduli = np.abs(rows)
+        peak = float(np.max(moduli))
+        if not peak < np.inf:
+            r, c = np.argwhere(~(moduli < np.inf))[0]
+            raise HermitianityError(f"matrix entry ({i + r}, {c}) is {rows[r, c]}, not finite")
+        scale = max(scale, peak)
+        asym = max(asym, float(np.max(np.abs(rows[:, i:] - M[i:, block].T.conj()))))
+    if asym > HERMITIAN_ATOL * scale:
+        raise HermitianityError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
+    return M
+
+
+def mirrored_with(n, entries, seed=70):
+    """A random exactly mirrored n x n matrix with value v at (i, j) and
+    conj(v) at (j, i) for each (i, j, v); a diagonal v is set as given."""
+    M = random_hermitian(n, seed)
+    for i, j, v in entries:
+        M[i, j] = v
+        if i != j:
+            M[j, i] = np.conj(v)
+    return M
+
+
+def hermitian_check_cases():
+    n = 300  # blocks of rows 0-127, 128-255 and a partial 256-299
+    cases = {
+        "mirrored": random_hermitian(n, 71),
+        "mirrored 1x1": np.array([[2.5 + 0.0j]]),
+        "mirrored 0x0": np.zeros((0, 0), dtype=complex),
+        "measurement matrix": build_measurement_matrix(
+            sample_er_mixture(MixtureParams(n=n, k=2, lam=0.3, p=(0.4, 0.3), seed=72),
+                              sample_angles(n, 2, 73))),
+        "real input": np.ones((n, n)),
+        "Fortran order": np.asfortranarray(random_hermitian(n, 74)),
+    }
+    # +0.0 against -0.0 compares equal and subtracts to 0
+    M = random_hermitian(n, 75)
+    M[3, 290] = complex(-0.0, 0.0)
+    M[290, 3] = complex(0.0, 0.0)
+    M[200, 200] = complex(1.0, -0.0)
+    M[10, 140] = complex(-0.0, -0.0)
+    M[140, 10] = complex(0.0, -0.0)
+    cases["signed zeros"] = M
+    for name, v in [("large", 1e-3j), ("tiny", 1e-14j)]:
+        for i in (0, 128, 130, 299):
+            M = random_hermitian(n, 76)
+            M[i, i] += v
+            cases[f"imaginary diagonal, {name}, at {i}"] = M
+    scale = max(1.0, float(np.abs(random_hermitian(n, 77)).max()))
+    for factor in (0.99, 1.01):
+        for i, j in [(5, 280), (280, 5)]:
+            M = random_hermitian(n, 77)
+            M[i, j] += factor * HERMITIAN_ATOL * scale
+            cases[f"asymmetry {factor} at ({i}, {j})"] = M
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
+        for i, j in [(0, 7), (290, 299), (299, 299), (250, 3)]:
+            where = f"{value} at ({i}, {j})"
+            cases[f"{where}, mirrored"] = mirrored_with(n, [(i, j, value)])
+            M = random_hermitian(n, 78)
+            M[i, j] = value
+            cases[f"{where}, alone"] = M
+    # near the largest double: a modulus that overflows is not finite
+    big = [1e308, -1.79e308, 1.2e308 + 1.2e308j, 1.27e308 - 1.27e308j,
+           2.0 ** 1023 * (1 + 1j), 1.7e308 + 1.7e308j, 1e308j]
+    for v in big:
+        for i, j in [(4, 260), (260, 4), (140, 140)]:
+            entry = complex(v.real, 0.0) if i == j else complex(v)
+            cases[f"{entry} at ({i}, {j}), mirrored"] = mirrored_with(n, [(i, j, entry)])
+    M = mirrored_with(n, [(4, 260, 1e308)])
+    M[4, 260] *= 1 + 1e-9
+    cases["1e308, asymmetric"] = M
+    return cases
+
+
+HERMITIAN_CASES = hermitian_check_cases()
+
+
+class TestHermitianCheckAgainstTheMeasuringScan:
+    @pytest.mark.parametrize("name", list(HERMITIAN_CASES))
+    def test_same_return_or_same_error(self, name):
+        M = HERMITIAN_CASES[name]
+        try:
+            expected = measured_as_hermitian(M)
+        except HermitianityError as exc:
+            with pytest.raises(HermitianityError) as err:
+                linalg._as_hermitian(M)
+            assert str(err.value) == str(exc)
+            return
+        got = linalg._as_hermitian(M)
+        # both hand back np.asarray(M, dtype=complex), the input itself when complex
+        assert got.dtype == expected.dtype and np.array_equal(got, expected, equal_nan=True)
+        assert (got is M) == (expected is M)
+
+    def test_cases_cover_both_outcomes_and_both_passes(self):
+        accepted, mirrored = set(), set()
+        for name, M in HERMITIAN_CASES.items():
+            try:
+                measured_as_hermitian(M)
+                accepted.add(name)
+            except HermitianityError:
+                pass
+            if linalg._exactly_mirrored(np.asarray(M, dtype=complex)):
+                mirrored.add(name)
+        # the exact-mirror pass accepts only what the scan accepts
+        assert mirrored <= accepted
+        assert {"mirrored", "measurement matrix", "real input", "signed zeros",
+                "(1e+308+0j) at (4, 260), mirrored",
+                "(1.2e+308+1.2e+308j) at (260, 4), mirrored"} <= mirrored
+        # the scan alone decides these
+        assert {"imaginary diagonal, tiny, at 128", "asymmetry 0.99 at (5, 280)",
+                "asymmetry 0.99 at (280, 5)", "Fortran order",
+                "(1.27e+308-1.27e+308j) at (4, 260), mirrored"} <= accepted - mirrored
+        rejected = set(HERMITIAN_CASES) - accepted
+        assert {"imaginary diagonal, large, at 128", "asymmetry 1.01 at (5, 280)",
+                "asymmetry 1.01 at (280, 5)", "nan at (0, 7), mirrored",
+                "inf at (250, 3), mirrored", "1e308, asymmetric",
+                "(1.7e+308+1.7e+308j) at (4, 260), mirrored"} <= rejected
+
+
 class TestKrylovAgainstDenseOracle:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 300), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
