@@ -8,7 +8,10 @@ always partition the edge set exactly.  Each re-synchronization starts
 Lanczos from the group's previous eigenvector, which keeps the modulus the
 angles drop, so a round whose subgraph did not change converges in one
 block step; only the last round's angles are output, so only the last
-round is solved to ``linalg.DEFAULT_TOL``.
+round is solved to ``linalg.DEFAULT_TOL``.  A group's subgraph is solved on
+a Hermitian edge list (``linalg._EdgeOperator``) built straight from its
+edge arrays, not on a dense n x n matrix; the graph's directed edges are
+ordered by destination once per call, not per solve.
 """
 
 from __future__ import annotations
@@ -142,12 +145,14 @@ def _largest_component(n: int, ii, jj) -> tuple[np.ndarray, bool]:
 
 def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
                    prev: tuple[np.ndarray, np.ndarray] | None = None,
-                   tol: float = linalg.DEFAULT_TOL
+                   tol: float = linalg.DEFAULT_TOL, order: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, bool, dict]:
     """Synchronize one assigned subgraph (k=1) to eigen-residual ``tol``.
 
     Only the largest connected component of the subgraph support is
     synchronized; remaining nodes get angle 0 and eigenvector entry 0.
+    Its measurement operator is a ``linalg._EdgeOperator``; ``order`` is
+    ``linalg._destination_order(g.ii, g.jj)``, computed here when not given.
     ``prev`` is the group's previous (eigenvector, angles), both of length n;
     the solve starts from the eigenvector restricted to the component, or
     from e^{i angles} there when that restriction is all zero (the support
@@ -160,17 +165,21 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
     """
     theta = np.zeros(g.n)
     vector = np.zeros(g.n, dtype=complex)
-    ii, jj = g.ii[mask], g.jj[mask]
-    if ii.size == 0:
+    # edge ids, then gathers: indexing by the scattered mask itself is slower
+    edges = np.flatnonzero(mask)
+    if edges.size == 0:
         return theta, vector, True, {"krylov_steps": 0, "eig_residual_max": float("nan"),
                                      "ties": ()}
-    comp, disconnected = _largest_component(g.n, ii, jj)
+    ii = g.ii[edges]
+    comp, disconnected = _largest_component(g.n, ii, g.jj[edges])
     index = np.full(g.n, -1, dtype=np.int64)
     index[comp] = np.arange(comp.size)
-    edge_in = index[ii] >= 0
-    sub = MeasurementGraph(
-        n=comp.size, ii=index[ii[edge_in]], jj=index[jj[edge_in]], theta=g.theta[mask][edge_in]
-    )
+    edges = edges[index[ii] >= 0]
+    if order is None:
+        order = linalg._destination_order(g.ii, g.jj)
+    H = linalg._EdgeOperator(comp.size, index[g.ii[edges]], index[g.jj[edges]],
+                             np.exp(1j * g.theta[edges]), 1.0,
+                             linalg._restricted_order(order, edges))
     start = None
     if prev is not None:
         prev_vector, prev_theta = prev
@@ -178,7 +187,7 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
         if not np.any(start):
             start = np.exp(1j * prev_theta[comp])
         start = start[:, None]
-    est = _spectral(sub, 1, solver, start=start, tol=tol)
+    est = _spectral(H, 1, solver, start=start, tol=tol)
     theta[comp] = est.theta_hat[0]
     vector[comp] = est.eigenvectors[0]
     return theta, vector, disconnected, est.meta
@@ -263,6 +272,7 @@ def iterate_disentangle(
 
     theta = np.asarray(initial.theta_hat, dtype=float)
     vectors = np.asarray(initial.eigenvectors, dtype=complex)
+    order = linalg._destination_order(g.ii, g.jj)
     states: list[DisentangleState] = []
     for r in range(1, cfg.iterations + 1):
         psi = residual_matrices(g, theta)
@@ -273,7 +283,7 @@ def iterate_disentangle(
         flags, metas = [], []
         for l in range(cfg.k):
             new_theta[l], new_vectors[l], flag, meta = _sync_subgraph(
-                g, assignment == l, cfg.solver, (vectors[l], theta[l]), tol)
+                g, assignment == l, cfg.solver, (vectors[l], theta[l]), tol, order)
             flags.append(flag)
             metas.append(meta)
         # each edge against its own group's new angles: row l of new_theta

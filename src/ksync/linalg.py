@@ -2,7 +2,11 @@
 
 :func:`top_k_eig` runs a block Lanczos iteration (block width k + 1, full
 reorthogonalization, fixed-seed start block whose first rows a warm start may
-replace) on the dense matrix.  It returns the top-k Ritz pairs once they have
+replace).  It and :func:`degree_normalized_eig` take a dense matrix or the
+private :class:`_EdgeOperator`, a Hermitian edge list whose products cost
+O(m) per vector instead of O(n^2); Lanczos reaches either only through
+``Q @ H`` and ``H @ X``, and checks the edge list in O(m), since it is
+Hermitian by construction.  It returns the top-k Ritz pairs once they have
 converged and pair k + 1 has converged far enough to decide whether it ties
 with pair k; every returned pair is then checked against
 ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken from the extreme Ritz
@@ -25,6 +29,7 @@ BLAS thread count and a sweep's ``threads`` are its whole CPU budget.
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import dataclasses
 import functools
@@ -145,6 +150,81 @@ class EigenPairs:
     krylov_steps: int = 0
 
 
+class _EdgeOperator:
+    """Hermitian n x n operator held as a real diagonal and an edge list.
+
+    Edge e (ii[e], jj[e]) with value v_e, ii[e] != jj[e], each pair at most
+    once, is stored once for each direction: H[ii, jj] = v and
+    H[jj, ii] = conj(v), so the operator is Hermitian by construction.  The
+    2m directed entries are grouped by destination column: ``order`` lists
+    them as :func:`_destination_order` gives them (entry e < m is edge e,
+    entry m + e its mirror).
+    ``diagonal`` is a real scalar or length-n vector.  ``Q @ H`` and
+    ``H @ X`` take one gather, one multiply and one segmented sum per
+    product, O(m) per row of Q, against O(n^2) dense.
+    """
+
+    # numpy defers Q @ H to __rmatmul__ instead of converting the operator
+    __array_ufunc__ = None
+
+    def __init__(self, n: int, ii, jj, values, diagonal, order: np.ndarray):
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        dst = np.concatenate([jj, ii])
+        values = np.asarray(values, dtype=complex)
+        self.shape = (n, n)
+        self.diagonal = np.asarray(diagonal, dtype=float)
+        self.src = np.concatenate([ii, jj])[order]
+        self.dst = dst[order]
+        self.values = np.concatenate([values, values.conj()])[order]
+        # first entry of each destination's run, and that destination
+        self._starts = np.flatnonzero(np.diff(self.dst, prepend=-1))
+        self._columns = self.dst[self._starts]
+
+    def __rmatmul__(self, Q):
+        """Q @ H for a vector or a stack of row vectors Q."""
+        Q = np.asarray(Q, dtype=complex)
+        out = Q * self.diagonal
+        if self.values.size:
+            terms = np.take(Q, self.src, axis=-1)
+            terms *= self.values
+            out[..., self._columns] += np.add.reduceat(terms, self._starts, axis=-1)
+        return out
+
+    def __matmul__(self, X):
+        """H @ X = (X^H H)^H for a vector or a column block X."""
+        X = np.asarray(X)
+        return (X.conj().T @ self).conj().T
+
+    def scaled(self, x: np.ndarray) -> "_EdgeOperator":
+        """The operator with entries H_ij * (x_i * x_j), for a real vector x."""
+        out = copy.copy(self)
+        out.values = self.values * (x[self.src] * x[self.dst])
+        out.diagonal = self.diagonal * (x * x)
+        return out
+
+
+def _destination_order(ii, jj) -> np.ndarray:
+    """The order in which :class:`_EdgeOperator` stores the directed entries of
+    the edges (ii, jj): a stable argsort of ``concatenate([jj, ii])``."""
+    return np.argsort(np.concatenate([jj, ii]), kind="stable")
+
+
+def _restricted_order(order: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """:func:`_destination_order` of the edges with the ascending ids ``edges``,
+    read off the ``order`` of all the edges in O(m).
+
+    Also holds after any relabelling of the nodes that keeps their order.
+    """
+    m, s = order.size // 2, edges.size
+    rank = np.full(2 * m, -1)
+    rank[edges] = np.arange(s)
+    rank[edges + m] = np.arange(s, 2 * s)
+    ranked = rank[order]
+    # flatnonzero and a gather: indexing by a scattered mask is several times slower
+    return ranked[np.flatnonzero(ranked >= 0)]
+
+
 def _exactly_mirrored(M: np.ndarray) -> bool:
     """Whether a square complex M equals its conjugate transpose entry for entry
     and every entry's modulus is finite, so that its asymmetry is exactly 0.
@@ -156,15 +236,23 @@ def _exactly_mirrored(M: np.ndarray) -> bool:
         return False
     for i in range(0, M.shape[0], HERMITIAN_BLOCK):
         block = slice(i, i + HERMITIAN_BLOCK)
-        if not np.array_equal(M[block, i:], M[i:, block].T.conj()):
+        upper = M[block, i:]
+        if not np.array_equal(upper, M[i:, block].T.conj()):
             return False
-        parts = M[block].view(float)
+        # the rest of the row block mirrors the upper strips of the blocks
+        # above, whose parts are already bounded
+        parts = upper.view(float)
         if not (-_MIRROR_LIMIT < np.min(parts) and np.max(parts) < _MIRROR_LIMIT):
             return False
     return True
 
 
-def _as_hermitian(M) -> np.ndarray:
+def _as_hermitian(M):
+    if isinstance(M, _EdgeOperator):
+        # Hermitian by construction: only its values can be wrong, in O(m)
+        if not (np.all(np.isfinite(M.values)) and np.all(np.isfinite(M.diagonal))):
+            raise HermitianityError("edge operator has a non-finite value or diagonal entry")
+        return M
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise HermitianityError(f"expected a square matrix, got shape {M.shape}")
@@ -335,7 +423,8 @@ def _check_start(start, n: int, k: int) -> np.ndarray | None:
 
 
 def top_k_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
-    """The k algebraically largest eigenpairs of a Hermitian matrix.
+    """The k algebraically largest eigenpairs of a Hermitian matrix or
+    :class:`_EdgeOperator`.
 
     Computed by block Lanczos on the top min(k + 1, n) pairs, so ``ties``
     sees the gap to pair k + 1.  ``start`` (n x s, s <= min(k + 1, n)), such
@@ -387,7 +476,9 @@ def spectral_norm(M) -> float:
 def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
     """Top-k eigenpairs of the degree-normalized operator R = D^{-1} H.
 
-    D is diagonal with D_ii = sum_j |H_ij| (the diagonal term included).
+    H is a Hermitian matrix or :class:`_EdgeOperator`, and S below is of the
+    same kind.  D is diagonal with D_ii = sum_j |H_ij| (the diagonal term
+    included).
     R is similar to the Hermitian S = D^{-1/2} H D^{-1/2}; eigenvalues are
     computed from S, and eigenvectors of R are returned as D^{-1/2} times
     the eigenvectors of S, re-normalized to unit norm.  Those vectors are
@@ -398,12 +489,20 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> Ei
     """
     H = _as_hermitian(H)
     start = _check_start(start, H.shape[0], k)
-    d = np.sum(np.abs(H), axis=1)
+    if isinstance(H, _EdgeOperator):
+        d = np.abs(H.diagonal) + np.bincount(H.dst, np.abs(H.values), H.shape[0])
+    else:
+        d = np.sum(np.abs(H), axis=1)
     if np.any(d <= 0.0):
         bad = int(np.nonzero(d <= 0.0)[0][0])
         raise ValueError(f"isolated node {bad}: zero row sum in |H|")
     dinv_sqrt = 1.0 / np.sqrt(d)
-    S = (dinv_sqrt[:, None] * H) * dinv_sqrt[None, :]
+    # one product x_i * x_j per pair weighs both H_ij and H_ji, so S is
+    # exactly mirrored whenever H is
+    if isinstance(H, _EdgeOperator):
+        S = H.scaled(dinv_sqrt)
+    else:
+        S = H * (dinv_sqrt[:, None] * dinv_sqrt[None, :])
     if start is not None:
         start = np.sqrt(d)[:, None] * start
     pairs = top_k_eig(S, k, tol=tol, start=start)

@@ -93,16 +93,18 @@ def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
     )
 
 
-def _spectral(g: MeasurementGraph, k: int, solver: str, start=None,
+def _spectral(H, k: int, solver: str, start=None,
               tol: float = linalg.DEFAULT_TOL) -> SyncEstimate:
-    """EIG-H or EIG-R, solved to ``tol`` from an optional warm ``start``.
+    """EIG-H or EIG-R on the measurement operator H, solved to ``tol`` from an
+    optional warm ``start``.
 
-    ``start`` (n x s, s <= k + 1) holds vectors of the solver's operator, as
+    H is a dense matrix or a ``linalg._EdgeOperator``.  ``start``
+    (n x s, s <= k + 1) holds vectors of the solver's operator, as
     :func:`linalg.top_k_eig` takes them; ``meta`` is as in
     :func:`spectral_ksync`.
     """
     eig = linalg.top_k_eig if solver == EIG_H else linalg.degree_normalized_eig
-    pairs = eig(_operator(g), k, tol=tol, start=start)
+    pairs = eig(H, k, tol=tol, start=start)
     meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
             "krylov_steps": pairs.krylov_steps}
     return _estimate(pairs.values, pairs.vectors, meta)
@@ -114,7 +116,7 @@ def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     ``meta`` carries the eigensolve's worst residual (``eig_residual_max``),
     its ``ties`` and its ``krylov_steps``.
     """
-    return _spectral(g, k, EIG_H)
+    return _spectral(_operator(g), k, EIG_H)
 
 
 def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
@@ -122,7 +124,7 @@ def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
 
     ``meta`` holds the same eigensolve diagnostics as :func:`spectral_ksync`.
     """
-    return _spectral(g, k, EIG_R)
+    return _spectral(_operator(g), k, EIG_R)
 
 
 def _row_normalize(V: np.ndarray, fallback: np.ndarray) -> np.ndarray:

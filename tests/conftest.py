@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ksync import linalg
@@ -14,3 +15,13 @@ def blas_threads():
     set_(2)
     yield get
     set_(saved)
+
+
+def dense_matrix(H):
+    """H as a dense matrix: itself, or a ``linalg._EdgeOperator``'s entries."""
+    if not isinstance(H, linalg._EdgeOperator):
+        return H
+    M = np.zeros(H.shape, dtype=complex)
+    M[H.src, H.dst] = H.values
+    M[np.diag_indices(H.shape[0])] = H.diagonal
+    return M

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import dense_matrix
 from ksync import disentangle, linalg
 from ksync.core import (
     AngleGroups,
     MeasurementGraph,
     SyncEstimate,
     TWO_PI,
+    build_measurement_matrix,
     circular_distance,
     load_graph,
     save_graph,
@@ -25,8 +27,10 @@ from ksync.disentangle import (
     residual_matrices,
 )
 from ksync.genmodel import MixtureParams, child_seed, sample_angles, sample_er_mixture, substream
-from ksync.grp import build_patches, make_two_configurations
-from ksync.sync import EIG_H, EIG_R, estimate_from_angles, evaluate, solve, spectral_ksync
+from ksync.grp import asap_recover, build_patches, make_two_configurations
+from ksync.sync import (
+    EIG_H, EIG_R, _spectral, estimate_from_angles, evaluate, solve, spectral_ksync,
+)
 
 
 def mixture(n, p, lam, seed, k=None):
@@ -336,7 +340,8 @@ class TestWarmRounds:
         assert all(start is not None for _, _, start, _ in solves)
         # EIG-R's spy sees S = D^{-1/2} H D^{-1/2}; the state holds R's residuals
         for H, _, _, pairs in solves[-2:]:
-            assert pairs.residuals.max() <= linalg.DEFAULT_TOL * linalg.spectral_norm(H)
+            norm = linalg.spectral_norm(dense_matrix(H))
+            assert pairs.residuals.max() <= linalg.DEFAULT_TOL * norm
         assert [st.krylov_steps for st in states] == [
             tuple(pairs.krylov_steps for *_, pairs in solves[2 * r:2 * r + 2]) for r in range(3)]
         if solver == EIG_H:
@@ -461,6 +466,69 @@ class TestSyncSubgraph:
                                eigenvalues=[1.0, 0.0], eigenvectors=np.vstack([z[0], 0 * z[1]]))
         states = iterate_disentangle(g, DisentangleConfig(k=2, iterations=2), initial)
         assert all(min(st.krylov_steps) >= 1 for st in states)
+
+    @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
+    @pytest.mark.parametrize("lam", [0.2, 1.0], ids=["sparse", "dense"])
+    def test_edge_list_solve_matches_the_dense_matrix(self, solver, lam):
+        # the dense oracle: the component subgraph's measurement matrix,
+        # solved from the same start
+        groups, g = mixture(150, (0.6, 0.3), lam, 21)
+        mask = g.labels != 2
+        prev = _sync_subgraph(g, g.labels == 1, solver)
+        theta, vector, _, meta = _sync_subgraph(g, mask, solver, (prev[1], prev[0]))
+        comp, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
+        index = np.full(g.n, -1)
+        index[comp] = np.arange(comp.size)
+        edge_in = mask & (index[g.ii] >= 0)
+        sub = MeasurementGraph(n=comp.size, ii=index[g.ii[edge_in]], jj=index[g.jj[edge_in]],
+                               theta=g.theta[edge_in])
+        dense = _spectral(build_measurement_matrix(sub), 1, solver,
+                          start=prev[1][comp][:, None])
+        align = np.vdot(dense.eigenvectors[0], vector[comp])
+        drift = np.exp(1j * (theta[comp] - dense.theta_hat[0])) * np.conj(align)
+        assert np.abs(np.angle(drift)).max() <= 1e-8
+        assert np.linalg.norm(vector[comp] - dense.eigenvectors[0] * align / abs(align)) <= 1e-8
+        assert meta["krylov_steps"] == dense.meta["krylov_steps"]
+
+
+def _operator_kinds(monkeypatch):
+    """Record the operator type of every subgraph solve, and count the
+    destination orderings of graph edges."""
+    kinds, orders = [], []
+    spectral, destination_order = disentangle._spectral, linalg._destination_order
+
+    def spy(H, k, solver, start=None, tol=linalg.DEFAULT_TOL):
+        kinds.append(type(H))
+        return spectral(H, k, solver, start=start, tol=tol)
+
+    def counting(ii, jj):
+        orders.append(ii.size)
+        return destination_order(ii, jj)
+
+    monkeypatch.setattr(disentangle, "_spectral", spy)
+    monkeypatch.setattr(linalg, "_destination_order", counting)
+    return kinds, orders
+
+
+class TestOperatorTraffic:
+    def test_acceptance_9_rounds_take_the_edge_list(self, monkeypatch):
+        n, k, p = 500, 3, (0.18, 0.15, 0.12)
+        groups = sample_angles(n, k, child_seed(99, 0, 0xA))
+        g = sample_er_mixture(MixtureParams(n=n, k=k, lam=0.3, p=p, seed=child_seed(99, 0, 0xB)),
+                              groups)
+        initial = spectral_ksync(g, k)
+        kinds, orders = _operator_kinds(monkeypatch)
+        iterate_disentangle(g, DisentangleConfig(k=k, iterations=2), initial)
+        assert kinds == [linalg._EdgeOperator] * 6
+        assert orders == [g.m]
+
+    def test_grp_n400_solves_take_the_edge_list(self, monkeypatch):
+        ps, g = build_patches(make_two_configurations(400, seed=1), sigma=0.0, seed=1)
+        kinds, orders = _operator_kinds(monkeypatch)
+        asap_recover(ps, g, DisentangleConfig(k=2, iterations=2))
+        # two rounds of two groups, then the two final re-solves
+        assert kinds == [linalg._EdgeOperator] * 6
+        assert orders == [g.m, g.m]
 
 
 class TestStateDiagnostics:

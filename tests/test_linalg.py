@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_matrix
 from ksync import linalg
 from ksync.core import (
     TWO_PI,
@@ -601,6 +602,97 @@ class TestWarmStart:
         H, _ = _mixture_operator(n=10)
         with pytest.raises(ValueError, match=match):
             eig(H, 2, start=start)
+
+
+def edge_operator_and_matrix(g, diagonal):
+    """The graph's measurement operator as a ``linalg._EdgeOperator`` and as the
+    dense oracle, both with the given (scalar or per-node) real diagonal."""
+    E = linalg._EdgeOperator(g.n, g.ii, g.jj, np.exp(1j * g.theta), diagonal,
+                             linalg._destination_order(g.ii, g.jj))
+    H = build_measurement_matrix(g, diagonal=0.0) + np.diag(np.broadcast_to(diagonal, g.n))
+    return E, H
+
+
+def _shuffled_mixture(n, seed, lam=0.5, isolated=3):
+    """A mixture graph on nodes 0..n-1 with its edges in random order and the
+    last ``isolated`` nodes without an edge."""
+    groups = sample_angles(n - isolated, 2, seed)
+    g = sample_er_mixture(
+        MixtureParams(n=n - isolated, k=2, lam=lam, p=(0.4, 0.25), seed=seed + 1), groups)
+    perm = substream(seed + 2).permutation(g.m)
+    return MeasurementGraph(n=n, ii=g.ii[perm], jj=g.jj[perm], theta=g.theta[perm])
+
+
+class TestEdgeOperator:
+    @pytest.mark.parametrize("case", ["isolated-nodes", "vector-diagonal", "no-edges"])
+    def test_products_match_the_dense_matrix(self, case):
+        g = _shuffled_mixture(40, 31)
+        diagonal = 1.0
+        if case == "vector-diagonal":
+            diagonal = substream(32).standard_normal(g.n)
+        elif case == "no-edges":
+            g = MeasurementGraph(n=5, ii=[], jj=[], theta=[])
+            diagonal = np.arange(5.0)
+        E, H = edge_operator_and_matrix(g, diagonal)
+        rng = substream(33)
+        Q = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
+        scale = 1e-14 * max(1.0, np.abs(H).sum(axis=1).max()) * np.abs(Q).max()
+        assert E.shape == H.shape == np.shape(E)
+        for got, want in ((Q @ E, Q @ H), (Q[0] @ E, Q[0] @ H), (E @ Q.T, H @ Q.T),
+                          (E @ Q[1], H @ Q[1]), (np.eye(g.n) @ E, H), (dense_matrix(E), H)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= scale
+
+    def test_restricted_order_is_the_order_of_the_kept_edges(self):
+        g = _shuffled_mixture(40, 34)
+        keep = np.flatnonzero(substream(35).random(g.m) < 0.4)
+        assert np.array_equal(linalg._restricted_order(linalg._destination_order(g.ii, g.jj), keep),
+                              linalg._destination_order(g.ii[keep], g.jj[keep]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eigenpairs_match_the_dense_solve(self, k):
+        # an isolated node would add R's largest eigenvalue, 1, to the top
+        g = _shuffled_mixture(60, 36, lam=0.6, isolated=0)
+        E, H = edge_operator_and_matrix(g, 1.0)
+        for eig in (top_k_eig, degree_normalized_eig):
+            edge, dense = eig(E, k), eig(H, k)
+            scale = spectral_norm(H) if eig is top_k_eig else 1.0
+            assert np.abs(edge.values - dense.values).max() <= 2 * linalg.DEFAULT_TOL * scale
+            assert edge.residuals.max() <= linalg.DEFAULT_TOL * scale
+            for j in range(k):
+                assert abs(np.vdot(dense.vectors[:, j], edge.vectors[:, j])) == pytest.approx(
+                    1.0, abs=1e-8)
+            assert edge.ties == dense.ties
+
+    @pytest.mark.parametrize("values, diagonal", [
+        ([1.0, np.nan], 1.0), ([1.0, np.inf * 1j], 1.0), ([1.0, 1.0], [1.0, 1.0, -np.inf]),
+    ], ids=["nan-value", "inf-value", "inf-diagonal"])
+    def test_non_finite_entries_rejected(self, values, diagonal):
+        E = linalg._EdgeOperator(3, [0, 1], [1, 2], values, diagonal, np.array([2, 0, 3, 1]))
+        for eig in (top_k_eig, degree_normalized_eig):
+            with pytest.raises(HermitianityError, match="non-finite"):
+                eig(E, 1)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_normalized_operator_is_exactly_mirrored(self, n, monkeypatch):
+        # S = D^{-1/2} H D^{-1/2} passes the Hermitian check in its one
+        # equality pass, and on the edge list holds the dense S's entries
+        H, _ = _mixture_operator(n=n)
+        seen = []
+        top_k = linalg.top_k_eig
+
+        def spy(S, k, tol=linalg.DEFAULT_TOL, start=None):
+            seen.append(S)
+            return top_k(S, k, tol=tol, start=start)
+
+        monkeypatch.setattr(linalg, "top_k_eig", spy)
+        degree_normalized_eig(H, 2)
+        assert linalg._exactly_mirrored(seen[0])
+        g = _shuffled_mixture(n, 38)
+        E, H = edge_operator_and_matrix(g, 1.0)
+        degree_normalized_eig(E, 2)
+        degree_normalized_eig(H, 2)
+        assert np.abs(dense_matrix(seen[1]) - seen[2]).max() <= 1e-15
 
 
 def _draw_instance(n, seed, p=(0.4, 0.25), lam=0.8):
