@@ -11,7 +11,8 @@ block step; only the last round's angles are output, so only the last
 round is solved to ``linalg.DEFAULT_TOL``.  A group's subgraph is solved on
 a Hermitian edge list (``linalg._EdgeOperator``) built straight from its
 edge arrays, not on a dense n x n matrix; the graph's directed edges are
-ordered by destination once per call, not per solve.
+ordered by destination, and its offsets turned into phases e^{i theta},
+once per call, not per solve.
 """
 
 from __future__ import annotations
@@ -145,14 +146,16 @@ def _largest_component(n: int, ii, jj) -> tuple[np.ndarray, bool]:
 
 def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
                    prev: tuple[np.ndarray, np.ndarray] | None = None,
-                   tol: float = linalg.DEFAULT_TOL, order: np.ndarray | None = None
+                   tol: float = linalg.DEFAULT_TOL, order: np.ndarray | None = None,
+                   phases: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, bool, dict]:
     """Synchronize one assigned subgraph (k=1) to eigen-residual ``tol``.
 
     Only the largest connected component of the subgraph support is
     synchronized; remaining nodes get angle 0 and eigenvector entry 0.
     Its measurement operator is a ``linalg._EdgeOperator``; ``order`` is
-    ``linalg._destination_order(g.ii, g.jj)``, computed here when not given.
+    ``linalg._destination_order(g.ii, g.jj)`` and ``phases`` is
+    ``np.exp(1j * g.theta)``, each computed here when not given.
     ``prev`` is the group's previous (eigenvector, angles), both of length n;
     the solve starts from the eigenvector restricted to the component, or
     from e^{i angles} there when that restriction is all zero (the support
@@ -177,8 +180,8 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
     edges = edges[index[ii] >= 0]
     if order is None:
         order = linalg._destination_order(g.ii, g.jj)
-    H = linalg._EdgeOperator(comp.size, index[g.ii[edges]], index[g.jj[edges]],
-                             np.exp(1j * g.theta[edges]), 1.0,
+    values = np.exp(1j * g.theta[edges]) if phases is None else phases[edges]
+    H = linalg._EdgeOperator(comp.size, index[g.ii[edges]], index[g.jj[edges]], values, 1.0,
                              linalg._restricted_order(order, edges))
     start = None
     if prev is not None:
@@ -273,6 +276,7 @@ def iterate_disentangle(
     theta = np.asarray(initial.theta_hat, dtype=float)
     vectors = np.asarray(initial.eigenvectors, dtype=complex)
     order = linalg._destination_order(g.ii, g.jj)
+    phases = np.exp(1j * g.theta)
     states: list[DisentangleState] = []
     for r in range(1, cfg.iterations + 1):
         psi = residual_matrices(g, theta)
@@ -283,7 +287,7 @@ def iterate_disentangle(
         flags, metas = [], []
         for l in range(cfg.k):
             new_theta[l], new_vectors[l], flag, meta = _sync_subgraph(
-                g, assignment == l, cfg.solver, (vectors[l], theta[l]), tol, order)
+                g, assignment == l, cfg.solver, (vectors[l], theta[l]), tol, order, phases)
             flags.append(flag)
             metas.append(meta)
         # each edge against its own group's new angles: row l of new_theta
@@ -294,7 +298,8 @@ def iterate_disentangle(
         # the threshold included; a group that keeps none gets -inf
         threshold = np.full(cfg.k, -np.inf)
         for l in range(cfg.k):
-            res_l = res[assignment == l]
+            # ids and a gather: indexing by the scattered mask itself is slower
+            res_l = res[np.flatnonzero(assignment == l)]
             keep = int(np.ceil((1.0 - fractions[l]) * res_l.size - 1e-12))
             if keep:
                 threshold[l] = np.partition(res_l, keep - 1)[keep - 1]

@@ -131,10 +131,20 @@ def sample_er_mixture(params: MixtureParams, groups: AngleGroups) -> Measurement
     OUTLIER).  Ground-truth labels are recorded on the graph.
     """
     rng = substream(params.seed)
-    # the pair mask first, so the two n(n-1)/2 index arrays are freed before the tail
-    present = rng.random(params.n * (params.n - 1) // 2) < params.lam
-    ii, jj = (idx[present] for idx in np.triu_indices(params.n, k=1))
+    n = params.n
+    # only the drawn pairs are mapped to (i, j): no n(n-1)/2 index array
+    ii, jj = _upper_pairs(n, np.flatnonzero(rng.random(n * (n - 1) // 2) < params.lam))
     return _mixture_graph(rng, params, groups, ii, jj)
+
+
+def _upper_pairs(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the ascending flat indices ``flat`` into the pairs i < j of n
+    nodes, in ``np.triu_indices(n, 1)`` order: pair f lies in row i when
+    row_start[i] <= f < row_start[i + 1]."""
+    rows = np.arange(n)
+    row_start = rows * (2 * n - rows - 1) // 2
+    ii = np.searchsorted(row_start, flat, side="right") - 1
+    return ii, flat - row_start[ii] + ii + 1
 
 
 def _ba_edges(n: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -6,12 +6,15 @@ replace).  It and :func:`degree_normalized_eig` take a dense matrix or the
 private :class:`_EdgeOperator`, a Hermitian edge list whose products cost
 O(m) per vector instead of O(n^2); Lanczos reaches either only through
 ``Q @ H`` and ``H @ X``, and checks the edge list in O(m), since it is
-Hermitian by construction.  It returns the top-k Ritz pairs once they have
-converged and pair k + 1 has converged far enough to decide whether it ties
-with pair k; every returned pair is then checked against
-||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken from the extreme Ritz
-values (an underestimate, so the check is never looser than with the exact
-norm).  The basis grows only as far as convergence needs; at dimension n it
+Hermitian by construction.  :func:`degree_normalized_eig` hands
+:func:`top_k_eig` the private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2}
+on either kind, which scales the products with H by D^{-1/2} instead of
+forming a second matrix, and is checked in O(n).  :func:`top_k_eig` returns
+the top-k Ritz pairs once they have converged and pair k + 1 has converged
+far enough to decide whether it ties with pair k; every returned pair is
+then checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken
+from the extreme Ritz values (an underestimate, so the check is never looser
+than with the exact norm).  The basis grows only as far as convergence needs; at dimension n it
 spans the whole space and the Ritz pairs are exact.
 SDP-BM runs the same Lanczos code through the private :func:`_top_k`,
 which skips the input checks for matrices Hermitian by construction.
@@ -29,7 +32,6 @@ BLAS thread count and a sweep's ``threads`` are its whole CPU budget.
 from __future__ import annotations
 
 import contextlib
-import copy
 import ctypes
 import dataclasses
 import functools
@@ -196,11 +198,35 @@ class _EdgeOperator:
         X = np.asarray(X)
         return (X.conj().T @ self).conj().T
 
-    def scaled(self, x: np.ndarray) -> "_EdgeOperator":
-        """The operator with entries H_ij * (x_i * x_j), for a real vector x."""
-        out = copy.copy(self)
-        out.values = self.values * (x[self.src] * x[self.dst])
-        out.diagonal = self.diagonal * (x * x)
+
+class _ScaledOperator:
+    """The Hermitian operator S = diag(x) H diag(x) of a Hermitian H (a dense
+    matrix or an :class:`_EdgeOperator`) and a real vector x, held as H and x.
+
+    S_ij = x_i H_ij x_j is never formed: ``Q @ S`` and ``S @ X`` cost one
+    product with H and two scalings by x.  H must have passed
+    :func:`_as_hermitian` already, which then checks only x.
+    """
+
+    # numpy defers Q @ S to __rmatmul__ instead of converting the operator
+    __array_ufunc__ = None
+
+    def __init__(self, H, x: np.ndarray):
+        self.H = H
+        self.x = x
+        self.shape = H.shape
+
+    def __rmatmul__(self, Q):
+        """Q @ S = ((Q * x) @ H) * x for a vector or a stack of row vectors Q."""
+        out = (Q * self.x) @ self.H
+        out *= self.x
+        return out
+
+    def __matmul__(self, X):
+        """S @ X = x * (H @ (x * X)) for a vector or a column block X."""
+        x = self.x if np.ndim(X) == 1 else self.x[:, None]
+        out = self.H @ (x * X)
+        out *= x
         return out
 
 
@@ -252,6 +278,11 @@ def _as_hermitian(M):
         # Hermitian by construction: only its values can be wrong, in O(m)
         if not (np.all(np.isfinite(M.values)) and np.all(np.isfinite(M.diagonal))):
             raise HermitianityError("edge operator has a non-finite value or diagonal entry")
+        return M
+    if isinstance(M, _ScaledOperator):
+        # its H was checked already: only x can be wrong, in O(n)
+        if not np.all((M.x > 0.0) & (M.x < np.inf)):
+            raise HermitianityError("scaled operator has a weight that is not finite and positive")
         return M
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -423,8 +454,8 @@ def _check_start(start, n: int, k: int) -> np.ndarray | None:
 
 
 def top_k_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
-    """The k algebraically largest eigenpairs of a Hermitian matrix or
-    :class:`_EdgeOperator`.
+    """The k algebraically largest eigenpairs of a Hermitian matrix,
+    :class:`_EdgeOperator` or :class:`_ScaledOperator`.
 
     Computed by block Lanczos on the top min(k + 1, n) pairs, so ``ties``
     sees the gap to pair k + 1.  ``start`` (n x s, s <= min(k + 1, n)), such
@@ -473,39 +504,47 @@ def spectral_norm(M) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
+def _degrees(H) -> np.ndarray:
+    """Row sums d_i = sum_j |H_ij| (the diagonal term included) of a checked H.
+
+    A dense H is summed one ``HERMITIAN_BLOCK`` of rows at a time, which
+    gives ``np.sum(np.abs(H), axis=1)`` bit for bit without its n x n
+    temporary.
+    """
+    if isinstance(H, _EdgeOperator):
+        return np.abs(H.diagonal) + np.bincount(H.dst, np.abs(H.values), H.shape[0])
+    d = np.empty(H.shape[0])
+    for i in range(0, H.shape[0], HERMITIAN_BLOCK):
+        block = slice(i, i + HERMITIAN_BLOCK)
+        np.sum(np.abs(H[block]), axis=1, out=d[block])
+    return d
+
+
 def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
     """Top-k eigenpairs of the degree-normalized operator R = D^{-1} H.
 
-    H is a Hermitian matrix or :class:`_EdgeOperator`, and S below is of the
-    same kind.  D is diagonal with D_ii = sum_j |H_ij| (the diagonal term
-    included).
+    H is a Hermitian matrix or :class:`_EdgeOperator`.  D is diagonal with
+    D_ii = sum_j |H_ij| (the diagonal term included).
     R is similar to the Hermitian S = D^{-1/2} H D^{-1/2}; eigenvalues are
     computed from S, and eigenvectors of R are returned as D^{-1/2} times
     the eigenvectors of S, re-normalized to unit norm.  Those vectors are
     generally not mutually orthogonal (they are orthogonal in the
     D^{1/2}-weighted inner product); residuals are measured against R.
+    S is a :class:`_ScaledOperator` on H, so no n x n array besides H is
+    made.
     A warm ``start`` holds vectors of R, as :func:`top_k_eig` takes them;
     S starts from D^{1/2} times them.  :func:`top_k_eig` checks k on S.
     """
     H = _as_hermitian(H)
     start = _check_start(start, H.shape[0], k)
-    if isinstance(H, _EdgeOperator):
-        d = np.abs(H.diagonal) + np.bincount(H.dst, np.abs(H.values), H.shape[0])
-    else:
-        d = np.sum(np.abs(H), axis=1)
+    d = _degrees(H)
     if np.any(d <= 0.0):
         bad = int(np.nonzero(d <= 0.0)[0][0])
         raise ValueError(f"isolated node {bad}: zero row sum in |H|")
     dinv_sqrt = 1.0 / np.sqrt(d)
-    # one product x_i * x_j per pair weighs both H_ij and H_ji, so S is
-    # exactly mirrored whenever H is
-    if isinstance(H, _EdgeOperator):
-        S = H.scaled(dinv_sqrt)
-    else:
-        S = H * (dinv_sqrt[:, None] * dinv_sqrt[None, :])
     if start is not None:
         start = np.sqrt(d)[:, None] * start
-    pairs = top_k_eig(S, k, tol=tol, start=start)
+    pairs = top_k_eig(_ScaledOperator(H, dinv_sqrt), k, tol=tol, start=start)
     vectors = dinv_sqrt[:, None] * pairs.vectors
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     residuals = np.linalg.norm((H @ vectors) / d[:, None] - vectors * pairs.values, axis=0)

@@ -18,7 +18,10 @@ def blas_threads():
 
 
 def dense_matrix(H):
-    """H as a dense matrix: itself, or a ``linalg._EdgeOperator``'s entries."""
+    """H as a dense matrix: itself, or the entries of a ``linalg._EdgeOperator``
+    or a ``linalg._ScaledOperator``."""
+    if isinstance(H, linalg._ScaledOperator):
+        return dense_matrix(H.H) * np.outer(H.x, H.x)
     if not isinstance(H, linalg._EdgeOperator):
         return H
     M = np.zeros(H.shape, dtype=complex)

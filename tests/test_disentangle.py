@@ -418,6 +418,18 @@ class TestWarmRounds:
             assert np.abs(moved).max() <= 1e-8
             assert np.linalg.norm(final.eigenvectors[l] - vector * align / abs(align)) <= 1e-8
 
+    @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
+    def test_shared_phases_give_the_same_bytes(self, solver):
+        # the phases iterate_disentangle computes once per call, gathered per
+        # solve, are the phases a solve computes for its own edges
+        groups, g = mixture(150, (0.45, 0.3), 0.5, 16)
+        mask = g.labels == 1
+        own = _sync_subgraph(g, mask, solver)
+        shared = _sync_subgraph(g, mask, solver, phases=np.exp(1j * g.theta))
+        for a, b in zip(own[:2], shared[:2]):
+            assert a.tobytes() == b.tobytes()
+        assert own[3] == shared[3]
+
 
 class TestSyncSubgraph:
     def test_equal_components_tie_to_smallest_node(self):

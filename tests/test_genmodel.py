@@ -134,6 +134,17 @@ class TestSampleErMixture:
         assert fracs[2] == pytest.approx(0.2, abs=0.02)
         assert fracs[0] == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 57])
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_edges_are_the_drawn_pairs_of_triu_indices(self, n, lam):
+        # the same draws mapped to the upper triangle in np.triu_indices order
+        params = MixtureParams(n=n, k=1, lam=lam, p=(0.5,), seed=n)
+        g = sample_er_mixture(params, sample_angles(n, 1, n))
+        present = substream(n).random(n * (n - 1) // 2) < lam
+        ii, jj = (idx[present] for idx in np.triu_indices(n, k=1))
+        assert g.ii.dtype == ii.dtype and g.jj.dtype == jj.dtype
+        assert np.array_equal(g.ii, ii) and np.array_equal(g.jj, jj)
+
     def test_shape_mismatch(self):
         params = MixtureParams(n=10, k=2, lam=1.0, p=(0.5, 0.4), seed=0)
         with pytest.raises(ValueError):

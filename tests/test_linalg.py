@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -673,11 +674,11 @@ class TestEdgeOperator:
             with pytest.raises(HermitianityError, match="non-finite"):
                 eig(E, 1)
 
-    @pytest.mark.parametrize("n", [60, 300])
-    def test_normalized_operator_is_exactly_mirrored(self, n, monkeypatch):
-        # S = D^{-1/2} H D^{-1/2} passes the Hermitian check in its one
-        # equality pass, and on the edge list holds the dense S's entries
-        H, _ = _mixture_operator(n=n)
+
+class TestScaledOperator:
+    @staticmethod
+    def _scaled_operator(H, monkeypatch):
+        """The operator degree_normalized_eig hands top_k_eig for H."""
         seen = []
         top_k = linalg.top_k_eig
 
@@ -687,12 +688,46 @@ class TestEdgeOperator:
 
         monkeypatch.setattr(linalg, "top_k_eig", spy)
         degree_normalized_eig(H, 2)
-        assert linalg._exactly_mirrored(seen[0])
-        g = _shuffled_mixture(n, 38)
+        return seen[0]
+
+    @pytest.mark.parametrize("kind", ["dense", "edge-list"])
+    def test_products_match_the_dense_normalized_matrix(self, kind, monkeypatch):
+        g = _shuffled_mixture(60, 38)
         E, H = edge_operator_and_matrix(g, 1.0)
-        degree_normalized_eig(E, 2)
-        degree_normalized_eig(H, 2)
-        assert np.abs(dense_matrix(seen[1]) - seen[2]).max() <= 1e-15
+        x = 1.0 / np.sqrt(np.sum(np.abs(H), axis=1))
+        want_S = H * np.outer(x, x)
+        S = self._scaled_operator(H if kind == "dense" else E, monkeypatch)
+        assert isinstance(S, linalg._ScaledOperator)
+        assert np.shape(S) == want_S.shape
+        rng = substream(39)
+        Q = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
+        scale = 1e-14 * max(1.0, np.abs(want_S).sum(axis=1).max()) * np.abs(Q).max()
+        for got, want in ((Q @ S, Q @ want_S), (Q[0] @ S, Q[0] @ want_S),
+                          (S @ Q.T, want_S @ Q.T), (S @ Q[1], want_S @ Q[1])):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= scale
+
+    @pytest.mark.parametrize("x", [[1.0, 0.0, 1.0], [1.0, np.inf, 1.0], [1.0, np.nan, 1.0],
+                                   [1.0, -1.0, 1.0]], ids=["zero", "inf", "nan", "negative"])
+    def test_weights_not_finite_and_positive_rejected(self, x):
+        S = linalg._ScaledOperator(np.eye(3, dtype=complex), np.array(x))
+        with pytest.raises(HermitianityError, match="not finite and positive"):
+            top_k_eig(S, 1)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_dense_degrees_are_the_row_sums_bit_for_bit(self, n):
+        H = random_hermitian(n, n)
+        assert np.array_equal(linalg._degrees(H), np.sum(np.abs(H), axis=1))
+
+    def test_dense_solve_allocates_no_n_by_n_array(self):
+        H, _ = _mixture_operator(n=600)
+        tracemalloc.start()
+        try:
+            degree_normalized_eig(H, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < H.nbytes / 2
 
 
 def _draw_instance(n, seed, p=(0.4, 0.25), lam=0.8):
