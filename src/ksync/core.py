@@ -215,11 +215,15 @@ class SyncEstimate:
         object.__setattr__(self, "theta_hat", _frozen(np.asarray(self.theta_hat, float)))
         object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, float)))
         object.__setattr__(self, "eigenvectors", _frozen(np.asarray(self.eigenvectors, complex)))
+        if not np.all(np.isfinite(self.theta_hat)):
+            raise ValueError("angles must be finite")
         vals = self.eigenvalues
-        if vals.size > 1 and np.any(np.diff(vals) > 0):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("eigenvalues must be finite")
+        if np.any(vals[1:] > vals[:-1]):
             raise ValueError("eigenvalues must be sorted descending")
         norms = np.linalg.norm(self.eigenvectors, axis=1)
-        if np.any((np.abs(norms - 1.0) > 1e-10) & (norms != 0.0)):
+        if not np.all((np.abs(norms - 1.0) <= 1e-10) | (norms == 0.0)):
             raise ValueError("eigenvectors must have unit norm or be zero")
 
     @property

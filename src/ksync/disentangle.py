@@ -9,10 +9,9 @@ Lanczos from the group's previous eigenvector, which keeps the modulus the
 angles drop, so a round whose subgraph did not change converges in one
 block step; only the last round's angles are output, so only the last
 round is solved to ``linalg.DEFAULT_TOL``.  A group's subgraph is solved on
-a Hermitian edge list (``linalg._EdgeOperator``) built straight from its
-edge arrays, not on a dense n x n matrix; the graph's directed edges are
-ordered by destination, and its offsets turned into phases e^{i theta},
-once per call, not per solve.
+a Hermitian edge list, not on a dense n x n matrix: the restriction of the
+graph's ``linalg._EdgeOperator``, whose edges are sorted by destination and
+exponentiated once per :func:`iterate_disentangle` call, not per solve.
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ class DisentangleConfig:
 
     ``bad_fractions`` gives, per group, the fraction of assigned edges to
     classify as bad each round.  When None it is derived from the graph's
-    ground-truth labels (see :func:`default_bad_fractions`).
+    ground-truth labels, which must lie in 0..k (see
+    :func:`default_bad_fractions`).
     """
 
     k: int
@@ -144,18 +144,17 @@ def _largest_component(n: int, ii, jj) -> tuple[np.ndarray, bool]:
     return comp, comp.size < touched.size
 
 
-def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
-                   prev: tuple[np.ndarray, np.ndarray] | None = None,
-                   tol: float = linalg.DEFAULT_TOL, order: np.ndarray | None = None,
-                   phases: np.ndarray | None = None
+def _sync_subgraph(g: MeasurementGraph, H: linalg._EdgeOperator, mask: np.ndarray,
+                   solver: str, prev: tuple[np.ndarray, np.ndarray] | None = None,
+                   tol: float = linalg.DEFAULT_TOL
                    ) -> tuple[np.ndarray, np.ndarray, bool, dict]:
     """Synchronize one assigned subgraph (k=1) to eigen-residual ``tol``.
 
     Only the largest connected component of the subgraph support is
     synchronized; remaining nodes get angle 0 and eigenvector entry 0.
-    Its measurement operator is a ``linalg._EdgeOperator``; ``order`` is
-    ``linalg._destination_order(g.ii, g.jj)`` and ``phases`` is
-    ``np.exp(1j * g.theta)``, each computed here when not given.
+    ``H`` is the whole graph's ``linalg._EdgeOperator.of_graph``, built once
+    per :func:`iterate_disentangle` or ``asap_recover`` call; the component
+    is solved on its restriction.
     ``prev`` is the group's previous (eigenvector, angles), both of length n;
     the solve starts from the eigenvector restricted to the component, or
     from e^{i angles} there when that restriction is all zero (the support
@@ -173,16 +172,10 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
     if edges.size == 0:
         return theta, vector, True, {"krylov_steps": 0, "eig_residual_max": float("nan"),
                                      "ties": ()}
-    ii = g.ii[edges]
-    comp, disconnected = _largest_component(g.n, ii, g.jj[edges])
+    comp, disconnected = _largest_component(g.n, g.ii[edges], g.jj[edges])
     index = np.full(g.n, -1, dtype=np.int64)
     index[comp] = np.arange(comp.size)
-    edges = edges[index[ii] >= 0]
-    if order is None:
-        order = linalg._destination_order(g.ii, g.jj)
-    values = np.exp(1j * g.theta[edges]) if phases is None else phases[edges]
-    H = linalg._EdgeOperator(comp.size, index[g.ii[edges]], index[g.jj[edges]], values, 1.0,
-                             linalg._restricted_order(order, edges))
+    sub = H.restrict(mask & (index[g.ii] >= 0), index, comp.size)
     start = None
     if prev is not None:
         prev_vector, prev_theta = prev
@@ -190,7 +183,7 @@ def _sync_subgraph(g: MeasurementGraph, mask: np.ndarray, solver: str,
         if not np.any(start):
             start = np.exp(1j * prev_theta[comp])
         start = start[:, None]
-    est = _spectral(H, 1, solver, start=start, tol=tol)
+    est = _spectral(sub, 1, solver, start=start, tol=tol)
     theta[comp] = est.theta_hat[0]
     vector[comp] = est.eigenvectors[0]
     return theta, vector, disconnected, est.meta
@@ -270,24 +263,26 @@ def iterate_disentangle(
             raise ValueError(
                 "bad_fractions not set and graph carries no ground-truth labels"
             )
-        counts = np.array([(g.labels == l).sum() for l in range(cfg.k + 1)], dtype=float)
+        counts = np.bincount(g.labels, minlength=cfg.k + 1).astype(float)
+        if counts.size > cfg.k + 1:
+            raise ValueError(f"graph has edges labelled {counts.size - 1}, above k = {cfg.k}; "
+                             "set bad_fractions")
         fractions = _outlier_shares(counts[1:], float(counts[0]))
 
     theta = np.asarray(initial.theta_hat, dtype=float)
     vectors = np.asarray(initial.eigenvectors, dtype=complex)
-    order = linalg._destination_order(g.ii, g.jj)
-    phases = np.exp(1j * g.theta)
+    H = linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, 1.0)
     states: list[DisentangleState] = []
     for r in range(1, cfg.iterations + 1):
-        psi = residual_matrices(g, theta)
-        assignment, gamma = assign_edges(psi)
+        # psi (k x m) is not held through the group solves
+        assignment, gamma = assign_edges(residual_matrices(g, theta))
         tol = linalg.DEFAULT_TOL if r == cfg.iterations else _ROUND_TOL
         new_theta = np.zeros_like(theta)
         new_vectors = np.zeros_like(vectors)
         flags, metas = [], []
         for l in range(cfg.k):
             new_theta[l], new_vectors[l], flag, meta = _sync_subgraph(
-                g, assignment == l, cfg.solver, (vectors[l], theta[l]), tol, order, phases)
+                g, H, assignment == l, cfg.solver, (vectors[l], theta[l]), tol)
             flags.append(flag)
             metas.append(meta)
         # each edge against its own group's new angles: row l of new_theta

@@ -330,14 +330,13 @@ def asap_recover(
         if ys and ys >= np.sum(labs == 1):
             first = 2
     results: dict[int, np.ndarray] = {}
-    order = linalg._destination_order(g.ii, g.jj)
+    H = linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, 1.0)
     for label, gtype in ((1, first), (2, 3 - first)):
         mask = recovered == label
         if not mask.any():
             raise ValueError(f"group {label}: recovered subgraph has no edges")
         angles, _, _, _ = _sync_subgraph(
-            g, mask, cfg.solver, (final.eigenvectors[label - 1], final.theta_hat[label - 1]),
-            order=order)
+            g, H, mask, cfg.solver, (final.eigenvectors[label - 1], final.theta_hat[label - 1]))
         # restrict assembly to the synchronized (largest) component
         patch_ids, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
         results[gtype] = _assemble(ps, patch_ids, ps.local[gtype - 1], angles[patch_ids])

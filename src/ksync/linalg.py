@@ -4,9 +4,11 @@
 reorthogonalization, fixed-seed start block whose first rows a warm start may
 replace).  It and :func:`degree_normalized_eig` take a dense matrix or the
 private :class:`_EdgeOperator`, a Hermitian edge list whose products cost
-O(m) per vector instead of O(n^2); Lanczos reaches either only through
-``Q @ H`` and ``H @ X``, and checks the edge list in O(m), since it is
-Hermitian by construction.  :func:`degree_normalized_eig` hands
+O(m) per vector instead of O(n^2); a group's edge list is a restriction
+of its graph's, which is sorted and exponentiated once per
+``iterate_disentangle`` or ``asap_recover`` call.  Lanczos reaches either
+only through ``Q @ H`` and ``H @ X``, and checks the edge list in O(m),
+since it is Hermitian by construction.  :func:`degree_normalized_eig` hands
 :func:`top_k_eig` the private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2}
 on either kind, which scales the products with H by D^{-1/2} instead of
 forming a second matrix, and is checked in O(n).  :func:`top_k_eig` returns
@@ -155,12 +157,11 @@ class EigenPairs:
 class _EdgeOperator:
     """Hermitian n x n operator held as a real diagonal and an edge list.
 
-    Edge e (ii[e], jj[e]) with value v_e, ii[e] != jj[e], each pair at most
-    once, is stored once for each direction: H[ii, jj] = v and
-    H[jj, ii] = conj(v), so the operator is Hermitian by construction.  The
-    2m directed entries are grouped by destination column: ``order`` lists
-    them as :func:`_destination_order` gives them (entry e < m is edge e,
-    entry m + e its mirror).
+    Entry t is H[src[t], dst[t]] = values[t] of edge ``edge[t]``, whose two
+    directed entries carry conjugate values, so the operator is Hermitian by
+    construction; entries are grouped by destination.  Only
+    :meth:`of_graph` sorts and exponentiates; :meth:`restrict` gathers a
+    group's operator from the graph's, never sorting again.
     ``diagonal`` is a real scalar or length-n vector.  ``Q @ H`` and
     ``H @ X`` take one gather, one multiply and one segmented sum per
     product, O(m) per row of Q, against O(n^2) dense.
@@ -169,19 +170,35 @@ class _EdgeOperator:
     # numpy defers Q @ H to __rmatmul__ instead of converting the operator
     __array_ufunc__ = None
 
-    def __init__(self, n: int, ii, jj, values, diagonal, order: np.ndarray):
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
-        dst = np.concatenate([jj, ii])
-        values = np.asarray(values, dtype=complex)
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray, edge: np.ndarray,
+                 values: np.ndarray, diagonal):
         self.shape = (n, n)
+        self.src, self.dst, self.edge, self.values = src, dst, edge, values
         self.diagonal = np.asarray(diagonal, dtype=float)
-        self.src = np.concatenate([ii, jj])[order]
-        self.dst = dst[order]
-        self.values = np.concatenate([values, values.conj()])[order]
         # first entry of each destination's run, and that destination
-        self._starts = np.flatnonzero(np.diff(self.dst, prepend=-1))
-        self._columns = self.dst[self._starts]
+        self._starts = np.flatnonzero(np.diff(dst, prepend=-1))
+        self._columns = dst[self._starts]
+
+    @classmethod
+    def of_graph(cls, n: int, ii, jj, theta, diagonal) -> "_EdgeOperator":
+        """H[ii, jj] = e^{i theta} for int64 arrays ii != jj, each pair at most
+        once: entries e, then their mirrors m + e, stably sorted by destination."""
+        values = np.exp(1j * theta)
+        dst = np.concatenate([jj, ii])
+        order = np.argsort(dst, kind="stable")
+        return cls(n, np.concatenate([ii, jj])[order], dst[order],
+                   np.tile(np.arange(ii.size), 2)[order],
+                   np.concatenate([values, values.conj()])[order], diagonal)
+
+    def restrict(self, mask: np.ndarray, index: np.ndarray, size: int) -> "_EdgeOperator":
+        """The operator of the edges with ``mask[edge]`` set, its nodes relabelled
+        by ``index`` (increasing on the ``size`` kept nodes, -1 elsewhere; a kept
+        edge has both ends kept).  Entries keep their order, so src, dst and
+        values match :meth:`of_graph` on those edges; ``edge`` keeps these ids."""
+        kept = np.flatnonzero(mask[self.edge])
+        diagonal = self.diagonal if self.diagonal.ndim == 0 else self.diagonal[index >= 0]
+        return _EdgeOperator(size, index[self.src[kept]], index[self.dst[kept]],
+                             self.edge[kept], self.values[kept], diagonal)
 
     def __rmatmul__(self, Q):
         """Q @ H for a vector or a stack of row vectors Q."""
@@ -228,27 +245,6 @@ class _ScaledOperator:
         out = self.H @ (x * X)
         out *= x
         return out
-
-
-def _destination_order(ii, jj) -> np.ndarray:
-    """The order in which :class:`_EdgeOperator` stores the directed entries of
-    the edges (ii, jj): a stable argsort of ``concatenate([jj, ii])``."""
-    return np.argsort(np.concatenate([jj, ii]), kind="stable")
-
-
-def _restricted_order(order: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """:func:`_destination_order` of the edges with the ascending ids ``edges``,
-    read off the ``order`` of all the edges in O(m).
-
-    Also holds after any relabelling of the nodes that keeps their order.
-    """
-    m, s = order.size // 2, edges.size
-    rank = np.full(2 * m, -1)
-    rank[edges] = np.arange(s)
-    rank[edges + m] = np.arange(s, 2 * s)
-    ranked = rank[order]
-    # flatnonzero and a gather: indexing by a scattered mask is several times slower
-    return ranked[np.flatnonzero(ranked >= 0)]
 
 
 def _exactly_mirrored(M: np.ndarray) -> bool:

@@ -186,6 +186,20 @@ def test_invalid_values_rejected(make, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("eigenvectors", [[1.0, 0.0, 0.0], [np.nan] * 3],
+     "eigenvectors must have unit norm or be zero"),
+    ("eigenvalues", [2.0, np.nan], "eigenvalues must be finite"),
+    ("theta_hat", [[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]], "angles must be finite"),
+], ids=["nan-eigenvector", "nan-eigenvalue", "nan-angle"])
+def test_sync_estimate_rejects_nan(field, value, message):
+    fields = {"theta_hat": np.zeros((2, 3)), "eigenvalues": [2.0, 1.0],
+              "eigenvectors": np.eye(2, 3), field: value}
+    with pytest.raises(ValueError) as exc:
+        SyncEstimate(**fields)
+    assert str(exc.value) == message
+
+
 class TestGraphFile:
     def test_round_trip_with_labels(self, tmp_path):
         g = MeasurementGraph(n=4, ii=[0, 1], jj=[2, 3], theta=[0.25, 5.5],

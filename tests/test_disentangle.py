@@ -33,6 +33,11 @@ from ksync.sync import (
 )
 
 
+def graph_operator(g):
+    """The operator iterate_disentangle builds once for g's group solves."""
+    return linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, 1.0)
+
+
 def mixture(n, p, lam, seed, k=None):
     k = k if k is not None else len(p)
     groups = sample_angles(n, k, child_seed(seed, 1))
@@ -169,6 +174,20 @@ class TestBadFractions:
 
     def test_zero_eta(self):
         assert default_bad_fractions((0.6, 0.4)) == pytest.approx((0.0, 0.0))
+
+    def test_labels_above_k_rejected_without_fractions(self):
+        # a third group's edges are neither good nor outliers to a k = 2 run,
+        # so label-derived fractions would miss them
+        groups = sample_angles(60, 3, 1)
+        g = sample_er_mixture(MixtureParams(n=60, k=3, lam=0.8, p=(0.4, 0.3, 0.2), seed=2),
+                              groups)
+        initial = spectral_ksync(g, 2)
+        with pytest.raises(ValueError) as exc:
+            iterate_disentangle(g, DisentangleConfig(k=2), initial)
+        assert str(exc.value) == "graph has edges labelled 3, above k = 2; set bad_fractions"
+        # given fractions, the labels are not read
+        cfg = DisentangleConfig(k=2, iterations=1, bad_fractions=(0.3, 0.3))
+        assert len(iterate_disentangle(g, cfg, initial)) == 1
 
     def test_missing_labels_and_fractions_rejected(self):
         groups, g = mixture(30, (0.6, 0.3), 1.0, 8)
@@ -361,11 +380,11 @@ class TestWarmRounds:
         states = iterate_disentangle(g, DisentangleConfig(k=k, iterations=20),
                                      spectral_ksync(g, k))
         warm = sum(sum(st.krylov_steps) for st in states)
-        cold = 0
+        cold, H = 0, graph_operator(g)
         for st in states:
             tol = linalg.DEFAULT_TOL if st is states[-1] else disentangle._ROUND_TOL
             for l in range(k):
-                cold += _sync_subgraph(g, st.assignment == l, EIG_H, tol=tol)[3]["krylov_steps"]
+                cold += _sync_subgraph(g, H, st.assignment == l, EIG_H, tol=tol)[3]["krylov_steps"]
         assert warm < cold
 
     def test_round_tolerance_barely_moves_the_next_assignment(self):
@@ -376,12 +395,12 @@ class TestWarmRounds:
         initial = spectral_ksync(g, 3)
         states = iterate_disentangle(g, DisentangleConfig(k=3, iterations=5), initial)
         theta, vectors = initial.theta_hat, initial.eigenvectors
-        differ = []
+        differ, H = [], graph_operator(g)
         for st in states:
             nxt = []
             for tol in (disentangle._ROUND_TOL, linalg.DEFAULT_TOL):
                 angles = np.array([
-                    _sync_subgraph(g, st.assignment == l, EIG_H, (vectors[l], theta[l]), tol)[0]
+                    _sync_subgraph(g, H, st.assignment == l, EIG_H, (vectors[l], theta[l]), tol)[0]
                     for l in range(3)])
                 nxt.append(assign_edges(residual_matrices(g, angles))[0])
             differ.append(int(np.sum(nxt[0] != nxt[1])))
@@ -410,25 +429,14 @@ class TestWarmRounds:
         final = iterate_disentangle(g, DisentangleConfig(k=2, iterations=5, solver=solver),
                                     solve(g, 2, solver))[-1]
         for l in range(2):
-            theta, vector, _, _ = _sync_subgraph(g, final.assignment == l, solver)
+            theta, vector, _, _ = _sync_subgraph(g, graph_operator(g), final.assignment == l,
+                                                 solver)
             # both solves meet the DEFAULT_TOL residual contract, which pins
             # the eigenvector to about 1e-11 here: align the global phase
             align = np.vdot(vector, final.eigenvectors[l])
             moved = np.angle(np.exp(1j * (final.theta_hat[l] - theta)) * np.conj(align))
             assert np.abs(moved).max() <= 1e-8
             assert np.linalg.norm(final.eigenvectors[l] - vector * align / abs(align)) <= 1e-8
-
-    @pytest.mark.parametrize("solver", [EIG_H, EIG_R])
-    def test_shared_phases_give_the_same_bytes(self, solver):
-        # the phases iterate_disentangle computes once per call, gathered per
-        # solve, are the phases a solve computes for its own edges
-        groups, g = mixture(150, (0.45, 0.3), 0.5, 16)
-        mask = g.labels == 1
-        own = _sync_subgraph(g, mask, solver)
-        shared = _sync_subgraph(g, mask, solver, phases=np.exp(1j * g.theta))
-        for a, b in zip(own[:2], shared[:2]):
-            assert a.tobytes() == b.tobytes()
-        assert own[3] == shared[3]
 
 
 class TestSyncSubgraph:
@@ -439,7 +447,8 @@ class TestSyncSubgraph:
         g = MeasurementGraph.from_edges(7, [(i, j, wrap_angle(a[i] - a[j])) for i, j in tri])
         comp, disconnected = _largest_component(g.n, g.ii, g.jj)
         assert comp.tolist() == [1, 2, 3] and disconnected
-        theta, vector, flag, _ = _sync_subgraph(g, np.ones(g.m, dtype=bool), EIG_H)
+        theta, vector, flag, _ = _sync_subgraph(g, graph_operator(g), np.ones(g.m, dtype=bool),
+                                                EIG_H)
         assert flag
         assert theta[[0, 4, 5, 6]].tolist() == [0.0] * 4
         assert vector[[0, 4, 5, 6]].tolist() == [0.0] * 4
@@ -464,7 +473,8 @@ class TestSyncSubgraph:
             return spectral(sub, k, solver, start=start, tol=tol)
 
         monkeypatch.setattr(disentangle, "_spectral", spy)
-        theta, vector, _, _ = _sync_subgraph(g, mask, EIG_H, (prev_vector, groups.theta[0]))
+        theta, vector, _, _ = _sync_subgraph(g, graph_operator(g), mask, EIG_H,
+                                             (prev_vector, groups.theta[0]))
         assert np.array_equal(starts[0][:, 0], np.exp(1j * groups.theta[0][comp]))
         res = _residuals(theta, g.ii[mask], g.jj[mask], g.theta[mask])
         assert res.max() <= 1e-8 and np.count_nonzero(vector) == comp.size
@@ -486,8 +496,9 @@ class TestSyncSubgraph:
         # solved from the same start
         groups, g = mixture(150, (0.6, 0.3), lam, 21)
         mask = g.labels != 2
-        prev = _sync_subgraph(g, g.labels == 1, solver)
-        theta, vector, _, meta = _sync_subgraph(g, mask, solver, (prev[1], prev[0]))
+        H = graph_operator(g)
+        prev = _sync_subgraph(g, H, g.labels == 1, solver)
+        theta, vector, _, meta = _sync_subgraph(g, H, mask, solver, (prev[1], prev[0]))
         comp, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
         index = np.full(g.n, -1)
         index[comp] = np.arange(comp.size)
@@ -504,22 +515,22 @@ class TestSyncSubgraph:
 
 
 def _operator_kinds(monkeypatch):
-    """Record the operator type of every subgraph solve, and count the
-    destination orderings of graph edges."""
-    kinds, orders = [], []
-    spectral, destination_order = disentangle._spectral, linalg._destination_order
+    """Record the operator type of every subgraph solve, and the edge count of
+    every graph operator built."""
+    kinds, builds = [], []
+    spectral, of_graph = disentangle._spectral, linalg._EdgeOperator.of_graph
 
     def spy(H, k, solver, start=None, tol=linalg.DEFAULT_TOL):
         kinds.append(type(H))
         return spectral(H, k, solver, start=start, tol=tol)
 
-    def counting(ii, jj):
-        orders.append(ii.size)
-        return destination_order(ii, jj)
+    def counting(n, ii, jj, theta, diagonal):
+        builds.append(ii.size)
+        return of_graph(n, ii, jj, theta, diagonal)
 
     monkeypatch.setattr(disentangle, "_spectral", spy)
-    monkeypatch.setattr(linalg, "_destination_order", counting)
-    return kinds, orders
+    monkeypatch.setattr(linalg._EdgeOperator, "of_graph", counting)
+    return kinds, builds
 
 
 class TestOperatorTraffic:
@@ -529,18 +540,18 @@ class TestOperatorTraffic:
         g = sample_er_mixture(MixtureParams(n=n, k=k, lam=0.3, p=p, seed=child_seed(99, 0, 0xB)),
                               groups)
         initial = spectral_ksync(g, k)
-        kinds, orders = _operator_kinds(monkeypatch)
+        kinds, builds = _operator_kinds(monkeypatch)
         iterate_disentangle(g, DisentangleConfig(k=k, iterations=2), initial)
         assert kinds == [linalg._EdgeOperator] * 6
-        assert orders == [g.m]
+        assert builds == [g.m]
 
     def test_grp_n400_solves_take_the_edge_list(self, monkeypatch):
         ps, g = build_patches(make_two_configurations(400, seed=1), sigma=0.0, seed=1)
-        kinds, orders = _operator_kinds(monkeypatch)
+        kinds, builds = _operator_kinds(monkeypatch)
         asap_recover(ps, g, DisentangleConfig(k=2, iterations=2))
         # two rounds of two groups, then the two final re-solves
         assert kinds == [linalg._EdgeOperator] * 6
-        assert orders == [g.m, g.m]
+        assert builds == [g.m, g.m]
 
 
 class TestStateDiagnostics:
@@ -555,7 +566,8 @@ class TestStateDiagnostics:
             g = MeasurementGraph.from_edges(4, edges)
             final = iterate_disentangle(g, cfg, start)[-1]
             assert final.ties == (ties,)
-            assert _sync_subgraph(g, np.ones(4, dtype=bool), EIG_H)[3]["ties"] == ties
+            assert _sync_subgraph(g, graph_operator(g), np.ones(4, dtype=bool),
+                                  EIG_H)[3]["ties"] == ties
 
     def test_eigenvectors_carry_the_angles(self):
         groups, g = mixture(80, (0.4, 0.3), 0.9, 12)

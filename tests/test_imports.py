@@ -1,7 +1,7 @@
 """The package imports only the standard library and numpy, builds random
-generators only in its two seed helpers, exports what README documents,
-README's library example runs as written, and README's CLI examples pass the
-CLI's config check.
+generators only in its two seed helpers and edge operators only in linalg,
+exports what README documents, README's library example runs as written,
+and README's CLI examples pass the CLI's config check.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -53,6 +53,23 @@ def test_generators_built_only_by_the_seed_helpers():
                         else node.name if isinstance(node, ast.alias) else None)
                 if name in RNG_NAMES and (path.name, owner) not in RNG_OWNERS:
                     found.append(f"{path.name}:{node.lineno} in {owner}: {name}")
+    assert not found
+
+
+def test_edge_operators_built_only_in_linalg():
+    # elsewhere a graph's operator comes from _EdgeOperator.of_graph and a
+    # group's from its restrict, so only linalg knows how entries are stored
+    found = []
+    for path in sorted(Path(ksync.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                if name == "_EdgeOperator":
+                    found.append(f"{path.name}:{node.lineno}")
     assert not found
 
 

@@ -608,8 +608,7 @@ class TestWarmStart:
 def edge_operator_and_matrix(g, diagonal):
     """The graph's measurement operator as a ``linalg._EdgeOperator`` and as the
     dense oracle, both with the given (scalar or per-node) real diagonal."""
-    E = linalg._EdgeOperator(g.n, g.ii, g.jj, np.exp(1j * g.theta), diagonal,
-                             linalg._destination_order(g.ii, g.jj))
+    E = linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, diagonal)
     H = build_measurement_matrix(g, diagonal=0.0) + np.diag(np.broadcast_to(diagonal, g.n))
     return E, H
 
@@ -644,11 +643,26 @@ class TestEdgeOperator:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= scale
 
-    def test_restricted_order_is_the_order_of_the_kept_edges(self):
+    @pytest.mark.parametrize("case", ["random", "empty", "full"])
+    def test_restriction_is_the_operator_of_the_kept_edges(self, case):
         g = _shuffled_mixture(40, 34)
-        keep = np.flatnonzero(substream(35).random(g.m) < 0.4)
-        assert np.array_equal(linalg._restricted_order(linalg._destination_order(g.ii, g.jj), keep),
-                              linalg._destination_order(g.ii[keep], g.jj[keep]))
+        diagonal = substream(35).standard_normal(g.n)
+        mask = {"random": substream(36).random(g.m) < 0.4, "empty": np.zeros(g.m, dtype=bool),
+                "full": np.ones(g.m, dtype=bool)}[case]
+        # the nodes the kept edges touch, relabelled in increasing order
+        nodes = np.union1d(g.ii[mask], g.jj[mask])
+        index = np.full(g.n, -1)
+        index[nodes] = np.arange(nodes.size)
+        edges = np.flatnonzero(mask)
+        got = linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, diagonal).restrict(
+            mask, index, nodes.size)
+        want = linalg._EdgeOperator.of_graph(nodes.size, index[g.ii[mask]], index[g.jj[mask]],
+                                             g.theta[mask], diagonal[nodes])
+        assert got.shape == want.shape == (nodes.size, nodes.size)
+        for name in ("src", "dst", "values", "diagonal"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert np.array_equal(got.edge, edges[want.edge])
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_eigenpairs_match_the_dense_solve(self, k):
@@ -669,7 +683,11 @@ class TestEdgeOperator:
         ([1.0, np.nan], 1.0), ([1.0, np.inf * 1j], 1.0), ([1.0, 1.0], [1.0, 1.0, -np.inf]),
     ], ids=["nan-value", "inf-value", "inf-diagonal"])
     def test_non_finite_entries_rejected(self, values, diagonal):
-        E = linalg._EdgeOperator(3, [0, 1], [1, 2], values, diagonal, np.array([2, 0, 3, 1]))
+        # edges (0, 1) and (1, 2), their directed entries grouped by destination
+        v = np.array(values, dtype=complex)
+        src, dst, edge = np.array([1, 0, 2, 1]), np.array([0, 1, 1, 2]), np.array([0, 0, 1, 1])
+        E = linalg._EdgeOperator(3, src, dst, edge,
+                                 np.where(src > dst, v[edge].conj(), v[edge]), diagonal)
         for eig in (top_k_eig, degree_normalized_eig):
             with pytest.raises(HermitianityError, match="non-finite"):
                 eig(E, 1)
