@@ -271,7 +271,7 @@ def iterate_disentangle(
 
     theta = np.asarray(initial.theta_hat, dtype=float)
     vectors = np.asarray(initial.eigenvectors, dtype=complex)
-    H = linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, 1.0)
+    H = linalg._EdgeOperator.of_graph(g)
     states: list[DisentangleState] = []
     for r in range(1, cfg.iterations + 1):
         # psi (k x m) is not held through the group solves

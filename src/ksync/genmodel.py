@@ -179,8 +179,11 @@ def sample_ba_mixture(params: MixtureParams, m: int, groups: AngleGroups) -> Mea
 
     Edge presence comes from preferential attachment with ``m`` edges per
     arriving node; conditional on presence, each edge's offset is drawn as
-    in :func:`sample_er_mixture` with density 1 (``params.lam`` is unused).
+    in :func:`sample_er_mixture` with density 1, so ``params.lam`` must be 1.
     """
+    if params.lam != 1.0:
+        raise ValueError(f"the Barabasi-Albert sampler ignores lambda, so lam must be 1, "
+                         f"got {params.lam!r}")
     if not 1 <= m < params.n:
         raise ValueError("attachment count m must satisfy 1 <= m < n")
     rng = substream(params.seed)

@@ -178,8 +178,8 @@ def check_patch_settings(radius: float, min_overlap: int, sigma: float, p1: floa
         raise ValueError("radius must be positive and finite")
     if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= 1.0 + 1e-12):
         raise ValueError("need p1, p2 >= 0 with p1 + p2 <= 1")
-    if min_overlap < 3:
-        raise ValueError("min_overlap must be at least 3")
+    if not 3 <= min_overlap < np.inf:
+        raise ValueError("min_overlap must be at least 3 and finite")
 
 
 def build_patches(
@@ -330,7 +330,7 @@ def asap_recover(
         if ys and ys >= np.sum(labs == 1):
             first = 2
     results: dict[int, np.ndarray] = {}
-    H = linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, 1.0)
+    H = linalg._EdgeOperator.of_graph(g)
     for label, gtype in ((1, first), (2, 3 - first)):
         mask = recovered == label
         if not mask.any():

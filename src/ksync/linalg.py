@@ -3,15 +3,15 @@
 :func:`top_k_eig` runs a block Lanczos iteration (block width k + 1, full
 reorthogonalization, fixed-seed start block whose first rows a warm start may
 replace).  It and :func:`degree_normalized_eig` take a dense matrix or the
-private :class:`_EdgeOperator`, a Hermitian edge list whose products cost
-O(m) per vector instead of O(n^2); a group's edge list is a restriction
-of its graph's, which is sorted and exponentiated once per
-``iterate_disentangle`` or ``asap_recover`` call.  Lanczos reaches either
-only through ``Q @ H`` and ``H @ X``, and checks the edge list in O(m),
-since it is Hermitian by construction.  :func:`degree_normalized_eig` hands
-:func:`top_k_eig` the private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2}
-on either kind, which scales the products with H by D^{-1/2} instead of
-forming a second matrix, and is checked in O(n).  :func:`top_k_eig` returns
+private :class:`_EdgeOperator`, a graph's unit-diagonal measurement operator
+as a Hermitian edge list whose products cost O(m) per vector instead of
+O(n^2); a group's edge list is a restriction of its graph's, which is
+sorted and exponentiated once per ``iterate_disentangle`` or
+``asap_recover`` call.  Lanczos reaches either only through ``Q @ H`` and
+``H @ X``.  :func:`degree_normalized_eig` hands :func:`top_k_eig` the
+private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2} on either kind, which
+scales the products with H by D^{-1/2} instead of forming a second matrix.
+Both are valid by construction; only a dense matrix is checked.  :func:`top_k_eig` returns
 the top-k Ritz pairs once they have converged and pair k + 1 has converged
 far enough to decide whether it ties with pair k; every returned pair is
 then checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken
@@ -41,6 +41,7 @@ import threading
 
 import numpy as np
 
+from .core import MeasurementGraph
 from .genmodel import substream
 
 DEFAULT_TOL = 1e-10
@@ -155,40 +156,40 @@ class EigenPairs:
 
 
 class _EdgeOperator:
-    """Hermitian n x n operator held as a real diagonal and an edge list.
+    """A graph's unit-diagonal measurement operator, held as an edge list.
 
     Entry t is H[src[t], dst[t]] = values[t] of edge ``edge[t]``, whose two
-    directed entries carry conjugate values, so the operator is Hermitian by
-    construction; entries are grouped by destination.  Only
-    :meth:`of_graph` sorts and exponentiates; :meth:`restrict` gathers a
-    group's operator from the graph's, never sorting again.
-    ``diagonal`` is a real scalar or length-n vector.  ``Q @ H`` and
-    ``H @ X`` take one gather, one multiply and one segmented sum per
-    product, O(m) per row of Q, against O(n^2) dense.
+    directed entries carry conjugate values, and H_ii = 1, so the operator
+    is Hermitian by construction; entries are grouped by destination.  Only
+    :meth:`of_graph` sorts and exponentiates, and only it and
+    :meth:`restrict`, which gathers a group's operator from the graph's
+    without sorting again, make one.  ``Q @ H`` and ``H @ X`` take one
+    gather, one multiply and one segmented sum per product, O(m) per row of
+    Q, against O(n^2) dense.
     """
 
     # numpy defers Q @ H to __rmatmul__ instead of converting the operator
     __array_ufunc__ = None
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray, edge: np.ndarray,
-                 values: np.ndarray, diagonal):
+                 values: np.ndarray):
         self.shape = (n, n)
         self.src, self.dst, self.edge, self.values = src, dst, edge, values
-        self.diagonal = np.asarray(diagonal, dtype=float)
         # first entry of each destination's run, and that destination
         self._starts = np.flatnonzero(np.diff(dst, prepend=-1))
         self._columns = dst[self._starts]
 
-    @classmethod
-    def of_graph(cls, n: int, ii, jj, theta, diagonal) -> "_EdgeOperator":
-        """H[ii, jj] = e^{i theta} for int64 arrays ii != jj, each pair at most
-        once: entries e, then their mirrors m + e, stably sorted by destination."""
-        values = np.exp(1j * theta)
-        dst = np.concatenate([jj, ii])
+    @staticmethod
+    def of_graph(g: MeasurementGraph) -> "_EdgeOperator":
+        """The operator of g, whose type ensures i < j, each pair once and theta
+        in [0, 2 pi): entries e, then their mirrors m + e, stably sorted by
+        destination."""
+        values = np.exp(1j * g.theta)
+        dst = np.concatenate([g.jj, g.ii])
         order = np.argsort(dst, kind="stable")
-        return cls(n, np.concatenate([ii, jj])[order], dst[order],
-                   np.tile(np.arange(ii.size), 2)[order],
-                   np.concatenate([values, values.conj()])[order], diagonal)
+        return _EdgeOperator(g.n, np.concatenate([g.ii, g.jj])[order], dst[order],
+                             np.tile(np.arange(g.m), 2)[order],
+                             np.concatenate([values, values.conj()])[order])
 
     def restrict(self, mask: np.ndarray, index: np.ndarray, size: int) -> "_EdgeOperator":
         """The operator of the edges with ``mask[edge]`` set, its nodes relabelled
@@ -196,14 +197,13 @@ class _EdgeOperator:
         edge has both ends kept).  Entries keep their order, so src, dst and
         values match :meth:`of_graph` on those edges; ``edge`` keeps these ids."""
         kept = np.flatnonzero(mask[self.edge])
-        diagonal = self.diagonal if self.diagonal.ndim == 0 else self.diagonal[index >= 0]
         return _EdgeOperator(size, index[self.src[kept]], index[self.dst[kept]],
-                             self.edge[kept], self.values[kept], diagonal)
+                             self.edge[kept], self.values[kept])
 
     def __rmatmul__(self, Q):
         """Q @ H for a vector or a stack of row vectors Q."""
         Q = np.asarray(Q, dtype=complex)
-        out = Q * self.diagonal
+        out = Q.copy()  # the unit diagonal's term
         if self.values.size:
             terms = np.take(Q, self.src, axis=-1)
             terms *= self.values
@@ -221,8 +221,9 @@ class _ScaledOperator:
     matrix or an :class:`_EdgeOperator`) and a real vector x, held as H and x.
 
     S_ij = x_i H_ij x_j is never formed: ``Q @ S`` and ``S @ X`` cost one
-    product with H and two scalings by x.  H must have passed
-    :func:`_as_hermitian` already, which then checks only x.
+    product with H and two scalings by x.  Only :func:`degree_normalized_eig`
+    makes one, from an H it has checked and x = D^{-1/2} of finite, positive
+    row sums, so :func:`_as_hermitian` takes it as it is.
     """
 
     # numpy defers Q @ S to __rmatmul__ instead of converting the operator
@@ -270,15 +271,8 @@ def _exactly_mirrored(M: np.ndarray) -> bool:
 
 
 def _as_hermitian(M):
-    if isinstance(M, _EdgeOperator):
-        # Hermitian by construction: only its values can be wrong, in O(m)
-        if not (np.all(np.isfinite(M.values)) and np.all(np.isfinite(M.diagonal))):
-            raise HermitianityError("edge operator has a non-finite value or diagonal entry")
-        return M
-    if isinstance(M, _ScaledOperator):
-        # its H was checked already: only x can be wrong, in O(n)
-        if not np.all((M.x > 0.0) & (M.x < np.inf)):
-            raise HermitianityError("scaled operator has a weight that is not finite and positive")
+    # an edge or scaled operator is Hermitian and finite by construction
+    if isinstance(M, (_EdgeOperator, _ScaledOperator)):
         return M
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -508,7 +502,7 @@ def _degrees(H) -> np.ndarray:
     temporary.
     """
     if isinstance(H, _EdgeOperator):
-        return np.abs(H.diagonal) + np.bincount(H.dst, np.abs(H.values), H.shape[0])
+        return 1.0 + np.bincount(H.dst, np.abs(H.values), H.shape[0])
     d = np.empty(H.shape[0])
     for i in range(0, H.shape[0], HERMITIAN_BLOCK):
         block = slice(i, i + HERMITIAN_BLOCK)
@@ -520,7 +514,8 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> Ei
     """Top-k eigenpairs of the degree-normalized operator R = D^{-1} H.
 
     H is a Hermitian matrix or :class:`_EdgeOperator`.  D is diagonal with
-    D_ii = sum_j |H_ij| (the diagonal term included).
+    D_ii = sum_j |H_ij| (the diagonal term included); ValueError names the
+    first node whose D_ii is zero (an isolated node) or overflows.
     R is similar to the Hermitian S = D^{-1/2} H D^{-1/2}; eigenvalues are
     computed from S, and eigenvectors of R are returned as D^{-1/2} times
     the eigenvectors of S, re-normalized to unit norm.  Those vectors are
@@ -533,10 +528,12 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> Ei
     """
     H = _as_hermitian(H)
     start = _check_start(start, H.shape[0], k)
-    d = _degrees(H)
-    if np.any(d <= 0.0):
-        bad = int(np.nonzero(d <= 0.0)[0][0])
-        raise ValueError(f"isolated node {bad}: zero row sum in |H|")
+    with np.errstate(over="ignore"):
+        d = _degrees(H)
+    bad = np.flatnonzero(~((d > 0.0) & (d < np.inf)))
+    if bad.size:
+        raise ValueError(f"node {bad[0]}: row sum in |H| is {d[bad[0]]}, not positive "
+                         "(an isolated node) and finite")
     dinv_sqrt = 1.0 / np.sqrt(d)
     if start is not None:
         start = np.sqrt(d)[:, None] * start

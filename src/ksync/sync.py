@@ -188,8 +188,10 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0,
     r x r Gram matrix; slots past its
     numerical rank (eigenvalues at most 1e-12 times the largest) get
     eigenvalue 0 and a zero vector, all of whose entries are reported
-    degenerate.
+    degenerate.  k < 1 raises ValueError before H is built.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     H = _operator(g)
     n = g.n
     r = min(k + 2, n)
@@ -308,9 +310,11 @@ def evaluate(truth: AngleGroups, theta_hat: np.ndarray) -> EvalResult:
     Groups are recovered only up to a permutation, so estimate row
     ``assignment[l]`` is matched to truth group l by the permutation with the
     largest total correlation, searched over all k! of them; k above
-    ``MAX_MATCHED_GROUPS`` is rejected.
+    ``MAX_MATCHED_GROUPS`` and a non-finite estimate are rejected.
     """
     _check_matchable(truth, np.shape(theta_hat))
+    if not np.all(np.isfinite(theta_hat)):
+        raise ValueError("estimate has a non-finite angle")
     k = truth.k
     corr = np.empty((k, k))
     for l in range(k):

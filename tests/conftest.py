@@ -26,5 +26,5 @@ def dense_matrix(H):
         return H
     M = np.zeros(H.shape, dtype=complex)
     M[H.src, H.dst] = H.values
-    M[np.diag_indices(H.shape[0])] = H.diagonal
+    M[np.diag_indices(H.shape[0])] = 1.0
     return M

@@ -35,7 +35,7 @@ from ksync.sync import (
 
 def graph_operator(g):
     """The operator iterate_disentangle builds once for g's group solves."""
-    return linalg._EdgeOperator.of_graph(g.n, g.ii, g.jj, g.theta, 1.0)
+    return linalg._EdgeOperator.of_graph(g)
 
 
 def mixture(n, p, lam, seed, k=None):
@@ -524,9 +524,9 @@ def _operator_kinds(monkeypatch):
         kinds.append(type(H))
         return spectral(H, k, solver, start=start, tol=tol)
 
-    def counting(n, ii, jj, theta, diagonal):
-        builds.append(ii.size)
-        return of_graph(n, ii, jj, theta, diagonal)
+    def counting(g):
+        builds.append(g.m)
+        return of_graph(g)
 
     monkeypatch.setattr(disentangle, "_spectral", spy)
     monkeypatch.setattr(linalg._EdgeOperator, "of_graph", counting)

@@ -176,6 +176,12 @@ class TestSampleBaMixture:
             deg = np.bincount(np.concatenate([g.ii, g.jj]), minlength=500)
             assert deg.max() >= 3 * np.median(deg)
 
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_density_other_than_one_rejected(self, lam):
+        params = MixtureParams(n=40, k=2, lam=lam, p=(0.5, 0.3), seed=0)
+        with pytest.raises(ValueError, match="Barabasi-Albert sampler ignores lambda"):
+            sample_ba_mixture(params, 3, sample_angles(40, 2, 0))
+
     def test_attachment_bounds(self):
         params = MixtureParams(n=10, k=1, lam=1.0, p=(0.8,), seed=0)
         groups = sample_angles(10, 1, 0)

@@ -62,6 +62,7 @@ def lstsq_assembly(ps, patch_ids, local, angles):
 _SIGMA = "sigma must be non-negative and finite"
 _RADIUS = "radius must be positive and finite"
 _P1_P2 = "need p1, p2 >= 0 with p1 + p2 <= 1"
+_MIN_OVERLAP = "min_overlap must be at least 3 and finite"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -76,7 +77,9 @@ _P1_P2 = "need p1, p2 >= 0 with p1 + p2 <= 1"
     (lambda pc: build_patches(pc, radius=np.inf), _RADIUS),
     (lambda pc: build_patches(pc, p1=np.nan), _P1_P2),
     (lambda pc: build_patches(pc, p2=-0.1), _P1_P2),
-    (lambda pc: build_patches(pc, min_overlap=2), "min_overlap must be at least 3"),
+    (lambda pc: build_patches(pc, min_overlap=2), _MIN_OVERLAP),
+    (lambda pc: build_patches(pc, min_overlap=np.nan), _MIN_OVERLAP),
+    (lambda pc: build_patches(pc, min_overlap=np.inf), _MIN_OVERLAP),
     # settings are checked one at a time, in this order
     (lambda pc: build_patches(pc, sigma=-1.0, radius=0.0, min_overlap=2), _SIGMA),
     (lambda pc: build_patches(pc, radius=0.0, p1=2.0), _RADIUS),
@@ -91,7 +94,8 @@ _P1_P2 = "need p1, p2 >= 0 with p1 + p2 <= 1"
      "X and Y must be equal n x 2 arrays"),
     (lambda pc: PointCloudPair(X=pc.X, Y=pc.Y[:-1]), "X and Y must be equal n x 2 arrays"),
 ], ids=["n", "generator", "negative-sigma", "nan-sigma", "inf-sigma", "zero-radius",
-        "nan-radius", "inf-radius", "nan-p1", "negative-p2", "min-overlap", "first-of-three",
+        "nan-radius", "inf-radius", "nan-p1", "negative-p2", "min-overlap", "nan-min-overlap",
+        "inf-min-overlap", "first-of-three",
         "first-of-two", "recover-k", "no-patch-left", "procrustes-shapes", "cloud-columns",
         "cloud-rows"])
 def test_invalid_settings_rejected(call, message):

@@ -1,7 +1,8 @@
 """The package imports only the standard library and numpy, builds random
-generators only in its two seed helpers and edge operators only in linalg,
-exports what README documents, README's library example runs as written,
-and README's CLI examples pass the CLI's config check.
+generators only in its two seed helpers and each eigensolver operator only in
+its makers in linalg, exports what README documents, README's library
+example runs as written, and README's CLI examples pass the CLI's config
+check.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -56,21 +57,39 @@ def test_generators_built_only_by_the_seed_helpers():
     assert not found
 
 
+# the only makers of each operator: they build it valid from a
+# MeasurementGraph or a checked H, so no solve re-checks an operator
+OPERATOR_MAKERS = {
+    "_EdgeOperator": {("linalg.py", "_EdgeOperator.of_graph"), ("linalg.py", "_EdgeOperator.restrict")},
+    "_ScaledOperator": {("linalg.py", "degree_normalized_eig")},
+}
+
+
+def _calls_by_function(path):
+    """(called name, qualified name of the enclosing def) for each call."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                yield name, scope
+            yield from visit(child, inner)
+    return visit(ast.parse(path.read_text(), filename=str(path)), "")
+
+
 def test_edge_operators_built_only_in_linalg():
     # elsewhere a graph's operator comes from _EdgeOperator.of_graph and a
     # group's from its restrict, so only linalg knows how entries are stored
-    found = []
+    makers = {name: set() for name in OPERATOR_MAKERS}
     for path in sorted(Path(ksync.__file__).parent.glob("*.py")):
-        if path.name == "linalg.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = (func.attr if isinstance(func, ast.Attribute)
-                        else func.id if isinstance(func, ast.Name) else None)
-                if name == "_EdgeOperator":
-                    found.append(f"{path.name}:{node.lineno}")
-    assert not found
+        for name, scope in _calls_by_function(path):
+            if name in makers:
+                makers[name].add((path.name, scope))
+    assert makers == OPERATOR_MAKERS
 
 
 README = Path(ksync.__file__).parents[2] / "README.md"

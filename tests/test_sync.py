@@ -174,6 +174,16 @@ def sparse_instances(count=5):
 
 
 class TestSdpBm:
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_below_one_rejected_before_the_operator(self, k, monkeypatch):
+        _, g = mixture_instance(30, (0.4, 0.3), 0.5, 3)
+        calls = []
+        monkeypatch.setattr(sync, "build_measurement_matrix", lambda *a, **kw: calls.append(1))
+        for call in (lambda: sdp_bm_ksync(g, k), lambda: sync.solve(g, k, sync.SDP_BM)):
+            with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+                call()
+        assert calls == []
+
     def test_objective_and_angles_match_dense_start(self):
         for trial, (groups, g) in enumerate(sparse_instances()):
             H = build_measurement_matrix(g, diagonal=1.0)
@@ -396,6 +406,14 @@ class TestEvaluate:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(sample_angles(5, 2, 1), sample_angles(6, 2, 1).theta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_rejected(self, bad):
+        theta = sample_angles(30, 2, 1).theta.copy()
+        theta[1, 7] = bad
+        for estimate in (theta, np.full((2, 30), bad)):
+            with pytest.raises(ValueError, match="^estimate has a non-finite angle$"):
+                evaluate(sample_angles(30, 2, 2), estimate)
 
 
 @pytest.mark.parametrize("solver", ["EIG-X", "eig-h"])
