@@ -27,6 +27,7 @@ from .disentangle import (
 )
 from .genmodel import MixtureParams, theory_bounds
 from .harness import (
+    MODES,
     ConfigError,
     ExperimentConfig,
     instance_probs,
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sw.add_argument("--threads", type=int, default=None,
                         help="worker threads: the sweep's whole CPU budget, since BLAS "
                              "runs single-threaded inside sweeps")
-        sw.add_argument("--mode", default=None, choices=("setup1", "setup2", "compare"))
+        sw.add_argument("--mode", default=None, choices=MODES)
         sw.add_argument("--p", type=_float_list, default=None)
         sw.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, default=None)
         sw.add_argument("--eta-grid", dest="eta_grid", type=_float_list, default=None)

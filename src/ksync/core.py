@@ -90,6 +90,8 @@ class MeasurementGraph:
         ii = np.asarray(self.ii, dtype=np.int64).ravel()
         jj = np.asarray(self.jj, dtype=np.int64).ravel()
         theta = np.asarray(self.theta, dtype=float).ravel()
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("graph must have at least one node")
         if not (ii.shape == jj.shape == theta.shape):
@@ -268,14 +270,17 @@ def load_graph(path) -> tuple[MeasurementGraph, int]:
     """Read a graph written by :func:`save_graph`; returns (graph, k).
 
     A file with only UNKNOWN labels loads unlabelled; mixed labels are rejected,
-    and so are a label above the header's k and a non-blank line after the
-    header's m edge lines.
+    and so are a negative m or k in the header, a label above the header's k
+    and a non-blank line after the header's m edge lines.
     """
     with open(path) as fh:
         first = fh.readline().split()
         if len(first) != 3:
             raise ValueError("malformed header: expected 'n m k'")
         n, m, k = (int(x) for x in first)
+        for name, value in (("m", m), ("k", k)):
+            if value < 0:
+                raise ValueError(f"malformed header: {name} = {value} is negative")
         ii = np.empty(m, dtype=np.int64)
         jj = np.empty(m, dtype=np.int64)
         theta = np.empty(m, dtype=float)

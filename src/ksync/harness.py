@@ -155,12 +155,14 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
     command reads but cannot honour is a problem; fields it never reads are not.
 
     A rule on a value the library reads is stated once, by the function that
-    reads it, and reported here in its words, one problem per owner: grp's
-    ``make_two_configurations`` and ``check_patch_settings``, ``MixtureParams``
-    for the instance's p, and ``theory_bounds`` for delta, mu, epsilon and
-    a point whose bounds come out NaN (asked once all else is valid).  The
-    command's own rules stay here, setup2's eta_grid and gamma among them: a
-    setup2 sweep skips the grid points that its library rules reject.
+    reads it, and reported here in its words, one problem per owner:
+    ``child_seed`` for the seed of every command that samples (all but
+    theory), grp's ``make_two_configurations`` and ``check_patch_settings``,
+    ``MixtureParams`` for the instance's p, and ``theory_bounds`` for delta,
+    mu, epsilon and a point whose bounds come out NaN (asked once all else is
+    valid).  The command's own rules stay here, setup2's eta_grid and gamma
+    among them: a setup2 sweep skips the grid points that its library rules
+    reject.
     """
     sweep = command in ("sweep", "compare")
     errors = []
@@ -172,6 +174,8 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
         except ValueError as exc:
             errors.append(prefix + str(exc))
 
+    if command != "theory":
+        check(child_seed, cfg.seed, prefix="invalid seed: ")
     if command in ("disentangle", "grp"):
         first = cfg.solvers[0] if cfg.solvers else None
         if first not in (EIG_H, EIG_R):

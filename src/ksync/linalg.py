@@ -11,7 +11,9 @@ sorted and exponentiated once per ``iterate_disentangle`` or
 ``H @ X``.  :func:`degree_normalized_eig` hands :func:`top_k_eig` the
 private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2} on either kind, which
 scales the products with H by D^{-1/2} instead of forming a second matrix.
-Both are valid by construction; only a dense matrix is checked.  :func:`top_k_eig` returns
+Both are valid by construction, so neither is checked.  A dense matrix is
+checked by one blocked scan, :func:`_hermitian_scan`, which also gives
+:func:`degree_normalized_eig` its row sums.  :func:`top_k_eig` returns
 the top-k Ritz pairs once they have converged and pair k + 1 has converged
 far enough to decide whether it ties with pair k; every returned pair is
 then checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken
@@ -48,9 +50,6 @@ DEFAULT_TOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 # rows per block of the Hermitian check
 HERMITIAN_BLOCK = 128
-# bound on the real and imaginary parts the exact-mirror check accepts: a
-# modulus is then below sqrt(2) * 1.25e308, under the largest double
-_MIRROR_LIMIT = 1.25e308
 TIE_REL_GAP = 1e-12
 LANCZOS_SEED = 0x4C414E
 # Lanczos stops when every estimated residual is below this share of tol
@@ -248,48 +247,26 @@ class _ScaledOperator:
         return out
 
 
-def _exactly_mirrored(M: np.ndarray) -> bool:
-    """Whether a square complex M equals its conjugate transpose entry for entry
-    and every entry's modulus is finite, so that its asymmetry is exactly 0.
+def _hermitian_scan(M):
+    """M as a complex array, and its row sums d_i = sum_j |M_ij|.
 
-    One pass per row block of a C-contiguous M; any other layout answers
-    False.  A NaN fails both the equality and the bound on the parts.
+    Raises :class:`HermitianityError` unless M is square with finite entries
+    and max |M - M^H| <= HERMITIAN_ATOL * max(1, max |M_ij|).  The row sums
+    equal ``np.sum(np.abs(M), axis=1)`` bit for bit; one that overflows is inf.
     """
-    if not M.flags.c_contiguous:
-        return False
-    for i in range(0, M.shape[0], HERMITIAN_BLOCK):
-        block = slice(i, i + HERMITIAN_BLOCK)
-        upper = M[block, i:]
-        if not np.array_equal(upper, M[i:, block].T.conj()):
-            return False
-        # the rest of the row block mirrors the upper strips of the blocks
-        # above, whose parts are already bounded
-        parts = upper.view(float)
-        if not (-_MIRROR_LIMIT < np.min(parts) and np.max(parts) < _MIRROR_LIMIT):
-            return False
-    return True
-
-
-def _as_hermitian(M):
-    # an edge or scaled operator is Hermitian and finite by construction
-    if isinstance(M, (_EdgeOperator, _ScaledOperator)):
-        return M
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise HermitianityError(f"expected a square matrix, got shape {M.shape}")
-    # an exactly mirrored matrix, as build_measurement_matrix makes, has
-    # asymmetry 0 and finite moduli, so the scan below would accept it too;
-    # anything else is measured by that scan, messages and all
-    if _exactly_mirrored(M):
-        return M
     # row blocks against the matching column blocks: the same element-wise
-    # maxima as over M and M - M^H, without any n x n temporary.  The
-    # asymmetry is scanned on and above the diagonal only: |a - conj(b)| and
+    # maxima and row sums as over M and M - M^H, without any n x n temporary.
+    # The asymmetry is scanned on and above the diagonal only: |a - conj(b)| and
     # |b - conj(a)| are equal bit for bit, so the lower triangle repeats it.
     # A non-finite entry makes its block's largest modulus NaN or inf, which
     # is caught here: max() with a NaN would drop it
+    n = M.shape[0]
+    d = np.empty(n)
     scale, asym = 1.0, 0.0
-    for i in range(0, M.shape[0], HERMITIAN_BLOCK):
+    for i in range(0, n, HERMITIAN_BLOCK):
         block = slice(i, i + HERMITIAN_BLOCK)
         rows = M[block]
         moduli = np.abs(rows)
@@ -298,10 +275,25 @@ def _as_hermitian(M):
             r, c = np.argwhere(~(moduli < np.inf))[0]
             raise HermitianityError(f"matrix entry ({i + r}, {c}) is {rows[r, c]}, not finite")
         scale = max(scale, peak)
-        asym = max(asym, float(np.max(np.abs(rows[:, i:] - M[i:, block].T.conj()))))
+        with np.errstate(over="ignore"):
+            np.sum(moduli, axis=1, out=d[block])
+        # the moduli go before the difference is made, and the difference is
+        # formed in place, so a block holds at most two block-sized arrays
+        del moduli
+        diff = np.conjugate(M[i:, block].T, out=np.empty((rows.shape[0], n - i), dtype=complex))
+        np.subtract(rows[:, i:], diff, out=diff)
+        asym = max(asym, float(np.max(np.abs(diff))))
     if asym > HERMITIAN_ATOL * scale:
         raise HermitianityError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    return M
+    return M, d
+
+
+def _as_hermitian(M):
+    """M itself if it is an edge or scaled operator, Hermitian and finite by
+    construction; otherwise the complex array :func:`_hermitian_scan` checks."""
+    if isinstance(M, (_EdgeOperator, _ScaledOperator)):
+        return M
+    return _hermitian_scan(M)[0]
 
 
 def _eigh_descending(H: np.ndarray):
@@ -494,22 +486,6 @@ def spectral_norm(M) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def _degrees(H) -> np.ndarray:
-    """Row sums d_i = sum_j |H_ij| (the diagonal term included) of a checked H.
-
-    A dense H is summed one ``HERMITIAN_BLOCK`` of rows at a time, which
-    gives ``np.sum(np.abs(H), axis=1)`` bit for bit without its n x n
-    temporary.
-    """
-    if isinstance(H, _EdgeOperator):
-        return 1.0 + np.bincount(H.dst, np.abs(H.values), H.shape[0])
-    d = np.empty(H.shape[0])
-    for i in range(0, H.shape[0], HERMITIAN_BLOCK):
-        block = slice(i, i + HERMITIAN_BLOCK)
-        np.sum(np.abs(H[block]), axis=1, out=d[block])
-    return d
-
-
 def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
     """Top-k eigenpairs of the degree-normalized operator R = D^{-1} H.
 
@@ -522,14 +498,17 @@ def degree_normalized_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> Ei
     generally not mutually orthogonal (they are orthogonal in the
     D^{1/2}-weighted inner product); residuals are measured against R.
     S is a :class:`_ScaledOperator` on H, so no n x n array besides H is
-    made.
+    made.  A dense H's row sums come from the blocked scan that checks it,
+    an edge operator's from its entries.
     A warm ``start`` holds vectors of R, as :func:`top_k_eig` takes them;
     S starts from D^{1/2} times them.  :func:`top_k_eig` checks k on S.
     """
-    H = _as_hermitian(H)
+    if isinstance(H, _EdgeOperator):
+        # |H| is symmetric, so its column sums by destination are its row sums
+        d = 1.0 + np.bincount(H.dst, np.abs(H.values), H.shape[0])
+    else:
+        H, d = _hermitian_scan(H)
     start = _check_start(start, H.shape[0], k)
-    with np.errstate(over="ignore"):
-        d = _degrees(H)
     bad = np.flatnonzero(~((d > 0.0) & (d < np.inf)))
     if bad.size:
         raise ValueError(f"node {bad[0]}: row sum in |H| is {d[bad[0]]}, not positive "

@@ -90,6 +90,15 @@ class TestMeasurementGraph:
         with pytest.raises(ValueError, match=r"edge offsets must lie in \[0, 2\*pi\)"):
             MeasurementGraph(n=4, ii=[0, 1, 2, 0], jj=[1, 2, 3, 3], theta=[0.1, bad, 0.3, 0.2])
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+    def test_non_integer_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            MeasurementGraph(n=n, ii=[0], jj=[1], theta=[0.1])
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_integer_node_count_accepted(self, n):
+        assert MeasurementGraph(n=n, ii=[0], jj=[1], theta=[0.1]).n == 3
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError, match="one entry per edge"):
             MeasurementGraph(n=3, ii=[0], jj=[1], theta=[0.0], labels=[1, 2])
@@ -240,7 +249,10 @@ class TestGraphFile:
         ("3 1 1\n1 2 0.5 1\n2 3 0.1 1\n", "extra edge line 3: the header gives m = 1"),
         ("3 1 1\n1 2 0.5 1\n\n2 3 0.1 1\n", "extra edge line 4: the header gives m = 1"),
         ("3 2 1\n1 2 0.5 1\n2 3 0.5 5\n", "edge line 3: label 5 exceeds the header's k = 1"),
-    ], ids=["header", "edge-line", "extra-edge-line", "extra-after-blank", "label-above-k"])
+        ("3 -1 2\n", "malformed header: m = -1 is negative"),
+        ("3 1 -2\n1 2 0.5 -1\n", "malformed header: k = -2 is negative"),
+    ], ids=["header", "edge-line", "extra-edge-line", "extra-after-blank", "label-above-k",
+            "negative-m", "negative-k"])
     def test_malformed_file_rejected(self, text, message, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text(text)

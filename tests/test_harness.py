@@ -364,6 +364,8 @@ class TestValidateConfig:
         ("simulate", {"lam": 0.0}, "simulate solves, so lam must be positive"),
         ("disentangle", {"lam": 0.0}, "lam must be positive"),
         ("theory", {"lam": 0.0}, None),
+        # theory samples nothing, so it reads no seed
+        ("theory", {"seed": -1}, None),
     ])
     def test_fields_each_command_reads(self, command, overrides, message):
         errors = validate_config(ExperimentConfig(**{**_VALID, **overrides}), command)
@@ -751,6 +753,19 @@ class TestCli:
          "radius must be positive and finite"),
         (["grp", "--n", "64", "--iterations", "2", "--sigma", "nan"], {},
          "sigma must be non-negative and finite"),
+        # every command but theory samples from the seed
+        (["simulate", "--n", "50", "--k", "2", "--p", "0.4,0.3", "--lam", "1.0", "--seed", "-1"],
+         {}, "invalid seed: expected non-negative integer"),
+        (["sweep", "--mode", "setup1", "--n", "20", "--k", "2", "--p", "0.5,0.3",
+          "--lambda-grid", "0.5", "--trials-angles", "1", "--trials-graphs", "1"], {"seed": -3},
+         "invalid seed: expected non-negative integer"),
+        (["compare", "--n", "40", "--k", "2", "--eta-grid", "0.2", "--lam", "0.5",
+          "--trials-angles", "1", "--trials-graphs", "1", "--seed", "-1"], {},
+         "invalid seed: expected non-negative integer"),
+        (["disentangle", "--n", "40", "--k", "2", "--p", "0.5,0.3", "--lam", "0.5",
+          "--iterations", "1", "--seed", "-1"], {}, "invalid seed: expected non-negative integer"),
+        (["grp", "--n", "64", "--iterations", "1", "--seed", "-1"], {},
+         "invalid seed: expected non-negative integer"),
     ], ids=["simulate-ba-lam", "disentangle-ba-lam", "setup2-ba-lam", "compare-ba-lam",
             "theory-ba", "simulate-k-above-n", "disentangle-k-above-n", "setup1-k-above-n",
             "simulate-infeasible-p", "theory-infeasible-p", "string-n", "top-level-list",
@@ -759,7 +774,9 @@ class TestCli:
             "disentangle-k-above-match-limit", "grp-prime-n", "theory-partly-read-eta-grid",
             "grp-two-solvers", "disentangle-two-solvers", "sweep-repeated-solver",
             "sweep-lambda-zero", "simulate-nan-p", "simulate-k1-nan-p", "disentangle-nan-p",
-            "setup2-nan-gamma", "grp-nan-p1", "grp-nan-radius", "grp-nan-sigma"])
+            "setup2-nan-gamma", "grp-nan-p1", "grp-nan-radius", "grp-nan-sigma",
+            "simulate-negative-seed", "sweep-negative-seed", "compare-negative-seed",
+            "disentangle-negative-seed", "grp-negative-seed"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
