@@ -30,6 +30,15 @@ def wrap_angle(theta):
     return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as a flat int64 array; any other dtype, bool included, is an
+    error unless the array is empty."""
+    arr = np.asarray(values).ravel()
+    if arr.size and (arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
@@ -87,8 +96,8 @@ class MeasurementGraph:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        ii = np.asarray(self.ii, dtype=np.int64).ravel()
-        jj = np.asarray(self.jj, dtype=np.int64).ravel()
+        ii = _integers(self.ii, "edge endpoints")
+        jj = _integers(self.jj, "edge endpoints")
         theta = np.asarray(self.theta, dtype=float).ravel()
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
             raise ValueError(f"n must be an integer, got {self.n!r}")
@@ -112,7 +121,7 @@ class MeasurementGraph:
         object.__setattr__(self, "jj", _frozen(jj))
         object.__setattr__(self, "theta", _frozen(theta))
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64).ravel()
+            labels = _integers(self.labels, "labels")
             if labels.shape != ii.shape:
                 raise ValueError("labels must have one entry per edge")
             if np.any(labels < 0):
@@ -127,8 +136,8 @@ class MeasurementGraph:
     def from_edges(cls, n, edges, labels=None) -> "MeasurementGraph":
         """Build from an iterable of (i, j, theta) tuples (any i != j order)."""
         edges = list(edges)
-        ii = np.array([min(i, j) for i, j, _ in edges], dtype=np.int64)
-        jj = np.array([max(i, j) for i, j, _ in edges], dtype=np.int64)
+        ii = [min(i, j) for i, j, _ in edges]
+        jj = [max(i, j) for i, j, _ in edges]
         th = np.array(
             [t if i < j else wrap_angle(-t) for (i, j, t) in edges], dtype=float
         )

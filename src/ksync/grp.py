@@ -4,8 +4,8 @@ A point cloud is covered by one patch per node (the node plus its
 neighbors within a radius).  Every patch carries two local embeddings, one
 per configuration, each expressed in a private frame rotated by an unknown
 angle; both are stored in one complex patch x node array, zero off the
-patch.  Aligning overlapping patches (matrix products of that array) yields
-pairwise rotation measurements that form a bi-synchronization instance;
+patch.  Aligning overlapping patches (sums over each pair's common nodes)
+yields pairwise rotation measurements that form a bi-synchronization instance;
 disentangling recovers the two measurement subgraphs, and a least-squares
 assembly of rotated patches (a patch-Laplacian solve on the same array)
 recovers both global embeddings.
@@ -180,6 +180,8 @@ def check_patch_settings(radius: float, min_overlap: int, sigma: float, p1: floa
         raise ValueError("need p1, p2 >= 0 with p1 + p2 <= 1")
     if not 3 <= min_overlap < np.inf:
         raise ValueError("min_overlap must be at least 3 and finite")
+    if not isinstance(min_overlap, (int, np.integer)):
+        raise ValueError(f"min_overlap must be an integer, got {min_overlap!r}")
 
 
 def build_patches(
@@ -200,8 +202,8 @@ def build_patches(
     with probability p1 the two type-X embeddings are aligned (group 1), with
     probability p2 the type-Y ones (group 2), otherwise one of each
     (outlier).  The rotation estimate is the rotation-only Procrustes angle
-    over the common nodes, read for every pair at once from products of the
-    zero-filled local coordinates.
+    over the common nodes, summed for each pair over the first patch's
+    members, where the second patch's zero-filled coordinates vanish off it.
     """
     check_patch_settings(radius, min_overlap, sigma, p1, p2)
     X, Y = pc.X, pc.Y
@@ -241,16 +243,20 @@ def build_patches(
     u = substream(seed, 0x3).random(ii.size)
     labels = np.where(u < p1, 1, np.where(u < p1 + p2, 2, 0))
     # cross-covariance of a's type-F and b's type-S coordinates, centered over
-    # their common nodes, with W = weights: (F S^H)[a, b] minus
-    # (F W^T)[a, b] conj((S W^T)[b, a]) / overlap[a, b]
-    sums = local @ weights.T
-    cross = np.empty(ii.size, dtype=complex)
-    for first, second, label in ((0, 0, 1), (1, 1, 2), (0, 1, 0)):
-        a, b = ii[labels == label], jj[labels == label]
-        gram = local[first] @ local[second].conj().T
-        cross[labels == label] = (
-            gram[a, b] - sums[first, a, b] * np.conj(sums[second, b, a]) / overlap[a, b]
-        )
+    # their common nodes: a sum over a's memberships t (node cols[t]), where
+    # b's coordinate is 0 off b's patch, of f conj(s), minus
+    # sum(f) conj(sum(s)) / overlap[a, b] over the common nodes
+    reps = sizes[ii]
+    seg = np.cumsum(reps) - reps  # each pair's first entry in the flat scan
+    t = np.arange(reps.sum()) + np.repeat(start[ii] - seg, reps)
+    b, node = np.repeat(jj, reps), cols[t]
+    # the type of each side as a 0/1 index (a bool array would index as a mask)
+    f = values[np.repeat(labels == 2, reps).view(np.int8), t]  # X unless a Y-Y pair
+    s = local[np.repeat(labels != 1, reps).view(np.int8), b, node]  # Y unless an X-X pair
+    sum_f = np.add.reduceat(np.where(incidence[b, node], f, 0), seg)
+    sum_s = np.add.reduceat(s, seg)
+    gram = np.add.reduceat(np.conjugate(s, out=s) * f, seg)
+    cross = gram - sum_f * np.conj(sum_s) / overlap[ii, jj]
     theta = wrap_angle(np.angle(cross))
 
     ps = PatchSet(n_points=pc.n, centers=centers, members=tuple(members), local=local,

@@ -99,6 +99,34 @@ class TestMeasurementGraph:
     def test_integer_node_count_accepted(self, n):
         assert MeasurementGraph(n=n, ii=[0], jj=[1], theta=[0.1]).n == 3
 
+    @pytest.mark.parametrize("ii, jj", [([0.7], [1.9]), ([0.0], [1.0]), ([True], [2]),
+                                        ([0], [np.float32(1)])])
+    def test_non_integer_endpoints_rejected(self, ii, jj):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            MeasurementGraph(n=3, ii=ii, jj=jj, theta=[0.1])
+
+    @pytest.mark.parametrize("labels", [[1.5], [1.0], [True], ["1"]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            MeasurementGraph(n=3, ii=[0], jj=[1], theta=[0.1], labels=labels)
+
+    def test_from_edges_rejects_non_integer_endpoints(self):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            MeasurementGraph.from_edges(3, [(0.7, 1.9, 0.1)])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_endpoints_and_labels_accepted(self, dtype):
+        g = MeasurementGraph(n=3, ii=np.array([0, 1], dtype), jj=np.array([2, 2], dtype),
+                             theta=[0.1, 0.2], labels=np.array([1, 0], dtype))
+        for got, want in ((g.ii, [0, 1]), (g.jj, [2, 2]), (g.labels, [1, 0])):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_sequences_make_an_edgeless_graph(self):
+        for g in (MeasurementGraph(n=3, ii=[], jj=[], theta=[], labels=[]),
+                  MeasurementGraph.from_edges(3, [])):
+            assert g.m == 0 and g.ii.dtype == g.jj.dtype == np.int64
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError, match="one entry per edge"):
             MeasurementGraph(n=3, ii=[0], jj=[1], theta=[0.0], labels=[1, 2])

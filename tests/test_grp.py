@@ -105,6 +105,31 @@ def test_invalid_settings_rejected(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("min_overlap", [3.5, 4.0, np.float64(4.0)])
+def test_non_integer_min_overlap_rejected(min_overlap):
+    pc = make_two_configurations(16, seed=0)
+    with pytest.raises(ValueError) as exc:
+        build_patches(pc, min_overlap=min_overlap)
+    assert str(exc.value) == f"min_overlap must be an integer, got {min_overlap!r}"
+
+
+@pytest.mark.parametrize("min_overlap", [np.int64(4), np.int32(4), np.uint8(4)])
+def test_numpy_integer_min_overlap_accepted(min_overlap):
+    pc = make_two_configurations(100, seed=0)
+    _, want = build_patches(pc, min_overlap=4, seed=0)
+    _, got = build_patches(pc, min_overlap=min_overlap, seed=0)
+    for name in ("ii", "jj", "theta", "labels"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def cloud_with_isolated_points(seed):
+    """A uniform-square cloud with three far points inside its index range, whose
+    one-member patches are dropped, so the kept patches skip their centers."""
+    X = make_two_configurations(120, generator="uniform-square", seed=seed).X
+    X = np.insert(X, [10, 50, 90], [[-5.0, -5.0], [-5.0, 16.0], [16.0, -5.0]], axis=0)
+    return PointCloudPair(X=X, Y=X @ np.array([[1.0, 0.4], [0.0, 1.0]]).T)
+
+
 class TestMakeTwoConfigurations:
     def test_congruent_pair_rejected(self):
         with pytest.raises(ValueError, match="congruent"):
@@ -229,11 +254,21 @@ class TestBuildPatches:
         assert mixed and same
         assert min(mixed) > 10 * max(same)
 
-    def test_matches_set_based_pair_scan(self):
-        radius, min_overlap, p1, p2, seed = 2.5, 4, 0.5, 0.3, 8
-        pc = make_two_configurations(120, generator="uniform-square", seed=seed)
-        ps, g = build_patches(pc, radius=radius, min_overlap=min_overlap, sigma=0.05,
-                              p1=p1, p2=p2, seed=seed)
+    @pytest.mark.parametrize("make_cloud, min_overlap, sigma, drops", [
+        (lambda seed: make_two_configurations(120, generator="uniform-square", seed=seed),
+         4, 0.05, False),
+        (lambda seed: make_two_configurations(120, seed=seed), 3, 0.0, False),
+        (cloud_with_isolated_points, 3, 0.2, True),
+    ], ids=["uniform-square", "grid-noiseless", "dropped-patches"])
+    def test_matches_set_based_pair_scan(self, make_cloud, min_overlap, sigma, drops):
+        radius, p1, p2, seed = 2.5, 0.5, 0.3, 8
+        pc = make_cloud(seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ps, g = build_patches(pc, radius=radius, min_overlap=min_overlap, sigma=sigma,
+                                  p1=p1, p2=p2, seed=seed)
+        assert len(caught) == drops
+        assert (ps.n_patches < pc.n) == drops
 
         dist = np.linalg.norm(pc.X[:, None, :] - pc.X[None, :, :], axis=2)
         members = [np.nonzero(dist[i] <= radius)[0] for i in range(pc.n)]
@@ -263,7 +298,7 @@ class TestBuildPatches:
         np.testing.assert_array_equal(g.ii, ii)
         np.testing.assert_array_equal(g.jj, jj)
         np.testing.assert_array_equal(g.labels, labels)
-        # the products sum in another order than the scalar scan
+        # the per-pair sums run in another order than the scalar scan
         diff = np.abs(g.theta - np.array(theta))
         assert np.max(np.minimum(diff, TWO_PI - diff)) <= 1e-12
 
