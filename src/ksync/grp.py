@@ -3,12 +3,12 @@
 A point cloud is covered by one patch per node (the node plus its
 neighbors within a radius).  Every patch carries two local embeddings, one
 per configuration, each expressed in a private frame rotated by an unknown
-angle; both are stored in one complex patch x node array, zero off the
-patch.  Aligning overlapping patches (sums over each pair's common nodes)
-yields pairwise rotation measurements that form a bi-synchronization instance;
-disentangling recovers the two measurement subgraphs, and a least-squares
-assembly of rotated patches (a patch-Laplacian solve on the same array)
-recovers both global embeddings.
+angle; both are stored at the patch's members only, in one complex array in
+membership order.  Aligning overlapping patches (sums over each pair's common
+nodes) yields pairwise rotation measurements that form a bi-synchronization
+instance; disentangling recovers the two measurement subgraphs, and a
+least-squares assembly of rotated patches (a patch-Laplacian solve over the
+same memberships) recovers both global embeddings.
 
 :func:`check_patch_settings` owns the rules on the patch settings (radius,
 min_overlap, sigma, p1, p2); :func:`build_patches` applies it first, and the
@@ -18,6 +18,7 @@ CLI's config check reports its message.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from .core import (
     AngleGroups,
     MeasurementGraph,
     TWO_PI,
+    _frozen,
     connected_components,
     wrap_angle,
 )
@@ -91,6 +93,8 @@ class PointCloudPair:
         Y = np.asarray(self.Y, dtype=float)
         if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != 2:
             raise ValueError("X and Y must be equal n x 2 arrays")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+            raise ValueError("X and Y must be finite")
         diameter = float(np.max(np.linalg.norm(X - X.mean(axis=0), axis=1))) * 2.0
         if procrustes_error(X, Y) <= NONCONGRUENCE_FLOOR * max(diameter, 1e-12):
             raise ValueError("configurations are congruent (or nearly so)")
@@ -151,33 +155,61 @@ def make_two_configurations(
 class PatchSet:
     """Per-node patches with their two rotated local embeddings.
 
-    ``members[i]`` are the sorted node indices of patch i (radius-based).
-    ``local[0, i, j]`` / ``local[1, i, j]`` is node j's type-X / type-Y local
-    coordinate x + iy in patch i: centered ground-truth coordinates rotated by
-    the patch's hidden angle, plus optional noise, at members and 0 elsewhere.
-    ``rotations`` holds those hidden angles as a 2-group AngleGroups
-    (row 1 for type-X frames, row 2 for type-Y).
+    ``members[i]`` are the sorted node indices of patch i (radius-based).  If
+    the t-th (patch, member) pair in ``members`` order is (i, j), ``values[:, t]``
+    holds node j's type-X and type-Y local coordinates x + iy in patch i:
+    centered ground-truth coordinates rotated by the patch's hidden angle, plus
+    optional noise.  ``rotations`` holds those hidden angles as a 2-group
+    AngleGroups (row 1 for type-X frames, row 2 for type-Y).  Arrays are frozen.
     """
 
     n_points: int
     centers: np.ndarray
     members: tuple
-    local: np.ndarray
+    values: np.ndarray
     rotations: AngleGroups
+
+    def __post_init__(self):
+        members = tuple(_frozen(m) for m in self.members)
+        centers = _frozen(self.centers)
+        if centers.size != len(members):
+            raise ValueError(f"centers must hold one entry per patch ({len(members)}), "
+                             f"got {centers.size}")
+        flat = np.concatenate(members)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.n_points):
+            raise ValueError(f"member ids must lie in [0, {self.n_points}), got ids from "
+                             f"{flat.min()} to {flat.max()}")
+        values = _frozen(np.asarray(self.values, dtype=complex))
+        if values.shape != (2, flat.size):
+            raise ValueError(f"values must be a 2 x {flat.size} array, one column per "
+                             f"membership, got shape {values.shape}")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "values", values)
 
     @property
     def n_patches(self) -> int:
         return len(self.members)
 
 
+def _number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def check_patch_settings(radius: float, min_overlap: int, sigma: float, p1: float, p2: float):
     """Raise ValueError on the first :func:`build_patches` setting it cannot honour."""
+    _number("sigma", sigma)
     if not 0.0 <= sigma < np.inf:
         raise ValueError("sigma must be non-negative and finite")
+    _number("radius", radius)
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
+    _number("p1", p1)
+    _number("p2", p2)
     if not (p1 >= 0.0 and p2 >= 0.0 and p1 + p2 <= 1.0 + 1e-12):
         raise ValueError("need p1, p2 >= 0 with p1 + p2 <= 1")
+    _number("min_overlap", min_overlap)
     if not 3 <= min_overlap < np.inf:
         raise ValueError("min_overlap must be at least 3 and finite")
     if not isinstance(min_overlap, (int, np.integer)):
@@ -203,7 +235,7 @@ def build_patches(
     probability p2 the type-Y ones (group 2), otherwise one of each
     (outlier).  The rotation estimate is the rotation-only Procrustes angle
     over the common nodes, summed for each pair over the first patch's
-    members, where the second patch's zero-filled coordinates vanish off it.
+    members, with the second patch's coordinates read by membership position.
     """
     check_patch_settings(radius, min_overlap, sigma, p1, p2)
     X, Y = pc.X, pc.Y
@@ -221,7 +253,6 @@ def build_patches(
     sizes = sizes[centers]
     rows, cols = np.nonzero(incidence)  # memberships, patch-major
     start = np.cumsum(sizes) - sizes  # first membership of each patch
-    members = np.split(cols, start[1:])
     N = centers.size
 
     rotations = AngleGroups(theta=wrap_angle(TWO_PI * substream(seed, 0x1).random((2, N))))
@@ -233,8 +264,6 @@ def build_patches(
         noise = _as_complex(sigma * substream(seed, 0x2).standard_normal((2 * rows.size, 2)))
         at = np.arange(rows.size) + start[rows]
         values += noise[np.stack([at, at + sizes[rows]])]
-    local = np.zeros((2, N, pc.n), dtype=complex)
-    local[:, rows, cols] = values
 
     # pairs in (a, b) lexicographic order, one type draw per pair in that order
     weights = incidence.astype(float)
@@ -242,53 +271,56 @@ def build_patches(
     ii, jj = np.nonzero(np.triu(overlap >= min_overlap, 1))
     u = substream(seed, 0x3).random(ii.size)
     labels = np.where(u < p1, 1, np.where(u < p1 + p2, 2, 0))
-    # cross-covariance of a's type-F and b's type-S coordinates, centered over
-    # their common nodes: a sum over a's memberships t (node cols[t]), where
-    # b's coordinate is 0 off b's patch, of f conj(s), minus
-    # sum(f) conj(sum(s)) / overlap[a, b] over the common nodes
+    # cross-covariance of a's type-F and b's type-S coordinates centered over their
+    # common nodes: sum over a's memberships t of f conj(s), s = 0 where b lacks the
+    # node (found by its key patch * n + node), minus sum(f) conj(sum(s)) / overlap
     reps = sizes[ii]
     seg = np.cumsum(reps) - reps  # each pair's first entry in the flat scan
     t = np.arange(reps.sum()) + np.repeat(start[ii] - seg, reps)
-    b, node = np.repeat(jj, reps), cols[t]
+    keys = rows * pc.n + cols
+    key = np.repeat(jj, reps) * pc.n + cols[t]
+    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    common = keys[at] == key
     # the type of each side as a 0/1 index (a bool array would index as a mask)
     f = values[np.repeat(labels == 2, reps).view(np.int8), t]  # X unless a Y-Y pair
-    s = local[np.repeat(labels != 1, reps).view(np.int8), b, node]  # Y unless an X-X pair
-    sum_f = np.add.reduceat(np.where(incidence[b, node], f, 0), seg)
+    s = np.where(common, values[np.repeat(labels != 1, reps).view(np.int8), at], 0)  # Y unless X-X
+    sum_f = np.add.reduceat(np.where(common, f, 0), seg)
     sum_s = np.add.reduceat(s, seg)
     gram = np.add.reduceat(np.conjugate(s, out=s) * f, seg)
     cross = gram - sum_f * np.conj(sum_s) / overlap[ii, jj]
     theta = wrap_angle(np.angle(cross))
 
-    ps = PatchSet(n_points=pc.n, centers=centers, members=tuple(members), local=local,
-                  rotations=rotations)
+    ps = PatchSet(n_points=pc.n, centers=centers, members=np.split(cols, start[1:]),
+                  values=values, rotations=rotations)
     return ps, MeasurementGraph(n=N, ii=ii, jj=jj, theta=theta, labels=labels)
 
 
-def _assemble(ps: PatchSet, patch_ids: np.ndarray, local: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _assemble(ps: PatchSet, patch_ids: np.ndarray, type: int, angles: np.ndarray) -> np.ndarray:
     """Solve node coordinates and patch translations by least squares.
 
-    ``local`` is one type's (n_patches, n_points) slice of ``ps.local``.  Each
-    (patch, member) pair yields node = derotated local[pid, node] +
-    translation.  Each node is its mean derotated copy plus its patches' mean
-    translation; eliminating the nodes leaves the patch Laplacian
+    Reads row ``type`` (0 for X, 1 for Y) of ``ps.values`` at the memberships t
+    of ``patch_ids``, patch by patch.  Each yields node = derotated local
+    coordinate + translation.  Each node is its mean derotated copy plus its
+    patches' mean translation; eliminating the nodes leaves the patch Laplacian
     L = diag(size) - (B / count) B^T of the patch x node membership B in the
     translations.  The first participating patch's translation is pinned to 0.
     """
-    B = np.zeros((patch_ids.size, ps.n_points))
-    for row, pid in enumerate(patch_ids):
-        B[row, ps.members[pid]] = 1.0
-    node_ids = np.nonzero(B.any(axis=0))[0]
-    B = B[:, node_ids]
-    n_patch, n_nodes = B.shape
+    sizes = np.fromiter(map(len, ps.members), np.int64, ps.n_patches)
+    reps = sizes[patch_ids]
+    row = np.repeat(np.arange(patch_ids.size), reps)
+    t = np.arange(row.size) + np.repeat(np.cumsum(sizes)[patch_ids] - np.cumsum(reps), reps)
+    node_ids, col = np.unique(np.concatenate(ps.members)[t], return_inverse=True)
+    B = np.zeros((patch_ids.size, node_ids.size))
+    B[row, col] = 1.0
 
     # connectivity of the patch-node membership bipartite graph
-    patch_of_row, node_col = np.nonzero(B)
-    roots = connected_components(n_nodes + n_patch, node_col, n_nodes + patch_of_row)
+    roots = connected_components(sum(B.shape), col, node_ids.size + row)
     if np.unique(roots).size > 1:
         comps = [np.nonzero(roots == r)[0].tolist() for r in np.unique(roots)]
         raise ValueError(f"translation system is disconnected: components {comps}")
 
-    Z = local[np.ix_(patch_ids, node_ids)] * np.exp(-1j * angles)[:, None]  # rotation by -angle
+    Z = np.zeros(B.shape, dtype=complex)
+    Z[row, col] = ps.values[type, t] * np.exp(-1j * angles)[row]  # rotation by -angle
     count = B.sum(axis=0)
     mean = Z.sum(axis=0) / count
     L = np.diag(B.sum(axis=1)) - (B / count) @ B.T
@@ -313,11 +345,13 @@ def asap_recover(
     node/translation least-squares system per recovered group as a
     patch-Laplacian solve.
     """
+    if g.n != ps.n_patches:
+        raise ValueError(f"the graph has {g.n} nodes but there are {ps.n_patches} patches")
     if ps.n_patches == 1 and g.m == 0:
         # single patch covering everything: its embeddings are the answer
         one = np.array([0], dtype=np.int64)
-        X_hat = _assemble(ps, one, ps.local[0], np.zeros(1))
-        Y_hat = _assemble(ps, one, ps.local[1], np.zeros(1))
+        X_hat = _assemble(ps, one, 0, np.zeros(1))
+        Y_hat = _assemble(ps, one, 1, np.zeros(1))
         return X_hat, Y_hat, None
     cfg = cfg or DisentangleConfig(k=2)
     if cfg.k != 2:
@@ -345,5 +379,5 @@ def asap_recover(
             g, H, mask, cfg.solver, (final.eigenvectors[label - 1], final.theta_hat[label - 1]))
         # restrict assembly to the synchronized (largest) component
         patch_ids, _ = _largest_component(g.n, g.ii[mask], g.jj[mask])
-        results[gtype] = _assemble(ps, patch_ids, ps.local[gtype - 1], angles[patch_ids])
+        results[gtype] = _assemble(ps, patch_ids, gtype - 1, angles[patch_ids])
     return results[1], results[2], final

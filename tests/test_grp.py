@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -34,7 +35,18 @@ def xy(z):
     return np.column_stack([z.real, z.imag])
 
 
-def lstsq_assembly(ps, patch_ids, local, angles):
+def patch_values(ps, type, pid):
+    """Patch ``pid``'s type-``type`` local coordinates, one per member."""
+    start = sum(m.size for m in ps.members[:pid])
+    return ps.values[type, start:start + ps.members[pid].size]
+
+
+def values_at(ps, type, pid, nodes):
+    """Patch ``pid``'s type-``type`` local coordinates at its sorted members ``nodes``."""
+    return patch_values(ps, type, pid)[np.isin(ps.members[pid], nodes)]
+
+
+def lstsq_assembly(ps, patch_ids, type, angles):
     """Dense least-squares reference for ``_assemble``.
 
     One row per (patch, member) pair: +1 in the node's column, -1 in the
@@ -45,7 +57,7 @@ def lstsq_assembly(ps, patch_ids, local, angles):
     rows, rhs = [], []
     for k, (pid, angle) in enumerate(zip(patch_ids, angles)):
         c, s = np.cos(angle), np.sin(angle)
-        derotated = xy(local[pid, ps.members[pid]]) @ np.array([[c, s], [-s, c]]).T
+        derotated = xy(patch_values(ps, type, pid)) @ np.array([[c, s], [-s, c]]).T
         for node, point in zip(ps.members[pid], derotated):
             row = np.zeros(node_ids.size + len(patch_ids) - 1)
             row[column[int(node)]] = 1.0
@@ -80,11 +92,17 @@ _MIN_OVERLAP = "min_overlap must be at least 3 and finite"
     (lambda pc: build_patches(pc, min_overlap=2), _MIN_OVERLAP),
     (lambda pc: build_patches(pc, min_overlap=np.nan), _MIN_OVERLAP),
     (lambda pc: build_patches(pc, min_overlap=np.inf), _MIN_OVERLAP),
+    (lambda pc: build_patches(pc, min_overlap="3"), "min_overlap must be a number, got '3'"),
+    (lambda pc: build_patches(pc, min_overlap=None), "min_overlap must be a number, got None"),
+    (lambda pc: build_patches(pc, radius="2.5"), "radius must be a number, got '2.5'"),
+    (lambda pc: build_patches(pc, sigma=True), "sigma must be a number, got True"),
     # settings are checked one at a time, in this order
     (lambda pc: build_patches(pc, sigma=-1.0, radius=0.0, min_overlap=2), _SIGMA),
     (lambda pc: build_patches(pc, radius=0.0, p1=2.0), _RADIUS),
     (lambda pc: asap_recover(*build_patches(pc), DisentangleConfig(k=3)),
      "two-configuration recovery needs k = 2"),
+    (lambda pc: asap_recover(build_patches(pc)[0], build_patches(make_two_configurations(25))[1]),
+     "the graph has 25 nodes but there are 16 patches"),
     # every patch of the unit grid holds only its center, so none is left,
     # and no warning is issued before the error
     (lambda pc: build_patches(pc, radius=0.5), "no patch has 3 or more members"),
@@ -95,9 +113,9 @@ _MIN_OVERLAP = "min_overlap must be at least 3 and finite"
     (lambda pc: PointCloudPair(X=pc.X, Y=pc.Y[:-1]), "X and Y must be equal n x 2 arrays"),
 ], ids=["n", "generator", "negative-sigma", "nan-sigma", "inf-sigma", "zero-radius",
         "nan-radius", "inf-radius", "nan-p1", "negative-p2", "min-overlap", "nan-min-overlap",
-        "inf-min-overlap", "first-of-three",
-        "first-of-two", "recover-k", "no-patch-left", "procrustes-shapes", "cloud-columns",
-        "cloud-rows"])
+        "inf-min-overlap", "string-min-overlap", "none-min-overlap", "string-radius",
+        "bool-sigma", "first-of-three", "first-of-two", "recover-k", "recover-graph-size",
+        "no-patch-left", "procrustes-shapes", "cloud-columns", "cloud-rows"])
 def test_invalid_settings_rejected(call, message):
     pc = make_two_configurations(16, seed=0)
     with pytest.raises(ValueError) as exc:
@@ -120,6 +138,18 @@ def test_numpy_integer_min_overlap_accepted(min_overlap):
     _, got = build_patches(pc, min_overlap=min_overlap, seed=0)
     for name in ("ii", "jj", "theta", "labels"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("name, at, value", [
+    ("X", (5, 0), np.nan), ("Y", (7, 1), np.inf), ("X", (0, 1), -np.inf), ("Y", (3, 0), np.nan),
+])
+def test_non_finite_cloud_rejected(name, at, value):
+    pc = make_two_configurations(16, seed=0)
+    arrays = {"X": pc.X.copy(), "Y": pc.Y.copy()}
+    arrays[name][at] = value
+    with pytest.raises(ValueError) as exc:
+        PointCloudPair(**arrays)
+    assert str(exc.value) == "X and Y must be finite"
 
 
 def cloud_with_isolated_points(seed):
@@ -244,13 +274,14 @@ class TestBuildPatches:
         for e in range(g.m):
             a, b = int(g.ii[e]), int(g.jj[e])
             common = np.array(sorted(member_sets[a] & member_sets[b]))
-            lx, ly = ps.local[:, :, common]
+            xa, ya = (xy(values_at(ps, type, a, common)) for type in (0, 1))
+            xb, yb = (xy(values_at(ps, type, b, common)) for type in (0, 1))
             if g.labels[e] == 1:
-                same.append(fit_residual(xy(lx[a]), xy(lx[b])))
+                same.append(fit_residual(xa, xb))
             elif g.labels[e] == 2:
-                same.append(fit_residual(xy(ly[a]), xy(ly[b])))
+                same.append(fit_residual(ya, yb))
             else:
-                mixed.append(fit_residual(xy(lx[a]), xy(ly[b])))
+                mixed.append(fit_residual(xa, yb))
         assert mixed and same
         assert min(mixed) > 10 * max(same)
 
@@ -288,12 +319,12 @@ class TestBuildPatches:
                     continue
                 u = type_rng.random()
                 label = 1 if u < p1 else 2 if u < p1 + p2 else 0
-                src_a = ps.local[1] if label == 2 else ps.local[0]
-                src_b = ps.local[0] if label == 1 else ps.local[1]
+                type_a, type_b = int(label == 2), int(label != 1)
                 ii.append(a)
                 jj.append(b)
                 labels.append(label)
-                theta.append(procrustes_rotation(xy(src_a[a, common]), xy(src_b[b, common])))
+                theta.append(procrustes_rotation(xy(values_at(ps, type_a, a, common)),
+                                                 xy(values_at(ps, type_b, b, common))))
         assert len(set(labels)) == 3
         np.testing.assert_array_equal(g.ii, ii)
         np.testing.assert_array_equal(g.jj, jj)
@@ -308,7 +339,8 @@ class TestBuildPatches:
         pc = make_two_configurations(100, seed=seed)
         ps, _ = build_patches(pc, sigma=sigma, seed=seed)
         noise_rng = substream(seed, 0x2)
-        want = np.zeros_like(ps.local)
+        want = np.zeros_like(ps.values)
+        start = 0
         for i, mem in enumerate(ps.members):
             for t, points in enumerate((pc.X, pc.Y)):
                 angle = ps.rotations.theta[t, i]
@@ -316,8 +348,10 @@ class TestBuildPatches:
                 centered = points[mem] - points[mem].mean(axis=0)
                 rotated = centered @ np.array([[c, -s], [s, c]]).T
                 rotated += sigma * noise_rng.standard_normal((mem.size, 2))
-                want[t, i, mem] = rotated[:, 0] + 1j * rotated[:, 1]
-        assert np.max(np.abs(ps.local - want)) <= 1e-12
+                want[t, start:start + mem.size] = rotated[:, 0] + 1j * rotated[:, 1]
+            start += mem.size
+        assert start == ps.values.shape[1]
+        assert np.max(np.abs(ps.values - want)) <= 1e-12
 
     def test_probability_validation(self):
         pc = make_two_configurations(64, seed=0)
@@ -325,6 +359,58 @@ class TestBuildPatches:
             build_patches(pc, p1=0.8, p2=0.4, seed=0)
         with pytest.raises(ValueError):
             build_patches(pc, min_overlap=2, seed=0)
+
+
+class TestPatchSet:
+    @staticmethod
+    def make(**changes):
+        fields = dict(n_points=5, centers=np.array([0, 4]),
+                      members=(np.array([0, 1, 2]), np.array([2, 3, 4])),
+                      values=np.ones((2, 6), dtype=complex),
+                      rotations=AngleGroups(theta=np.zeros((2, 2))))
+        return PatchSet(**{**fields, **changes})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"values": np.ones((2, 5))},
+         "values must be a 2 x 6 array, one column per membership, got shape (2, 5)"),
+        ({"values": np.ones((1, 6))},
+         "values must be a 2 x 6 array, one column per membership, got shape (1, 6)"),
+        ({"values": np.ones((2, 2, 5))},
+         "values must be a 2 x 6 array, one column per membership, got shape (2, 2, 5)"),
+        ({"members": (np.array([0, 1, 2]), np.array([2, 3, 5]))},
+         "member ids must lie in [0, 5), got ids from 0 to 5"),
+        ({"members": (np.array([-1, 1, 2]), np.array([2, 3, 4]))},
+         "member ids must lie in [0, 5), got ids from -1 to 4"),
+        ({"centers": np.array([0, 2, 4])}, "centers must hold one entry per patch (2), got 3"),
+    ], ids=["values-columns", "values-types", "values-dense", "member-above", "member-below",
+            "centers"])
+    def test_bad_layout_rejected(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            self.make(**changes)
+        assert str(exc.value) == message
+
+    def test_arrays_are_read_only(self):
+        pc = make_two_configurations(100, seed=0)
+        ps, _ = build_patches(pc, sigma=0.1, seed=0)
+        for arr in (ps.centers, ps.values, *ps.members):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_holds_memberships_not_a_patch_by_node_array(self):
+        # the 900-node grid has 900 patches; a dense 2 x 900 x 900 complex
+        # array would take 25.9 MB, the memberships about 0.7 MB
+        pc = make_two_configurations(900, seed=0)
+        ps, _ = build_patches(pc, seed=0)
+        memberships = sum(m.size for m in ps.members)
+        held = 0
+        for field in dataclasses.fields(ps):
+            value = getattr(ps, field.name)
+            for arr in (value if isinstance(value, tuple) else (value,)):
+                arr = arr.theta if isinstance(arr, AngleGroups) else arr
+                held += arr.nbytes if isinstance(arr, np.ndarray) else 0
+        assert memberships < 30 * ps.n_patches
+        assert held <= 64 * memberships
 
 
 class TestAsapRecover:
@@ -348,17 +434,15 @@ class TestAsapRecover:
 
     def test_disjoint_patches_rejected(self):
         triangle = np.array([0.0, 1.0, 1j])
-        local = np.zeros((2, 2, 6), dtype=complex)
-        local[:, 0, :3] = local[:, 1, 3:] = triangle
         ps = PatchSet(
             n_points=6,
             centers=np.array([0, 3]),
             members=(np.array([0, 1, 2]), np.array([3, 4, 5])),
-            local=local,
+            values=np.tile(triangle, (2, 2)),
             rotations=AngleGroups(theta=np.zeros((2, 2))),
         )
         with pytest.raises(ValueError, match="translation system is disconnected"):
-            _assemble(ps, np.array([0, 1]), local[0], np.zeros(2))
+            _assemble(ps, np.array([0, 1]), 0, np.zeros(2))
 
     def test_assembly_matches_dense_lstsq(self):
         pc = make_two_configurations(100, seed=4)
@@ -367,9 +451,9 @@ class TestAsapRecover:
         # non-contiguous, unsorted subset: the gauge pins its first entry
         patch_ids = rng.permutation(ps.n_patches)[:16]
         angles = TWO_PI * rng.random(patch_ids.size)
-        for local in ps.local:
-            got = _assemble(ps, patch_ids, local, angles)
-            want = lstsq_assembly(ps, patch_ids, local, angles)
+        for type in (0, 1):
+            got = _assemble(ps, patch_ids, type, angles)
+            want = lstsq_assembly(ps, patch_ids, type, angles)
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
             assembled = ~np.isnan(want[:, 0])
             assert 0 < assembled.sum() < ps.n_points
@@ -425,7 +509,7 @@ class TestAsapRecover:
         # collapse to a genuinely single-patch instance
         from ksync.grp import PatchSet
         single = PatchSet(n_points=4, centers=ps.centers[:1], members=ps.members[:1],
-                          local=ps.local[:, :1], rotations=ps.rotations)
+                          values=ps.values[:, :ps.members[0].size], rotations=ps.rotations)
         from ksync.core import MeasurementGraph
         empty = MeasurementGraph(n=1, ii=[], jj=[], theta=[])
         x_hat, y_hat, state = asap_recover(single, empty)
