@@ -4,11 +4,11 @@ A point cloud is covered by one patch per node (the node plus its
 neighbors within a radius).  Every patch carries two local embeddings, one
 per configuration, each expressed in a private frame rotated by an unknown
 angle; both are stored at the patch's members only, in one complex array in
-membership order.  Aligning overlapping patches (sums over each pair's common
-nodes) yields pairwise rotation measurements that form a bi-synchronization
-instance; disentangling recovers the two measurement subgraphs, and a
-least-squares assembly of rotated patches (a patch-Laplacian solve over the
-same memberships) recovers both global embeddings.
+membership order.  Aligning overlapping patches over each pair's common nodes
+(listed in one pass over the nodes) yields rotation measurements forming a
+bi-synchronization instance on the patch graph's edge list; disentangling
+recovers the two measurement subgraphs, and a patch-Laplacian least-squares
+assembly of the rotated patches recovers both global embeddings.
 
 :func:`check_patch_settings` owns the rules on the patch settings (radius,
 min_overlap, sigma, p1, p2); :func:`build_patches` applies it first, and the
@@ -40,7 +40,7 @@ from .disentangle import (
     iterate_disentangle,
 )
 from .genmodel import substream
-from .sync import solve
+from .sync import _spectral
 
 NONCONGRUENCE_FLOOR = 0.01  # fraction of the diameter
 
@@ -159,7 +159,7 @@ class PatchSet:
     the t-th (patch, member) pair in ``members`` order is (i, j), ``values[:, t]``
     holds node j's type-X and type-Y local coordinates x + iy in patch i:
     centered ground-truth coordinates rotated by the patch's hidden angle, plus
-    optional noise.  ``rotations`` holds those hidden angles as a 2-group
+    optional noise.  ``rotations`` holds those hidden angles as a 2 x n_patches
     AngleGroups (row 1 for type-X frames, row 2 for type-Y).  Arrays are frozen.
     """
 
@@ -183,6 +183,9 @@ class PatchSet:
         if values.shape != (2, flat.size):
             raise ValueError(f"values must be a 2 x {flat.size} array, one column per "
                              f"membership, got shape {values.shape}")
+        if self.rotations.theta.shape != (2, len(members)):
+            raise ValueError(f"rotations must hold 2 x {len(members)} angles, one per type "
+                             f"and patch, got shape {self.rotations.theta.shape}")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "values", values)
@@ -234,8 +237,8 @@ def build_patches(
     with probability p1 the two type-X embeddings are aligned (group 1), with
     probability p2 the type-Y ones (group 2), otherwise one of each
     (outlier).  The rotation estimate is the rotation-only Procrustes angle
-    over the common nodes, summed for each pair over the first patch's
-    members, with the second patch's coordinates read by membership position.
+    over the common nodes.  One pass over the nodes lists every pair's common
+    nodes; their count decides the edge, and the sums run over them.
     """
     check_patch_settings(radius, min_overlap, sigma, p1, p2)
     X, Y = pc.X, pc.Y
@@ -265,29 +268,30 @@ def build_patches(
         at = np.arange(rows.size) + start[rows]
         values += noise[np.stack([at, at + sizes[rows]])]
 
-    # pairs in (a, b) lexicographic order, one type draw per pair in that order
-    weights = incidence.astype(float)
-    overlap = weights @ weights.T
-    ii, jj = np.nonzero(np.triu(overlap >= min_overlap, 1))
-    u = substream(seed, 0x3).random(ii.size)
+    # the memberships (ta, tb) of patches a < b at each common node: each membership
+    # paired with the later memberships of its node
+    by_node = np.argsort(cols, kind="stable")  # patches ascending within a node
+    later = np.cumsum(np.bincount(cols, minlength=pc.n))[cols[by_node]] - np.arange(cols.size) - 1
+    pos = np.repeat(np.arange(cols.size), later)
+    ta = by_node[pos]
+    tb = by_node[pos + np.arange(pos.size) - np.repeat(np.cumsum(later) - later, later) + 1]
+    key = rows[ta] * N + rows[tb]
+    order = np.argsort(key, kind="stable")  # pairs in (a, b) order, nodes ascending in each
+    pairs, overlap = np.unique(key[order], return_counts=True)
+    hit = overlap >= min_overlap
+    ii, jj = np.divmod(pairs[hit], N)
+    u = substream(seed, 0x3).random(ii.size)  # one type draw per kept pair, in order
     labels = np.where(u < p1, 1, np.where(u < p1 + p2, 2, 0))
     # cross-covariance of a's type-F and b's type-S coordinates centered over their
-    # common nodes: sum over a's memberships t of f conj(s), s = 0 where b lacks the
-    # node (found by its key patch * n + node), minus sum(f) conj(sum(s)) / overlap
-    reps = sizes[ii]
-    seg = np.cumsum(reps) - reps  # each pair's first entry in the flat scan
-    t = np.arange(reps.sum()) + np.repeat(start[ii] - seg, reps)
-    keys = rows * pc.n + cols
-    key = np.repeat(jj, reps) * pc.n + cols[t]
-    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-    common = keys[at] == key
+    # common nodes: sum(f conj(s)) - sum(f) conj(sum(s)) / overlap
+    entries = order[np.repeat(hit, overlap)]  # the kept pairs' common nodes, pair by pair
+    count = overlap[hit]
+    seg = np.cumsum(count) - count
     # the type of each side as a 0/1 index (a bool array would index as a mask)
-    f = values[np.repeat(labels == 2, reps).view(np.int8), t]  # X unless a Y-Y pair
-    s = np.where(common, values[np.repeat(labels != 1, reps).view(np.int8), at], 0)  # Y unless X-X
-    sum_f = np.add.reduceat(np.where(common, f, 0), seg)
-    sum_s = np.add.reduceat(s, seg)
-    gram = np.add.reduceat(np.conjugate(s, out=s) * f, seg)
-    cross = gram - sum_f * np.conj(sum_s) / overlap[ii, jj]
+    f = values[np.repeat(labels == 2, count).view(np.int8), ta[entries]]  # X unless Y-Y
+    s = values[np.repeat(labels != 1, count).view(np.int8), tb[entries]]  # Y unless X-X
+    gram = np.add.reduceat(f * s.conj(), seg)
+    cross = gram - np.add.reduceat(f, seg) * np.add.reduceat(s, seg).conj() / count
     theta = wrap_angle(np.angle(cross))
 
     ps = PatchSet(n_points=pc.n, centers=centers, members=np.split(cols, start[1:]),
@@ -338,12 +342,13 @@ def asap_recover(
 ) -> tuple[np.ndarray, np.ndarray, DisentangleState | None]:
     """Recover both global embeddings from patch alignment measurements.
 
-    Pipeline: bi-synchronize the patch graph, disentangle it into two good
-    subgraphs, re-synchronize each good subgraph (warm-started from the last
-    round's eigenvectors, to ``linalg.DEFAULT_TOL``), then rotate each patch's
-    type-matched local embedding by its estimated angle and solve the
-    node/translation least-squares system per recovered group as a
-    patch-Laplacian solve.
+    Pipeline: bi-synchronize the patch graph on its edge operator, disentangle
+    it into two good subgraphs, re-synchronize each good subgraph on that
+    operator's restriction (warm-started from the last round's eigenvectors,
+    to ``linalg.DEFAULT_TOL``), then rotate each patch's type-matched local
+    embedding by its estimated angle and solve the node/translation
+    least-squares system per recovered group as a patch-Laplacian solve.  A
+    graph of several patches without an edge is rejected.
     """
     if g.n != ps.n_patches:
         raise ValueError(f"the graph has {g.n} nodes but there are {ps.n_patches} patches")
@@ -356,8 +361,10 @@ def asap_recover(
     cfg = cfg or DisentangleConfig(k=2)
     if cfg.k != 2:
         raise ValueError("two-configuration recovery needs k = 2")
-    initial = solve(g, 2, cfg.solver)
-    states = iterate_disentangle(g, cfg, initial)
+    if g.m == 0:
+        raise ValueError("measurement graph has no edges")
+    H = linalg._EdgeOperator.of_graph(g)
+    states = iterate_disentangle(g, cfg, _spectral(H, 2, cfg.solver))
     final = states[-1]
 
     # recovered group 1 takes the majority true type of its edges (Y on a
@@ -370,7 +377,6 @@ def asap_recover(
         if ys and ys >= np.sum(labs == 1):
             first = 2
     results: dict[int, np.ndarray] = {}
-    H = linalg._EdgeOperator.of_graph(g)
     for label, gtype in ((1, first), (2, 3 - first)):
         mask = recovered == label
         if not mask.any():

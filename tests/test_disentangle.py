@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_matrix
-from ksync import disentangle, linalg
+from ksync import disentangle, grp, linalg
 from ksync.core import (
     AngleGroups,
     MeasurementGraph,
@@ -515,8 +515,8 @@ class TestSyncSubgraph:
 
 
 def _operator_kinds(monkeypatch):
-    """Record the operator type of every subgraph solve, and the edge count of
-    every graph operator built."""
+    """Record the operator type of every subgraph solve and of GRP's whole-graph
+    solve, and the edge count of every graph operator built."""
     kinds, builds = [], []
     spectral, of_graph = disentangle._spectral, linalg._EdgeOperator.of_graph
 
@@ -529,6 +529,7 @@ def _operator_kinds(monkeypatch):
         return of_graph(g)
 
     monkeypatch.setattr(disentangle, "_spectral", spy)
+    monkeypatch.setattr(grp, "_spectral", spy)
     monkeypatch.setattr(linalg._EdgeOperator, "of_graph", counting)
     return kinds, builds
 
@@ -549,8 +550,8 @@ class TestOperatorTraffic:
         ps, g = build_patches(make_two_configurations(400, seed=1), sigma=0.0, seed=1)
         kinds, builds = _operator_kinds(monkeypatch)
         asap_recover(ps, g, DisentangleConfig(k=2, iterations=2))
-        # two rounds of two groups, then the two final re-solves
-        assert kinds == [linalg._EdgeOperator] * 6
+        # the whole-graph solve, two rounds of two groups, then the two final re-solves
+        assert kinds == [linalg._EdgeOperator] * 7
         assert builds == [g.m, g.m]
 
 

@@ -285,13 +285,18 @@ class TestBuildPatches:
         assert mixed and same
         assert min(mixed) > 10 * max(same)
 
-    @pytest.mark.parametrize("make_cloud, min_overlap, sigma, drops", [
+    @pytest.mark.parametrize("make_cloud, min_overlap, sigma, drops, types", [
         (lambda seed: make_two_configurations(120, generator="uniform-square", seed=seed),
-         4, 0.05, False),
-        (lambda seed: make_two_configurations(120, seed=seed), 3, 0.0, False),
-        (cloud_with_isolated_points, 3, 0.2, True),
-    ], ids=["uniform-square", "grid-noiseless", "dropped-patches"])
-    def test_matches_set_based_pair_scan(self, make_cloud, min_overlap, sigma, drops):
+         4, 0.05, False, 3),
+        (lambda seed: make_two_configurations(120, seed=seed), 3, 0.0, False, 3),
+        (cloud_with_isolated_points, 3, 0.2, True, 3),
+        # an interior grid patch has 21 members, so 8 drops the thinner overlaps
+        (lambda seed: make_two_configurations(120, seed=seed), 8, 0.1, False, 3),
+        # and 50 drops every pair: an edgeless graph from an empty scan
+        (lambda seed: make_two_configurations(120, seed=seed), 50, 0.1, False, 0),
+    ], ids=["uniform-square", "grid-noiseless", "dropped-patches", "grid-filtered",
+            "grid-edgeless"])
+    def test_matches_set_based_pair_scan(self, make_cloud, min_overlap, sigma, drops, types):
         radius, p1, p2, seed = 2.5, 0.5, 0.3, 8
         pc = make_cloud(seed)
         with warnings.catch_warnings(record=True) as caught:
@@ -325,13 +330,13 @@ class TestBuildPatches:
                 labels.append(label)
                 theta.append(procrustes_rotation(xy(values_at(ps, type_a, a, common)),
                                                  xy(values_at(ps, type_b, b, common))))
-        assert len(set(labels)) == 3
+        assert len(set(labels)) == types
         np.testing.assert_array_equal(g.ii, ii)
         np.testing.assert_array_equal(g.jj, jj)
         np.testing.assert_array_equal(g.labels, labels)
         # the per-pair sums run in another order than the scalar scan
         diff = np.abs(g.theta - np.array(theta))
-        assert np.max(np.minimum(diff, TWO_PI - diff)) <= 1e-12
+        assert np.max(np.minimum(diff, TWO_PI - diff), initial=0.0) <= 1e-12
 
     def test_noise_realization_pinned(self):
         # per patch in order: its X noise rows, then its Y noise rows
@@ -382,8 +387,12 @@ class TestPatchSet:
         ({"members": (np.array([-1, 1, 2]), np.array([2, 3, 4]))},
          "member ids must lie in [0, 5), got ids from -1 to 4"),
         ({"centers": np.array([0, 2, 4])}, "centers must hold one entry per patch (2), got 3"),
+        ({"rotations": AngleGroups(theta=np.zeros((2, 3)))},
+         "rotations must hold 2 x 2 angles, one per type and patch, got shape (2, 3)"),
+        ({"rotations": AngleGroups(theta=np.zeros((1, 2)))},
+         "rotations must hold 2 x 2 angles, one per type and patch, got shape (1, 2)"),
     ], ids=["values-columns", "values-types", "values-dense", "member-above", "member-below",
-            "centers"])
+            "centers", "rotations-patches", "rotations-types"])
     def test_bad_layout_rejected(self, changes, message):
         with pytest.raises(ValueError) as exc:
             self.make(**changes)
@@ -509,13 +518,21 @@ class TestAsapRecover:
         # collapse to a genuinely single-patch instance
         from ksync.grp import PatchSet
         single = PatchSet(n_points=4, centers=ps.centers[:1], members=ps.members[:1],
-                          values=ps.values[:, :ps.members[0].size], rotations=ps.rotations)
+                          values=ps.values[:, :ps.members[0].size],
+                          rotations=AngleGroups(theta=ps.rotations.theta[:, :1]))
         from ksync.core import MeasurementGraph
         empty = MeasurementGraph(n=1, ii=[], jj=[], theta=[])
         x_hat, y_hat, state = asap_recover(single, empty)
         assert state is None
         assert procrustes_error(pc.X, x_hat) <= 1e-10
         assert procrustes_error(pc.Y, y_hat) <= 1e-10
+
+    def test_edgeless_patch_graph_rejected(self):
+        pc = make_two_configurations(120, generator="uniform-square", seed=8)
+        ps, g = build_patches(pc, min_overlap=50, seed=8)
+        assert ps.n_patches == 120 and g.m == 0
+        with pytest.raises(ValueError, match="^measurement graph has no edges$"):
+            asap_recover(ps, g)
 
     def test_exact_rotations_separate_labels_in_one_round(self):
         pc = make_two_configurations(100, seed=0)
