@@ -11,7 +11,8 @@ block step; only the last round's angles are output, so only the last
 round is solved to ``linalg.DEFAULT_TOL``.  A group's subgraph is solved on
 a Hermitian edge list, not on a dense n x n matrix: the restriction of the
 graph's ``linalg._EdgeOperator``, whose edges are sorted by destination and
-exponentiated once per :func:`iterate_disentangle` call, not per solve.
+exponentiated once per :func:`iterate_disentangle` (or ``grp.asap_recover``)
+call, not per solve.
 """
 
 from __future__ import annotations
@@ -257,21 +258,34 @@ def iterate_disentangle(
         raise ValueError("initial estimate's eigenvectors differ in shape from its angles")
     if truth is not None:
         _check_matchable(truth, (cfg.k, g.n))
-    fractions = cfg.bad_fractions
-    if fractions is None:
-        if g.labels is None:
-            raise ValueError(
-                "bad_fractions not set and graph carries no ground-truth labels"
-            )
-        counts = np.bincount(g.labels, minlength=cfg.k + 1).astype(float)
-        if counts.size > cfg.k + 1:
-            raise ValueError(f"graph has edges labelled {counts.size - 1}, above k = {cfg.k}; "
-                             "set bad_fractions")
-        fractions = _outlier_shares(counts[1:], float(counts[0]))
+    fractions = _bad_fractions(g, cfg)
+    return _disentangle(g, cfg, linalg._EdgeOperator.of_graph(g), initial, fractions, truth)
 
+
+def _bad_fractions(g: MeasurementGraph, cfg: DisentangleConfig) -> tuple:
+    """``cfg.bad_fractions``, or the labelled outlier shares when it is None."""
+    if cfg.bad_fractions is not None:
+        return cfg.bad_fractions
+    if g.labels is None:
+        raise ValueError(
+            "bad_fractions not set and graph carries no ground-truth labels"
+        )
+    counts = np.bincount(g.labels, minlength=cfg.k + 1).astype(float)
+    if counts.size > cfg.k + 1:
+        raise ValueError(f"graph has edges labelled {counts.size - 1}, above k = {cfg.k}; "
+                         "set bad_fractions")
+    return _outlier_shares(counts[1:], float(counts[0]))
+
+
+def _disentangle(g: MeasurementGraph, cfg: DisentangleConfig, H: linalg._EdgeOperator,
+                 initial: SyncEstimate, fractions: tuple,
+                 truth: AngleGroups | None = None) -> list[DisentangleState]:
+    """The rounds of :func:`iterate_disentangle` on the graph's operator ``H``.
+
+    ``H`` is ``linalg._EdgeOperator.of_graph(g)``; the inputs are not checked.
+    """
     theta = np.asarray(initial.theta_hat, dtype=float)
     vectors = np.asarray(initial.eigenvectors, dtype=complex)
-    H = linalg._EdgeOperator.of_graph(g)
     states: list[DisentangleState] = []
     for r in range(1, cfg.iterations + 1):
         # psi (k x m) is not held through the group solves

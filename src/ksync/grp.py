@@ -1,14 +1,17 @@
 """Two-configuration graph realization via patch alignment and bi-synchronization.
 
 A point cloud is covered by one patch per node (the node plus its
-neighbors within a radius).  Every patch carries two local embeddings, one
-per configuration, each expressed in a private frame rotated by an unknown
-angle; both are stored at the patch's members only, in one complex array in
-membership order.  Aligning overlapping patches over each pair's common nodes
-(listed in one pass over the nodes) yields rotation measurements forming a
-bi-synchronization instance on the patch graph's edge list; disentangling
-recovers the two measurement subgraphs, and a patch-Laplacian least-squares
-assembly of the rotated patches recovers both global embeddings.
+neighbors within a radius, found by a cell list).  Every patch carries two
+local embeddings, one per configuration, each expressed in a private frame
+rotated by an unknown angle; both are stored at the patch's members only, in
+one complex array in membership order.  Aligning overlapping patches over
+each pair's common nodes (listed in one pass over the nodes) yields rotation
+measurements forming a bi-synchronization instance on the patch graph's edge
+list; disentangling recovers the two measurement subgraphs, and a
+least-squares assembly of the rotated patches recovers both global
+embeddings: conjugate gradients on the patch Laplacian, applied as sums over
+the memberships, with the first patch's translation pinned to 0.  No step
+holds a patch x node or node x node array.
 
 :func:`check_patch_settings` owns the rules on the patch settings (radius,
 min_overlap, sigma, p1, p2); :func:`build_patches` applies it first, and the
@@ -35,14 +38,17 @@ from .core import (
 from .disentangle import (
     DisentangleConfig,
     DisentangleState,
+    _bad_fractions,
+    _disentangle,
     _largest_component,
     _sync_subgraph,
-    iterate_disentangle,
 )
 from .genmodel import substream
 from .sync import _spectral
 
 NONCONGRUENCE_FLOOR = 0.01  # fraction of the diameter
+_CELL_CAP = 2**30  # largest cell index of the patch cell list, per axis
+_CG_TOL = 1e-13  # relative residual of the patch-Laplacian solve
 
 
 def _as_complex(points: np.ndarray) -> np.ndarray:
@@ -155,7 +161,9 @@ def make_two_configurations(
 class PatchSet:
     """Per-node patches with their two rotated local embeddings.
 
-    ``members[i]`` are the sorted node indices of patch i (radius-based).  If
+    ``members[i]`` are the node ids of patch i (radius-based): at least one,
+    integers, strictly increasing (the assembly's sums over the memberships
+    would count a repeated id twice).  If
     the t-th (patch, member) pair in ``members`` order is (i, j), ``values[:, t]``
     holds node j's type-X and type-Y local coordinates x + iy in patch i:
     centered ground-truth coordinates rotated by the patch's hidden angle, plus
@@ -175,10 +183,20 @@ class PatchSet:
         if centers.size != len(members):
             raise ValueError(f"centers must hold one entry per patch ({len(members)}), "
                              f"got {centers.size}")
+        sizes = np.array([m.size for m in members])
+        if not sizes.all():
+            raise ValueError(f"patch {np.argmin(sizes)} has no members")
         flat = np.concatenate(members)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.n_points):
+        if not np.issubdtype(flat.dtype, np.integer):
+            raise ValueError(f"member ids must be integers, got dtype {flat.dtype}")
+        if flat.min() < 0 or flat.max() >= self.n_points:
             raise ValueError(f"member ids must lie in [0, {self.n_points}), got ids from "
                              f"{flat.min()} to {flat.max()}")
+        patch = np.repeat(np.arange(len(members)), sizes)
+        unsorted = patch[1:][(np.diff(flat) <= 0) & (patch[1:] == patch[:-1])]
+        if unsorted.size:
+            raise ValueError(f"member ids of patch {unsorted[0]} must be strictly increasing, "
+                             f"got {members[unsorted[0]].tolist()}")
         values = _frozen(np.asarray(self.values, dtype=complex))
         if values.shape != (2, flat.size):
             raise ValueError(f"values must be a 2 x {flat.size} array, one column per "
@@ -219,6 +237,35 @@ def check_patch_settings(radius: float, min_overlap: int, sigma: float, p1: floa
         raise ValueError(f"min_overlap must be an integer, got {min_overlap!r}")
 
 
+def _within_radius(X: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) with ``norm(X[i] - X[j]) <= radius``, by i, then j ascending.
+
+    A cell list: the points are binned into square cells of side just above
+    ``radius``, so a pair within it lies in adjacent cells, and only each
+    point's 3 x 3 block of cells is tested.
+    """
+    low = X.min(axis=0)
+    span = float(np.max(X.max(axis=0) - low))
+    # the cell coordinates are off by a few ulps of the span at most; padding the
+    # side by more keeps every pair that passes the test below in adjacent cells
+    side = radius + 8 * np.finfo(float).eps * (radius + span)
+    # cells past the cap merge; that only adds candidates, which the test drops.
+    # Counting from 1 keeps every neighbouring cell's key non-negative
+    cell = np.minimum((X - low) / side, _CELL_CAP).astype(np.int64) + 1
+    width = cell[:, 1].max() + 2
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    binned = key[order]
+    block = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+    near = key[:, None] + block  # the 3 x 3 cells around each point
+    first = np.searchsorted(binned, near, side="left").ravel()
+    count = np.searchsorted(binned, near, side="right").ravel() - first
+    i = np.repeat(np.arange(X.shape[0]), count.reshape(near.shape).sum(axis=1))
+    j = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(i.size)]
+    hit = np.linalg.norm(X[i] - X[j], axis=1) <= radius
+    return np.divmod(np.sort(i[hit] * X.shape[0] + j[hit]), X.shape[0])
+
+
 def build_patches(
     pc: PointCloudPair,
     radius: float = 2.5,
@@ -231,19 +278,21 @@ def build_patches(
     """Cover the cloud with one patch per node and align overlapping pairs.
 
     Patch membership comes from X's geometry (center plus neighbors within
-    ``radius``); patches with fewer than 3 members are dropped, with one
-    warning for all of them, and none left is an error.  Patch pairs sharing
-    at least ``min_overlap`` nodes become edges of the measurement graph:
-    with probability p1 the two type-X embeddings are aligned (group 1), with
-    probability p2 the type-Y ones (group 2), otherwise one of each
-    (outlier).  The rotation estimate is the rotation-only Procrustes angle
-    over the common nodes.  One pass over the nodes lists every pair's common
-    nodes; their count decides the edge, and the sums run over them.
+    ``radius``, tested only against the points of the 3 x 3 cells of side
+    about ``radius`` around the center); patches with fewer than 3 members
+    are dropped, with one warning for all of them, and none left is an
+    error.  Patch pairs sharing at least ``min_overlap`` nodes become edges
+    of the measurement graph: with probability p1 the two type-X embeddings
+    are aligned (group 1), with probability p2 the type-Y ones (group 2),
+    otherwise one of each (outlier).  The rotation estimate is the
+    rotation-only Procrustes angle over the common nodes.  One pass over the
+    nodes lists every pair's common nodes; their count decides the edge, and
+    the sums run over them.
     """
     check_patch_settings(radius, min_overlap, sigma, p1, p2)
     X, Y = pc.X, pc.Y
-    incidence = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= radius  # patch x node
-    sizes = incidence.sum(axis=1)
+    rows, cols = _within_radius(X, radius)  # memberships of every node's patch
+    sizes = np.bincount(rows, minlength=pc.n)
     centers = np.nonzero(sizes >= 3)[0]
     if not centers.size:
         raise ValueError("no patch has 3 or more members")
@@ -252,9 +301,10 @@ def build_patches(
         shown = ", ".join(str(i) for i in small[:10]) + (", ..." if small.size > 10 else "")
         warnings.warn(f"dropping patches with fewer than 3 members: {small.size} of "
                       f"{sizes.size} (patches {shown})")
-    incidence = incidence[centers]
+    kept = sizes[rows] >= 3
+    rows = np.cumsum(sizes >= 3)[rows[kept]] - 1  # patch ids, now counting kept patches
+    cols = cols[kept]
     sizes = sizes[centers]
-    rows, cols = np.nonzero(incidence)  # memberships, patch-major
     start = np.cumsum(sizes) - sizes  # first membership of each patch
     N = centers.size
 
@@ -307,29 +357,55 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, type: int, angles: np.ndarray
     coordinate + translation.  Each node is its mean derotated copy plus its
     patches' mean translation; eliminating the nodes leaves the patch Laplacian
     L = diag(size) - (B / count) B^T of the patch x node membership B in the
-    translations.  The first participating patch's translation is pinned to 0.
+    translations.  B is never formed: L is applied as sums over the
+    memberships, and conjugate gradients from zero solve the consistent
+    singular system to relative residual ``_CG_TOL``.  Subtracting the first
+    participating patch's translation then pins it to 0.
     """
     sizes = np.fromiter(map(len, ps.members), np.int64, ps.n_patches)
     reps = sizes[patch_ids]
     row = np.repeat(np.arange(patch_ids.size), reps)
     t = np.arange(row.size) + np.repeat(np.cumsum(sizes)[patch_ids] - np.cumsum(reps), reps)
     node_ids, col = np.unique(np.concatenate(ps.members)[t], return_inverse=True)
-    B = np.zeros((patch_ids.size, node_ids.size))
-    B[row, col] = 1.0
 
     # connectivity of the patch-node membership bipartite graph
-    roots = connected_components(sum(B.shape), col, node_ids.size + row)
+    roots = connected_components(patch_ids.size + node_ids.size, col, node_ids.size + row)
     if np.unique(roots).size > 1:
         comps = [np.nonzero(roots == r)[0].tolist() for r in np.unique(roots)]
         raise ValueError(f"translation system is disconnected: components {comps}")
 
-    Z = np.zeros(B.shape, dtype=complex)
-    Z[row, col] = ps.values[type, t] * np.exp(-1j * angles)[row]  # rotation by -angle
-    count = B.sum(axis=0)
-    mean = Z.sum(axis=0) / count
-    L = np.diag(B.sum(axis=1)) - (B / count) @ B.T
-    shift = np.linalg.solve(L[1:, 1:], (B @ mean - Z.sum(axis=1))[1:])
-    coords = mean + (shift @ B[1:]) / count
+    z = ps.values[type, t] * np.exp(-1j * angles)[row]  # rotation by -angle
+    count = np.bincount(col, minlength=node_ids.size)
+    by_node = np.argsort(col, kind="stable")
+    node_start = np.cumsum(count) - count
+    patch_start = np.cumsum(reps) - reps
+
+    def per_node(v):  # mean over each node's memberships: B^T v / count
+        return np.add.reduceat(v[by_node], node_start) / count
+
+    def per_patch(v):  # sum over each patch's memberships
+        return np.add.reduceat(v, patch_start)
+
+    mean = per_node(z)
+    b = per_patch(mean[col] - z)  # B mean - sum of each patch's z
+    shift = np.zeros(patch_ids.size, dtype=complex)
+    r, p = b.copy(), b.copy()
+    rr = np.vdot(r, r).real
+    goal = (_CG_TOL * np.linalg.norm(b)) ** 2
+    for _ in range(patch_ids.size):
+        if rr <= goal:
+            break
+        q = reps * p - per_patch(per_node(p[row])[col])  # L p
+        alpha = rr / np.vdot(p, q).real
+        shift += alpha * p
+        r -= alpha * q
+        rr, previous = np.vdot(r, r).real, rr
+        p = r + (rr / previous) * p
+    if rr > goal:
+        raise RuntimeError(f"patch-Laplacian CG stopped at relative residual "
+                           f"{np.sqrt(rr) / np.linalg.norm(b):.3g} after {patch_ids.size} "
+                           f"iterations, above {_CG_TOL:g}")
+    coords = mean + per_node((shift - shift[0])[row])
     out = np.full((ps.n_points, 2), np.nan)
     out[node_ids] = np.column_stack([coords.real, coords.imag])
     return out
@@ -343,12 +419,13 @@ def asap_recover(
     """Recover both global embeddings from patch alignment measurements.
 
     Pipeline: bi-synchronize the patch graph on its edge operator, disentangle
-    it into two good subgraphs, re-synchronize each good subgraph on that
-    operator's restriction (warm-started from the last round's eigenvectors,
-    to ``linalg.DEFAULT_TOL``), then rotate each patch's type-matched local
-    embedding by its estimated angle and solve the node/translation
-    least-squares system per recovered group as a patch-Laplacian solve.  A
-    graph of several patches without an edge is rejected.
+    it into two good subgraphs on the same operator, re-synchronize each good
+    subgraph on that operator's restriction (warm-started from the last
+    round's eigenvectors, to ``linalg.DEFAULT_TOL``), then rotate each
+    patch's type-matched local embedding by its estimated angle and solve the
+    node/translation least-squares system per recovered group as a
+    patch-Laplacian solve.  A graph of several patches without an edge is
+    rejected.
     """
     if g.n != ps.n_patches:
         raise ValueError(f"the graph has {g.n} nodes but there are {ps.n_patches} patches")
@@ -364,7 +441,7 @@ def asap_recover(
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
     H = linalg._EdgeOperator.of_graph(g)
-    states = iterate_disentangle(g, cfg, _spectral(H, 2, cfg.solver))
+    states = _disentangle(g, cfg, H, _spectral(H, 2, cfg.solver), _bad_fractions(g, cfg))
     final = states[-1]
 
     # recovered group 1 takes the majority true type of its edges (Y on a

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import dense_matrix
-from ksync import disentangle, linalg
+from ksync import disentangle, grp, linalg
 from ksync.core import TWO_PI, AngleGroups, wrap_angle
 from ksync.disentangle import DisentangleConfig, classification_errors, iterate_disentangle
 from ksync.genmodel import substream
@@ -14,6 +15,7 @@ from ksync.grp import (
     PatchSet,
     PointCloudPair,
     _assemble,
+    _within_radius,
     asap_recover,
     build_patches,
     make_two_configurations,
@@ -338,6 +340,56 @@ class TestBuildPatches:
         diff = np.abs(g.theta - np.array(theta))
         assert np.max(np.minimum(diff, TWO_PI - diff), initial=0.0) <= 1e-12
 
+    @pytest.mark.parametrize("X, radius", [
+        (make_two_configurations(400, seed=0).X, 2.5),
+        *((make_two_configurations(n, generator="uniform-square", seed=seed).X, 2.5)
+          for n in (200, 900) for seed in (0, 1, 2)),
+        # the integer grid puts many pairs exactly at the radius
+        (make_two_configurations(400, seed=0).X, 2.0),
+        # one cell holds the whole cloud
+        (make_two_configurations(64, seed=0).X, 100.0),
+    ], ids=["grid-400", "uniform-200-0", "uniform-200-1", "uniform-200-2", "uniform-900-0",
+            "uniform-900-1", "uniform-900-2", "grid-at-radius", "one-cell"])
+    def test_memberships_match_brute_force(self, X, radius):
+        pc = PointCloudPair(X=X, Y=X @ np.array([[1.0, 0.3], [0.0, 1.0]]).T)
+        ps, _ = build_patches(pc, radius=radius, seed=0)
+        incidence = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= radius
+        centers = np.nonzero(incidence.sum(axis=1) >= 3)[0]
+        assert centers.size == X.shape[0]  # no patch dropped
+        np.testing.assert_array_equal(ps.centers, centers)
+        assert len(ps.members) == centers.size
+        for got, i in zip(ps.members, centers):
+            np.testing.assert_array_equal(got, np.nonzero(incidence[i])[0])
+
+    def test_pair_at_the_radius_survives_cell_rounding(self):
+        # (x - low) / radius is 258.99999999999994 at the second point and 260.0
+        # at the third, two cells apart, though norm() puts them radius apart
+        X = np.array([[-22.593749989122838, 0.0], [3.3062500108771626, 0.0],
+                      [3.406250010877161, 0.0]])
+        assert np.linalg.norm(X[1] - X[2]) <= 0.1
+        ii, jj = _within_radius(X, 0.1)
+        incidence = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) <= 0.1
+        np.testing.assert_array_equal(ii * 3 + jj, np.flatnonzero(incidence))
+
+    def test_radius_below_every_spacing_leaves_no_patch(self):
+        pc = make_two_configurations(200, generator="uniform-square", seed=0)
+        with pytest.raises(ValueError, match="^no patch has 3 or more members$"):
+            build_patches(pc, radius=1e-4, seed=0)
+
+    def test_peak_memory_stays_below_dense_arrays(self):
+        # the dense N x N x 2 differences, patch x node B and N x N Laplacian
+        # peaked at 123 MB (build_patches) and 126 MB (_assemble) at n = 1600
+        pc = make_two_configurations(1600, seed=0)
+        tracemalloc.start()
+        try:
+            ps, _ = build_patches(pc, seed=0)
+            every = np.arange(ps.n_patches)
+            _assemble(ps, every, 0, ps.rotations.theta[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_noise_realization_pinned(self):
         # per patch in order: its X noise rows, then its Y noise rows
         seed, sigma = 5, 0.2
@@ -391,8 +443,21 @@ class TestPatchSet:
          "rotations must hold 2 x 2 angles, one per type and patch, got shape (2, 3)"),
         ({"rotations": AngleGroups(theta=np.zeros((1, 2)))},
          "rotations must hold 2 x 2 angles, one per type and patch, got shape (1, 2)"),
+        ({"members": (np.array([0.5, 1.0, 2.0]), np.array([2, 3, 4]))},
+         "member ids must be integers, got dtype float64"),
+        ({"members": (np.array([0, 2, 1]), np.array([2, 3, 4]))},
+         "member ids of patch 0 must be strictly increasing, got [0, 2, 1]"),
+        ({"members": (np.array([0, 1, 2]), np.array([2, 3, 3]))},
+         "member ids of patch 1 must be strictly increasing, got [2, 3, 3]"),
+        ({"members": (np.array([2, 0, 1, 1]),), "centers": np.array([0]),
+          "values": np.ones((2, 4)), "rotations": AngleGroups(theta=np.zeros((2, 1)))},
+         "member ids of patch 0 must be strictly increasing, got [2, 0, 1, 1]"),
+        ({"members": (np.array([0, 1, 2]), np.array([], dtype=np.int64))},
+         "patch 1 has no members"),
     ], ids=["values-columns", "values-types", "values-dense", "member-above", "member-below",
-            "centers", "rotations-patches", "rotations-types"])
+            "centers", "rotations-patches", "rotations-types", "member-floats",
+            "member-unsorted", "member-repeated", "member-unsorted-and-repeated",
+            "member-empty"])
     def test_bad_layout_rejected(self, changes, message):
         with pytest.raises(ValueError) as exc:
             self.make(**changes)
@@ -478,6 +543,25 @@ class TestAsapRecover:
         x_hat, y_hat, _ = asap_recover(ps, g, DisentangleConfig(k=2, iterations=20))
         assert procrustes_error(pc.X, x_hat) <= 1e-6
         assert procrustes_error(pc.Y, y_hat) <= 1e-6
+
+    def test_recovery_does_not_use_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        pc = make_two_configurations(100, seed=0)
+        ps, g = build_patches(pc, seed=0)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        x_hat, y_hat, _ = asap_recover(ps, g, DisentangleConfig(k=2, iterations=20))
+        assert procrustes_error(pc.X, x_hat) <= 1e-6
+        assert procrustes_error(pc.Y, y_hat) <= 1e-6
+
+    def test_unconverged_assembly_raises(self, monkeypatch):
+        pc = make_two_configurations(100, seed=4)
+        ps, _ = build_patches(pc, sigma=0.2, seed=4)
+        # no residual meets a zero tolerance within the cap of one step per patch
+        monkeypatch.setattr(grp, "_CG_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="relative residual .* after 100 iterations"):
+            _assemble(ps, np.arange(ps.n_patches), 0, ps.rotations.theta[0])
 
     def test_rerun_byte_identical(self):
         pc = make_two_configurations(100, seed=2)
