@@ -1,8 +1,9 @@
 """Experiment configuration, Monte-Carlo sweeps, and the text of every output file.
 
 :func:`sample_instance` is the one way a command or a sweep trial samples an
-instance and :func:`solve_instance` the one way it solves it; scoring a
-single instance is the CLI's work.
+instance and :func:`solve_instance` the one way it solves it, with one dense
+measurement matrix for all of its solvers; scoring a single instance is the
+CLI's work.
 
 Sweeps are reproducible by construction: every (grid point, angle trial,
 graph trial) tuple gets its own RNG substream derived from the master seed,
@@ -36,7 +37,7 @@ from .genmodel import (
     theory_bounds,
 )
 from .grp import check_patch_settings, make_two_configurations
-from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SDP_BM, SOLVERS, solve
+from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SDP_BM, SOLVERS, _Instance, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -317,12 +318,16 @@ def solve_instance(graph, k: int, solvers, seed: int) -> dict:
 
     The solvers run in ``SOLVERS`` order, so that SDP-BM takes its start
     from EIG-H's eigenpairs when both are asked for instead of solving for
-    them again; ``seed`` is SDP-BM's.
+    them again; ``seed`` is SDP-BM's.  All of them work on one dense
+    measurement matrix, built at the first solve and dropped on return; each
+    estimate is bit for bit the one :func:`ksync.sync.solve` gives on the
+    bare graph.
     """
+    instance = _Instance(graph)
     estimates = {}
     for solver in sorted(solvers, key=SOLVERS.index):
         start = estimates.get(EIG_H) if solver == SDP_BM else None
-        estimates[solver] = solve(graph, k, solver, seed=seed, start=start)
+        estimates[solver] = solve(instance, k, solver, seed=seed, start=start)
     return estimates
 
 

@@ -3,9 +3,12 @@
 Three solvers share the same angle-extraction rule (entrywise phase of the
 top eigenvectors): EIG-H works on the raw measurement matrix, EIG-R on the
 degree-normalized operator, and SDP-BM on a low-rank factorization of the
-unit-diagonal semidefinite relaxation.  Every eigensolve on an n x n matrix
-is a block Lanczos solve in :mod:`ksync.linalg`; SDP-BM decomposes densely
-only its r x r Gram matrix.
+unit-diagonal semidefinite relaxation.  All three work on the dense
+unit-diagonal measurement matrix H of their graph, which :func:`_operator`
+builds; given the private :class:`_Instance` wrapping a graph, as from
+``harness.solve_instance``, every solver run on it shares one H.  Every
+eigensolve on an n x n matrix is a block Lanczos solve in
+:mod:`ksync.linalg`; SDP-BM decomposes densely only its r x r Gram matrix.
 """
 
 from __future__ import annotations
@@ -59,8 +62,31 @@ def extract_angles(vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
     return theta, degenerate
 
 
-def _operator(g: MeasurementGraph) -> np.ndarray:
-    """The operator every solver works on: the unit-diagonal measurement matrix."""
+class _Instance:
+    """A graph that builds its operator once for every solver run on it.
+
+    Reads of graph attributes such as ``n`` and ``m`` go to ``graph``;
+    :func:`_operator` stores the graph's H in ``H`` on its first call and
+    returns that array from then on.  ``harness.solve_instance`` wraps each
+    graph in one and drops it when it returns, so H lives no longer than
+    the solves of its instance.
+    """
+
+    def __init__(self, graph: MeasurementGraph):
+        self.graph = graph
+        self.H = None
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+
+def _operator(g) -> np.ndarray:
+    """The operator every solver works on: the unit-diagonal measurement
+    matrix, built once per :class:`_Instance`."""
+    if isinstance(g, _Instance):
+        if g.H is None:
+            g.H = _operator(g.graph)
+        return g.H
     if g.m == 0:
         raise ValueError("measurement graph has no edges")
     return build_measurement_matrix(g, diagonal=1.0)

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ksync import cli, harness, linalg
+from ksync import cli, harness, linalg, sync
 from ksync.cli import main as cli_main
 from ksync.core import load_graph, write_text
 from ksync.harness import (
@@ -295,6 +296,53 @@ class TestRunSweep:
         rows, meta = run_sweep(cfg)
         assert [row[CSV_HEADER.index("eta")] for row in rows] == [0.0] * 3
         assert [d["eta"] for d in meta["diagnostics"].values()] == [0.0]
+
+
+def counting_builds(monkeypatch):
+    """Weak references to every measurement matrix ``sync`` builds from here on."""
+    built = []
+    build = sync.build_measurement_matrix
+
+    def recording(*args, **kwargs):
+        H = build(*args, **kwargs)
+        built.append(weakref.ref(H))
+        return H
+
+    monkeypatch.setattr(sync, "build_measurement_matrix", recording)
+    return built
+
+
+class TestSolveInstance:
+    # setup II at n=100, lambda=1, eta=0.9: SDP-BM takes its shift here
+    CFG = ExperimentConfig(mode="compare", n=100, k=2, gamma=0.05, eta_grid=(0.9,), lam=1.0)
+
+    def graph(self):
+        p = derive_setup2_probs(self.CFG.k, self.CFG.eta_grid[0], self.CFG.gamma)
+        return harness.sample_instance(self.CFG, self.CFG.lam, p, (0,), (0, 0))[1]
+
+    def test_one_operator_for_all_solvers_dropped_on_return(self, monkeypatch):
+        built = counting_builds(monkeypatch)
+        estimates = harness.solve_instance(self.graph(), 2, SOLVERS, seed=0)
+        assert len(estimates) == 3
+        # one H for the three solvers, and no estimate keeps it alive
+        assert len(built) == 1 and built[0]() is None
+
+    @pytest.mark.parametrize("solvers", [SOLVERS, ("SDP-BM",)])
+    def test_estimates_equal_solves_on_the_bare_graph(self, solvers):
+        g = self.graph()
+        shared = harness.solve_instance(g, 2, solvers, seed=0)
+        alone = {}
+        for solver in solvers:
+            start = alone.get("EIG-H") if solver == "SDP-BM" else None
+            alone[solver] = sync.solve(g, 2, solver, seed=0, start=start)
+        assert shared.keys() == alone.keys()
+        for solver, est in shared.items():
+            other = alone[solver]
+            for field in ("theta_hat", "eigenvalues", "eigenvectors"):
+                assert np.array_equal(getattr(est, field), getattr(other, field)), (solver, field)
+            assert est.meta == other.meta
+            assert est.degenerate_entries == other.degenerate_entries
+        assert shared["SDP-BM"].meta["shifted_at"] is not None
 
 
 _VALID = dict(n=20, k=2, p=(0.5, 0.3), trials_angles=1, trials_graphs=1)

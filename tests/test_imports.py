@@ -1,8 +1,8 @@
 """The package imports only the standard library and numpy, builds random
 generators only in its two seed helpers and each eigensolver operator only in
-its makers in linalg, exports what README documents, README's library
-example runs as written, and README's CLI examples pass the CLI's config
-check.
+its makers (linalg's, and sync's one for the dense matrix), exports what
+README documents, README's library example runs as written, and README's CLI
+examples pass the CLI's config check.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -58,10 +58,12 @@ def test_generators_built_only_by_the_seed_helpers():
 
 
 # the only makers of each operator: they build it valid from a
-# MeasurementGraph or a checked H, so no solve re-checks an operator
+# MeasurementGraph or a checked H, so no solve re-checks an operator, and
+# the solvers of one instance share the one dense H sync._operator builds
 OPERATOR_MAKERS = {
     "_EdgeOperator": {("linalg.py", "_EdgeOperator.of_graph"), ("linalg.py", "_EdgeOperator.restrict")},
     "_ScaledOperator": {("linalg.py", "degree_normalized_eig")},
+    "build_measurement_matrix": {("sync.py", "_operator")},
 }
 
 
@@ -83,7 +85,8 @@ def _calls_by_function(path):
 
 def test_edge_operators_built_only_in_linalg():
     # elsewhere a graph's operator comes from _EdgeOperator.of_graph and a
-    # group's from its restrict, so only linalg knows how entries are stored
+    # group's from its restrict, so only linalg knows how entries are stored;
+    # a solver that built its own dense H would bypass the shared one
     makers = {name: set() for name in OPERATOR_MAKERS}
     for path in sorted(Path(ksync.__file__).parent.glob("*.py")):
         for name, scope in _calls_by_function(path):
