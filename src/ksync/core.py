@@ -39,6 +39,13 @@ def _integers(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
@@ -99,8 +106,7 @@ class MeasurementGraph:
         ii = _integers(self.ii, "edge endpoints")
         jj = _integers(self.jj, "edge endpoints")
         theta = np.asarray(self.theta, dtype=float).ravel()
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        check_integer("n", self.n)
         if self.n < 1:
             raise ValueError("graph must have at least one node")
         if not (ii.shape == jj.shape == theta.shape):

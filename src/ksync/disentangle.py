@@ -26,6 +26,7 @@ from .core import (
     TWO_PI,
     AngleGroups,
     MeasurementGraph,
+    check_integer,
     connected_components,
     wrap_angle,
 )
@@ -58,6 +59,8 @@ class DisentangleConfig:
     solver: str = EIG_H
 
     def __post_init__(self):
+        check_integer("k", self.k)
+        check_integer("iterations", self.iterations)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.iterations < 1:

@@ -22,6 +22,7 @@ from .core import (
     TWO_PI,
     AngleGroups,
     MeasurementGraph,
+    check_integer,
     to_unit_vectors,
     wrap_angle,
 )
@@ -67,6 +68,8 @@ class MixtureParams:
     def __post_init__(self):
         p = tuple(float(x) for x in self.p)
         object.__setattr__(self, "p", p)
+        check_integer("n", self.n)
+        check_integer("k", self.k)
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be at least 1")
         if len(p) != self.k:

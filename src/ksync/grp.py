@@ -32,6 +32,7 @@ from .core import (
     MeasurementGraph,
     TWO_PI,
     _frozen,
+    check_integer,
     connected_components,
     wrap_angle,
 )
@@ -233,8 +234,7 @@ def check_patch_settings(radius: float, min_overlap: int, sigma: float, p1: floa
     _number("min_overlap", min_overlap)
     if not 3 <= min_overlap < np.inf:
         raise ValueError("min_overlap must be at least 3 and finite")
-    if not isinstance(min_overlap, (int, np.integer)):
-        raise ValueError(f"min_overlap must be an integer, got {min_overlap!r}")
+    check_integer("min_overlap", min_overlap)
 
 
 def _within_radius(X: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +359,8 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, type: int, angles: np.ndarray
     L = diag(size) - (B / count) B^T of the patch x node membership B in the
     translations.  B is never formed: L is applied as sums over the
     memberships, and conjugate gradients from zero solve the consistent
-    singular system to relative residual ``_CG_TOL``.  Subtracting the first
+    singular system, with b projected onto L's range, to relative residual
+    ``_CG_TOL``; RuntimeError if they do not.  Subtracting the first
     participating patch's translation then pins it to 0.
     """
     sizes = np.fromiter(map(len, ps.members), np.int64, ps.n_patches)
@@ -388,6 +389,9 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, type: int, angles: np.ndarray
 
     mean = per_node(z)
     b = per_patch(mean[col] - z)  # B mean - sum of each patch's z
+    # L's null space is the constants and b is orthogonal to them up to
+    # rounding; left in, that part makes CG divide by zero once b is noise
+    b -= b.mean()
     shift = np.zeros(patch_ids.size, dtype=complex)
     r, p = b.copy(), b.copy()
     rr = np.vdot(r, r).real
@@ -401,7 +405,7 @@ def _assemble(ps: PatchSet, patch_ids: np.ndarray, type: int, angles: np.ndarray
         r -= alpha * q
         rr, previous = np.vdot(r, r).real, rr
         p = r + (rr / previous) * p
-    if rr > goal:
+    if not rr <= goal:  # a NaN residual fails too
         raise RuntimeError(f"patch-Laplacian CG stopped at relative residual "
                            f"{np.sqrt(rr) / np.linalg.norm(b):.3g} after {patch_ids.size} "
                            f"iterations, above {_CG_TOL:g}")

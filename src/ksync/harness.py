@@ -2,8 +2,8 @@
 
 :func:`sample_instance` is the one way a command or a sweep trial samples an
 instance and :func:`solve_instance` the one way it solves it, with one dense
-measurement matrix for all of its solvers; scoring a single instance is the
-CLI's work.
+measurement matrix and one solve of its top eigenpairs for all of its
+solvers, in any order; scoring a single instance is the CLI's work.
 
 Sweeps are reproducible by construction: every (grid point, angle trial,
 graph trial) tuple gets its own RNG substream derived from the master seed,
@@ -37,7 +37,7 @@ from .genmodel import (
     theory_bounds,
 )
 from .grp import check_patch_settings, make_two_configurations
-from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SDP_BM, SOLVERS, _Instance, solve
+from .sync import EIG_H, EIG_R, MAX_MATCHED_GROUPS, SOLVERS, _Instance, solve
 
 CSV_HEADER = ("mode", "solver", "n", "k", "lambda", "eta", "gamma",
               "group", "mean_corr", "std_corr", "trials")
@@ -316,19 +316,14 @@ def sample_instance(cfg: ExperimentConfig, lam: float, p, angle_key: tuple, grap
 def solve_instance(graph, k: int, solvers, seed: int) -> dict:
     """Each of ``solvers`` on one graph: a dict from solver tag to its estimate.
 
-    The solvers run in ``SOLVERS`` order, so that SDP-BM takes its start
-    from EIG-H's eigenpairs when both are asked for instead of solving for
-    them again; ``seed`` is SDP-BM's.  All of them work on one dense
-    measurement matrix, built at the first solve and dropped on return; each
-    estimate is bit for bit the one :func:`ksync.sync.solve` gives on the
-    bare graph.
+    The solvers run in the given order; ``seed`` is SDP-BM's.  All of them
+    work on one dense measurement matrix, and EIG-H and SDP-BM on one solve
+    of its top eigenpairs, made at the first solve that needs them and
+    dropped on return; each estimate is bit for bit the one
+    :func:`ksync.sync.solve` gives on the bare graph.
     """
     instance = _Instance(graph)
-    estimates = {}
-    for solver in sorted(solvers, key=SOLVERS.index):
-        start = estimates.get(EIG_H) if solver == SDP_BM else None
-        estimates[solver] = solve(instance, k, solver, seed=seed, start=start)
-    return estimates
+    return {solver: solve(instance, k, solver, seed=seed) for solver in solvers}
 
 
 def _run_trial(cfg, point, gi, a, gidx) -> list:

@@ -20,8 +20,9 @@ then checked against ||H v - lambda v|| <= tol * ||H||_2, with ||H||_2 taken
 from the extreme Ritz values (an underestimate, so the check is never looser
 than with the exact norm).  The basis grows only as far as convergence needs; at dimension n it
 spans the whole space and the Ritz pairs are exact.
-SDP-BM runs the same Lanczos code through the private :func:`_top_k`,
-which skips the input checks for matrices Hermitian by construction.
+SDP-BM starts from the pairs of :func:`top_k_eig`; only its shift solve,
+on -H, runs the same Lanczos code through the private :func:`_top_k`, which
+skips the input checks for a matrix Hermitian by construction.
 :func:`spectral_norm` and the private :func:`_eigh_descending`, which the
 Lanczos projection and the SDP solver's r x r Gram matrix use, stay on
 LAPACK's dense Hermitian driver (numpy.linalg.eigh).  Every
@@ -43,7 +44,7 @@ import threading
 
 import numpy as np
 
-from .core import MeasurementGraph
+from .core import MeasurementGraph, check_integer
 from .genmodel import substream
 
 DEFAULT_TOL = 1e-10
@@ -443,11 +444,13 @@ def top_k_eig(H, k: int, tol: float = DEFAULT_TOL, start=None) -> EigenPairs:
     sees the gap to pair k + 1.  ``start`` (n x s, s <= min(k + 1, n)), such
     as a previous solve's vectors, replaces the first s vectors of the
     fixed-seed start block; it moves the step count, not the contract.
-    Raises ValueError on a start of another shape, with a non-finite entry
-    or a zero column, :class:`HermitianityError` on non-Hermitian input and
+    Raises ValueError on a k that is not an integer in [1, n], on a start of
+    another shape, with a non-finite entry or a zero column,
+    :class:`HermitianityError` on non-Hermitian input and
     :class:`EigenConvergenceError` if the residual contract
     ||H v - lambda v|| <= tol * ||H||_2 cannot be met.
     """
+    check_integer("k", k)
     H = _as_hermitian(H)
     n = H.shape[0]
     if not 1 <= k <= n:

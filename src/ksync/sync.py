@@ -5,10 +5,13 @@ top eigenvectors): EIG-H works on the raw measurement matrix, EIG-R on the
 degree-normalized operator, and SDP-BM on a low-rank factorization of the
 unit-diagonal semidefinite relaxation.  All three work on the dense
 unit-diagonal measurement matrix H of their graph, which :func:`_operator`
-builds; given the private :class:`_Instance` wrapping a graph, as from
-``harness.solve_instance``, every solver run on it shares one H.  Every
-eigensolve on an n x n matrix is a block Lanczos solve in
-:mod:`ksync.linalg`; SDP-BM decomposes densely only its r x r Gram matrix.
+builds, and EIG-H and SDP-BM both start from H's top eigenpairs, which
+:func:`_top_pairs` solves by :func:`linalg.top_k_eig`.  Given the private
+:class:`_Instance` wrapping a graph, as from ``harness.solve_instance``,
+every solver run on it shares one H and one solve of those pairs, in
+whatever order the solvers run.  Every eigensolve on an n x n matrix is a
+block Lanczos solve in :mod:`ksync.linalg`; SDP-BM decomposes densely only
+its r x r Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .core import (
     MeasurementGraph,
     SyncEstimate,
     build_measurement_matrix,
+    check_integer,
     correlation,
     to_unit_vectors,
     wrap_angle,
@@ -63,33 +67,42 @@ def extract_angles(vectors: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 class _Instance:
-    """A graph that builds its operator once for every solver run on it.
+    """A graph with the work its solvers share: its H and its top eigenpairs.
 
-    Reads of graph attributes such as ``n`` and ``m`` go to ``graph``;
-    :func:`_operator` stores the graph's H in ``H`` on its first call and
-    returns that array from then on.  ``harness.solve_instance`` wraps each
-    graph in one and drops it when it returns, so H lives no longer than
-    the solves of its instance.
+    :func:`_operator` stores the graph's H in ``H`` on its first call, and
+    :func:`_top_pairs` the top-k pairs of H in ``pairs[k]``; both return what
+    they stored from then on.  ``harness.solve_instance`` wraps each graph in
+    one and drops it when it returns, so neither lives longer than the
+    solves of its instance.
     """
 
     def __init__(self, graph: MeasurementGraph):
         self.graph = graph
         self.H = None
-
-    def __getattr__(self, name):
-        return getattr(self.graph, name)
+        self.pairs = {}
 
 
 def _operator(g) -> np.ndarray:
     """The operator every solver works on: the unit-diagonal measurement
-    matrix, built once per :class:`_Instance`."""
-    if isinstance(g, _Instance):
-        if g.H is None:
-            g.H = _operator(g.graph)
-        return g.H
-    if g.m == 0:
-        raise ValueError("measurement graph has no edges")
-    return build_measurement_matrix(g, diagonal=1.0)
+    matrix, built once per :class:`_Instance` and on every call for a graph."""
+    if not isinstance(g, _Instance):
+        return _operator(_Instance(g))
+    if g.H is None:
+        if g.graph.m == 0:
+            raise ValueError("measurement graph has no edges")
+        g.H = build_measurement_matrix(g.graph, diagonal=1.0)
+    return g.H
+
+
+def _top_pairs(g, k: int) -> linalg.EigenPairs:
+    """The top-k eigenpairs of g's operator by :func:`linalg.top_k_eig` at the
+    default tolerance, solved once per :class:`_Instance` and count k and on
+    every call for a graph."""
+    if not isinstance(g, _Instance):
+        return _top_pairs(_Instance(g), k)
+    if k not in g.pairs:
+        g.pairs[k] = linalg.top_k_eig(_operator(g), k)
+    return g.pairs[k]
 
 
 def _estimate(values: np.ndarray, vectors: np.ndarray, meta: dict) -> SyncEstimate:
@@ -119,6 +132,13 @@ def estimate_from_angles(groups: AngleGroups) -> SyncEstimate:
     )
 
 
+def _pairs_estimate(pairs: linalg.EigenPairs) -> SyncEstimate:
+    """An EIG-H or EIG-R estimate from its eigenpairs, with the solve's diagnostics."""
+    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
+            "krylov_steps": pairs.krylov_steps}
+    return _estimate(pairs.values, pairs.vectors, meta)
+
+
 def _spectral(H, k: int, solver: str, start=None,
               tol: float = linalg.DEFAULT_TOL) -> SyncEstimate:
     """EIG-H or EIG-R on the measurement operator H, solved to ``tol`` from an
@@ -130,10 +150,7 @@ def _spectral(H, k: int, solver: str, start=None,
     :func:`spectral_ksync`.
     """
     eig = linalg.top_k_eig if solver == EIG_H else linalg.degree_normalized_eig
-    pairs = eig(H, k, tol=tol, start=start)
-    meta = {"eig_residual_max": float(pairs.residuals.max()), "ties": pairs.ties,
-            "krylov_steps": pairs.krylov_steps}
-    return _estimate(pairs.values, pairs.vectors, meta)
+    return _pairs_estimate(eig(H, k, tol=tol, start=start))
 
 
 def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
@@ -142,7 +159,7 @@ def spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
     ``meta`` carries the eigensolve's worst residual (``eig_residual_max``),
     its ``ties`` and its ``krylov_steps``.
     """
-    return _spectral(_operator(g), k, EIG_H)
+    return _pairs_estimate(_top_pairs(g, k))
 
 
 def normalized_spectral_ksync(g: MeasurementGraph, k: int) -> SyncEstimate:
@@ -175,21 +192,18 @@ def angle_objective(H: np.ndarray, theta_hat: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(V) * (H @ V))))
 
 
-def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0,
-                 start: SyncEstimate | None = None) -> SyncEstimate:
+def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0) -> SyncEstimate:
     """SDP-BM: Burer-Monteiro ascent on trace(H V V^*) with unit-norm rows.
 
     V is n x r with r = min(k + 2, n): rank k + 2 is strictly above k,
     which avoids the rank-deficient saddle (Boumal-Voroninski-Bandeira
-    2016).  V starts from the top-min(k, n) eigenpairs of H, computed by
-    Lanczos to the default tolerance unless ``start`` holds them: ``start``
-    is EIG-H's estimate of the same graph (:func:`spectral_ksync`), whose
-    eigenpairs are those of the same Lanczos solve, so passing it saves that
-    solve and leaves the result unchanged; a start with other than min(k, n)
-    eigenpairs of length n raises ValueError.  The remaining columns are
-    unit-norm columns drawn from ``genmodel.substream(seed)`` (pairs k+1 and
-    k+2 sit in the bulk of the spectrum, where Lanczos converges slowly),
-    the same stream fills any zero row, and the rows are normalized.  V is
+    2016).  V starts from the top-min(k, n) eigenpairs of H by
+    :func:`linalg.top_k_eig`, the pairs :func:`spectral_ksync` reads: on one
+    :class:`_Instance` the two solvers solve them once, in either order.  The
+    remaining columns are unit-norm columns drawn from
+    ``genmodel.substream(seed)`` (pairs k+1 and k+2 sit in the bulk of the
+    spectrum, where Lanczos converges slowly), the same stream fills any
+    zero row, and the rows are normalized.  V is
     updated by V <- row_normalize((H + beta I) V), starting with beta = 0.  The
     unshifted ascent is usually monotone and takes fewer steps, but it is
     not guaranteed to be: the first step whose objective falls by more than
@@ -214,27 +228,22 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0,
     r x r Gram matrix; slots past its
     numerical rank (eigenvalues at most 1e-12 times the largest) get
     eigenvalue 0 and a zero vector, all of whose entries are reported
-    degenerate.  k < 1 raises ValueError before H is built.
+    degenerate.  A k that is not an integer, or is below 1, raises ValueError
+    before H is built.
     """
+    check_integer("k", k)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if not isinstance(g, _Instance):
+        g = _Instance(g)
     H = _operator(g)
-    n = g.n
+    n = H.shape[0]
     r = min(k + 2, n)
-
-    if start is None:
-        top = linalg._top_k(H, min(k, n), linalg.DEFAULT_TOL)
-        top_values, top_vectors = top.values, top.vectors
-    else:
-        top_values, top_vectors = start.eigenvalues, start.eigenvectors.T
-        if top_values.shape != (min(k, n),) or top_vectors.shape != (n, min(k, n)):
-            raise ValueError(f"start must hold {min(k, n)} eigenpairs of length {n}, got "
-                             f"eigenvalues {top_values.shape} and eigenvectors "
-                             f"{start.eigenvectors.shape}")
+    top = _top_pairs(g, min(k, n))
     rng = substream(seed)
     fallback = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    fill = fallback[:, top_values.size:]
-    V = _row_normalize(np.hstack([top_vectors, fill / np.linalg.norm(fill, axis=0)]),
+    fill = fallback[:, top.values.size:]
+    V = _row_normalize(np.hstack([top.vectors, fill / np.linalg.norm(fill, axis=0)]),
                        fallback)
 
     HV = H @ V
@@ -254,7 +263,7 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0,
             shifted_at = iterations + 1
             low = linalg._top_k(-H, 1, SDP_SHIFT_TOL)
             shift = max(0.0, float(low.values[0] + low.residuals[0])
-                        + 1e-8 * abs(float(top_values[0])))
+                        + 1e-8 * abs(float(top.values[0])))
             continue
         if fell:
             raise RuntimeError(
@@ -291,21 +300,14 @@ def sdp_bm_ksync(g: MeasurementGraph, k: int, seed: int = 0,
     return _estimate(values, vectors, meta)
 
 
-def solve(g: MeasurementGraph, k: int, solver: str, seed: int = 0,
-          start: SyncEstimate | None = None) -> SyncEstimate:
-    """Dispatch to one of the three solvers by tag.
-
-    ``seed`` and ``start`` are SDP-BM's (see :func:`sdp_bm_ksync`); a
-    ``start`` given to EIG-H or EIG-R raises ValueError.
-    """
-    if start is not None and solver != SDP_BM:
-        raise ValueError(f"only {SDP_BM} takes a start, not {solver!r}")
+def solve(g: MeasurementGraph, k: int, solver: str, seed: int = 0) -> SyncEstimate:
+    """Dispatch to one of the three solvers by tag; ``seed`` is SDP-BM's."""
     if solver == EIG_H:
         return spectral_ksync(g, k)
     if solver == EIG_R:
         return normalized_spectral_ksync(g, k)
     if solver == SDP_BM:
-        return sdp_bm_ksync(g, k, seed, start)
+        return sdp_bm_ksync(g, k, seed)
     raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
 
 

@@ -48,6 +48,9 @@ def mixture(n, p, lam, seed, k=None):
 @pytest.mark.parametrize("call, message", [
     (lambda g, truth: DisentangleConfig(k=0), "k must be at least 1"),
     (lambda g, truth: DisentangleConfig(k=2, iterations=0), "iterations must be at least 1"),
+    (lambda g, truth: DisentangleConfig(k=2.0), "k must be an integer, got 2.0"),
+    (lambda g, truth: DisentangleConfig(k=True), "k must be an integer, got True"),
+    (lambda g, truth: DisentangleConfig(k=2, iterations=2.5), "iterations must be an integer, got 2.5"),
     (lambda g, truth: DisentangleConfig(k=2, solver="SDP-BM"), "solver must be EIG-H or EIG-R"),
     (lambda g, truth: DisentangleConfig(k=2, bad_fractions=(0.1, 1.0)),
      "bad_fractions must be k values in [0, 1)"),
@@ -65,13 +68,22 @@ def mixture(n, p, lam, seed, k=None):
         MeasurementGraph(n=g.n, ii=g.ii, jj=g.jj, theta=g.theta),
         iterate_disentangle(g, DisentangleConfig(k=2, iterations=1), spectral_ksync(g, 2))[-1]),
      "graph carries no ground-truth labels"),
-], ids=["k", "iterations", "solver", "bad-fractions", "initial-groups", "initial-nodes",
+], ids=["k", "iterations", "float-k", "bool-k", "float-iterations", "solver", "bad-fractions", "initial-groups", "initial-nodes",
         "initial-vectors", "unlabelled-classification"])
 def test_invalid_settings_rejected(call, message):
     truth, g = mixture(20, (0.6, 0.3), 1.0, 3)
     with pytest.raises(ValueError) as exc:
         call(g, truth)
     assert str(exc.value) == message
+
+
+def test_numpy_integer_counts_accepted():
+    truth, g = mixture(20, (0.6, 0.3), 1.0, 3)
+    cfg = DisentangleConfig(k=np.int64(2), iterations=np.int32(2))
+    want = iterate_disentangle(g, DisentangleConfig(k=2, iterations=2), spectral_ksync(g, 2))
+    got = iterate_disentangle(g, cfg, spectral_ksync(g, 2))
+    assert len(got) == len(want) == 2
+    assert got[-1].theta_hat.tobytes() == want[-1].theta_hat.tobytes()
 
 
 class TestResidualMatrices:

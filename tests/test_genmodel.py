@@ -68,6 +68,10 @@ class TestMixtureParams:
         assert outlier_probability(p) == 0.0
         assert MixtureParams(n=10, k=3, lam=1.0, p=p).eta == 0.0
 
+    def test_numpy_integer_counts_accepted(self):
+        p = MixtureParams(n=np.int64(10), k=np.int32(2), lam=1.0, p=(0.5, 0.3))
+        assert (p.n, p.k) == (10, 2)
+
     def test_q_parameterization(self):
         p = MixtureParams.from_q(n=10, lam=1.0, q=0.6, q1_tilde=0.5, q2_tilde=0.5)
         assert p.p == pytest.approx((0.3, 0.2))
@@ -82,10 +86,13 @@ class TestMixtureParams:
     (lambda: sample_angles(5, 0, 1), "n and k must be at least 1"),
     (lambda: MixtureParams(n=0, k=1, lam=1.0, p=(0.5,)), "n and k must be at least 1"),
     (lambda: MixtureParams(n=10, k=0, lam=1.0, p=()), "n and k must be at least 1"),
+    (lambda: MixtureParams(n=10.5, k=1, lam=1.0, p=(0.5,)), "n must be an integer, got 10.5"),
+    (lambda: MixtureParams(n=10, k=2.0, lam=1.0, p=(0.5, 0.3)), "k must be an integer, got 2.0"),
+    (lambda: MixtureParams(n=10, k=True, lam=1.0, p=(0.5,)), "k must be an integer, got True"),
     (lambda: rank2_eigenvalues(10, 1.0, 0.3, 0.2, 1.5), "inner must lie in [0, 1]"),
     (lambda: rank2_eigenvalues(10, 1.0, 0.3, 0.2, -0.1), "inner must lie in [0, 1]"),
 ], ids=["negative-p", "nan-p1", "nan-p2", "inf-p", "angles-n", "angles-k", "params-n",
-        "params-k", "inner-above-1", "inner-below-0"])
+        "params-k", "float-n", "float-k", "bool-k", "inner-above-1", "inner-below-0"])
 def test_invalid_values_rejected(call, message):
     with pytest.raises(ValueError) as exc:
         call()

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import dense_matrix
 from ksync import disentangle, grp, linalg
+from ksync.cli import main as cli_main
 from ksync.core import TWO_PI, AngleGroups, wrap_angle
 from ksync.disentangle import DisentangleConfig, classification_errors, iterate_disentangle
 from ksync.genmodel import substream
@@ -562,6 +563,27 @@ class TestAsapRecover:
         monkeypatch.setattr(grp, "_CG_TOL", 0.0)
         with pytest.raises(RuntimeError, match="relative residual .* after 100 iterations"):
             _assemble(ps, np.arange(ps.n_patches), 0, ps.rotations.theta[0])
+
+    def test_nan_residual_raises(self):
+        pc = make_two_configurations(16, seed=0)
+        ps, _ = build_patches(pc, seed=0)
+        patch_ids = np.arange(ps.n_patches)
+        with pytest.raises(RuntimeError, match="relative residual nan after 16 iterations"):
+            _assemble(ps, patch_ids, 0, np.full(patch_ids.size, np.nan))
+
+    def test_four_point_grid_recovers_both_configurations(self, capsys):
+        # every patch holds all four nodes, so Y's right-hand side is rounding
+        # noise; its part along the patch Laplacian's constants broke CG down
+        # into NaN coordinates, which the suite's warnings filter turns into errors
+        pc = make_two_configurations(4, seed=0)
+        ps, g = build_patches(pc, seed=0)
+        assert all(m.size == 4 for m in ps.members)
+        x_hat, y_hat, _ = asap_recover(ps, g, DisentangleConfig(k=2, iterations=20))
+        assert procrustes_error(pc.X, x_hat) <= 1e-12
+        assert procrustes_error(pc.Y, y_hat) <= 1e-12
+        assert cli_main(["grp", "--n", "4"]) == 0
+        words = capsys.readouterr().out.split()
+        assert max(float(words[words.index(name) + 1]) for name in "XY") <= 1e-12
 
     def test_rerun_byte_identical(self):
         pc = make_two_configurations(100, seed=2)

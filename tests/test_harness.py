@@ -232,8 +232,8 @@ class TestRunSweep:
         shifted = []
         solve = harness.solve
 
-        def recording(graph, k, solver, seed=0, start=None):
-            est = solve(graph, k, solver, seed=seed, start=start)
+        def recording(graph, k, solver, seed=0):
+            est = solve(graph, k, solver, seed=seed)
             if solver == "SDP-BM":
                 shifted.append(est.meta["shifted_at"] is not None)
             return est
@@ -251,8 +251,8 @@ class TestRunSweep:
         assert all(diag[f"grid{gi}/SDP-BM"]["sdp_non_converged"] == 0 for gi in (0, 1))
 
     def test_sdp_rows_independent_of_the_other_solvers(self):
-        # SDP-BM starts from EIG-H's pairs when both run, and from its own
-        # solve of the same pairs alone; eta = 0.9 takes the shift
+        # SDP-BM shares EIG-H's solve of its start pairs when both run, in
+        # either order, and solves them itself alone; eta = 0.9 takes the shift
         base = dict(mode="compare", n=100, k=2, gamma=0.05, eta_grid=(0.3, 0.9), lam=1.0,
                     trials_angles=2, trials_graphs=2, threads=2)
         alone, forward, backward = (run_sweep(ExperimentConfig(**base, solvers=solvers))
@@ -285,7 +285,8 @@ class TestRunSweep:
                                lam=1.0, trials_angles=1, trials_graphs=1,
                                solvers=SOLVERS[::-1])
         _, meta = run_sweep(cfg)
-        # EIG-H and EIG-R solve once each; SDP-BM starts from EIG-H's pairs
+        # EIG-H and EIG-R solve once each; SDP-BM, run first, solves the
+        # pairs EIG-H reads
         assert meta["diagnostics"]["grid0/SDP-BM"]["sdp_shifted"] == 0
         assert len(calls) == 2
 
@@ -327,22 +328,33 @@ class TestSolveInstance:
         # one H for the three solvers, and no estimate keeps it alive
         assert len(built) == 1 and built[0]() is None
 
-    @pytest.mark.parametrize("solvers", [SOLVERS, ("SDP-BM",)])
-    def test_estimates_equal_solves_on_the_bare_graph(self, solvers):
+    @pytest.mark.parametrize("solvers", [SOLVERS, SOLVERS[::-1], ("SDP-BM",),
+                                         ("SDP-BM", "EIG-H"), ("EIG-H", "SDP-BM")])
+    def test_estimates_equal_solves_on_the_bare_graph(self, solvers, monkeypatch):
         g = self.graph()
+        alone = {solver: sync.solve(g, 2, solver, seed=0) for solver in solvers}
+        built = counting_builds(monkeypatch)
+        solved = []
+        top_k = linalg._top_k
+
+        def counting(H, *args, **kwargs):
+            solved.append(H is built[0]())
+            return top_k(H, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_top_k", counting)
         shared = harness.solve_instance(g, 2, solvers, seed=0)
-        alone = {}
-        for solver in solvers:
-            start = alone.get("EIG-H") if solver == "SDP-BM" else None
-            alone[solver] = sync.solve(g, 2, solver, seed=0, start=start)
-        assert shared.keys() == alone.keys()
+        assert list(shared) == list(solvers)
         for solver, est in shared.items():
             other = alone[solver]
             for field in ("theta_hat", "eigenvalues", "eigenvectors"):
-                assert np.array_equal(getattr(est, field), getattr(other, field)), (solver, field)
+                assert getattr(est, field).tobytes() == getattr(other, field).tobytes(), \
+                    (solver, field)
             assert est.meta == other.meta
             assert est.degenerate_entries == other.degenerate_entries
         assert shared["SDP-BM"].meta["shifted_at"] is not None
+        # EIG-H and SDP-BM share one top-k solve of H in either order; EIG-R
+        # solves its scaled operator and SDP-BM's shift -H
+        assert solved.count(True) == 1
 
 
 _VALID = dict(n=20, k=2, p=(0.5, 0.3), trials_angles=1, trials_graphs=1)

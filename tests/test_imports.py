@@ -1,6 +1,7 @@
 """The package imports only the standard library and numpy, builds random
 generators only in its two seed helpers and each eigensolver operator only in
-its makers (linalg's, and sync's one for the dense matrix), exports what
+its makers (linalg's, and sync's one for the dense matrix), calls the
+unchecked Lanczos solve only from top_k_eig and SDP-BM's shift, exports what
 README documents, README's library example runs as written, and README's CLI
 examples pass the CLI's config check.
 
@@ -83,16 +84,31 @@ def _calls_by_function(path):
     return visit(ast.parse(path.read_text(), filename=str(path)), "")
 
 
+def _callers(names):
+    """Each of ``names`` with the set of (file, function) pairs that call it."""
+    found = {name: set() for name in names}
+    for path in sorted(Path(ksync.__file__).parent.glob("*.py")):
+        for name, scope in _calls_by_function(path):
+            if name in found:
+                found[name].add((path.name, scope))
+    return found
+
+
 def test_edge_operators_built_only_in_linalg():
     # elsewhere a graph's operator comes from _EdgeOperator.of_graph and a
     # group's from its restrict, so only linalg knows how entries are stored;
     # a solver that built its own dense H would bypass the shared one
-    makers = {name: set() for name in OPERATOR_MAKERS}
-    for path in sorted(Path(ksync.__file__).parent.glob("*.py")):
-        for name, scope in _calls_by_function(path):
-            if name in makers:
-                makers[name].add((path.name, scope))
-    assert makers == OPERATOR_MAKERS
+    assert _callers(OPERATOR_MAKERS) == OPERATOR_MAKERS
+
+
+# the only callers of the unchecked Lanczos solve: every top-k solve goes
+# through the public top_k_eig, which the benchmark counts, except SDP-BM's
+# shift solve on -H; a solver that bypassed it would move those counts
+TOP_K_CALLERS = {"_top_k": {("linalg.py", "top_k_eig"), ("sync.py", "sdp_bm_ksync")}}
+
+
+def test_lanczos_solves_go_through_top_k_eig():
+    assert _callers(TOP_K_CALLERS) == TOP_K_CALLERS
 
 
 README = Path(ksync.__file__).parents[2] / "README.md"

@@ -91,6 +91,10 @@ def assert_matches_oracle(H, k, pairs):
     (lambda: top_k_eig(np.eye(3), 0), "k must satisfy 1 <= k <= 3, got 0"),
     # degree_normalized_eig leaves the k range to top_k_eig on S
     (lambda: degree_normalized_eig(np.eye(3), 4), "k must satisfy 1 <= k <= 3, got 4"),
+    # a count that is not an integer, a bool included, is named before it is used
+    (lambda: top_k_eig(np.eye(3), 1.5), "k must be an integer, got 1.5"),
+    (lambda: top_k_eig(np.eye(3), True), "k must be an integer, got True"),
+    (lambda: degree_normalized_eig(np.eye(3), 2.0), "k must be an integer, got 2.0"),
     # a non-finite entry, mirrored or not, is named without a RuntimeWarning
     (lambda: top_k_eig(with_entry(6, (2, 3), np.nan), 2), "matrix entry (2, 3) is (nan+0j), not finite"),
     (lambda: degree_normalized_eig(with_entry(6, (2, 3), np.nan), 2),
@@ -99,12 +103,22 @@ def assert_matches_oracle(H, k, pairs):
     (lambda: spectral_norm([[1.0, np.inf], [np.inf, 1.0]]), "matrix entry (0, 1) is (inf+0j), not finite"),
     (lambda: spectral_norm(with_entry(200, (150, 7), -np.inf)),
      "matrix entry (150, 7) is (-inf+0j), not finite"),
-], ids=["non-square", "tol", "k", "normalized-k", "nan-top-k", "nan-normalized", "nan-norm",
+], ids=["non-square", "tol", "k", "normalized-k", "float-k", "bool-k", "normalized-float-k",
+        "nan-top-k", "nan-normalized", "nan-norm",
         "inf-norm", "inf-second-row-block"])
 def test_invalid_arguments_rejected(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_numpy_integer_k_accepted(k):
+    H = random_hermitian(6, 7)
+    for eig in (top_k_eig, degree_normalized_eig):
+        got, want = eig(H, k), eig(H, 2)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 class TestTopKEig:

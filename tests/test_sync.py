@@ -82,6 +82,14 @@ class TestSpectralKsync:
         with pytest.raises(ValueError, match="no edges"):
             sync.solve(g, 1, solver)
 
+    # SDP-BM's own check is TestSdpBm's
+    @pytest.mark.parametrize("solver", [sync.EIG_H, sync.EIG_R])
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_non_integer_k_rejected(self, solver, k):
+        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            sync.solve(g, k, solver)
+
     @pytest.mark.parametrize("solver", sync.SOLVERS)
     def test_one_operator_per_solve(self, solver, monkeypatch):
         calls = []
@@ -184,6 +192,21 @@ class TestSdpBm:
                 call()
         assert calls == []
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k_rejected_before_the_operator(self, k, monkeypatch):
+        _, g = mixture_instance(30, (0.4, 0.3), 0.5, 3)
+        calls = []
+        monkeypatch.setattr(sync, "build_measurement_matrix", lambda *a, **kw: calls.append(1))
+        for call in (lambda: sdp_bm_ksync(g, k), lambda: sync.solve(g, k, sync.SDP_BM)):
+            with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+                call()
+        assert calls == []
+
+    def test_numpy_integer_k_accepted(self):
+        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
+        est = sdp_bm_ksync(g, np.int64(2))
+        assert est.theta_hat.tobytes() == sdp_bm_ksync(g, 2).theta_hat.tobytes()
+
     def test_objective_and_angles_match_dense_start(self):
         for trial, (groups, g) in enumerate(sparse_instances()):
             H = build_measurement_matrix(g, diagonal=1.0)
@@ -234,8 +257,8 @@ class TestSdpBm:
         # a shift estimate of 0 leaves H indefinite, so the redone step falls again
         top_k = linalg._top_k
 
-        def no_shift(M, k, tol):
-            pairs = top_k(M, k, tol)
+        def no_shift(M, k, tol, start=None):
+            pairs = top_k(M, k, tol, start)
             if tol == sync.SDP_SHIFT_TOL:
                 return dataclasses.replace(pairs, values=np.zeros_like(pairs.values),
                                            residuals=np.zeros_like(pairs.residuals))
@@ -322,7 +345,10 @@ class TestSdpBm:
         assert set(est.degenerate_entries) == {(1, i) for i in range(n)}
 
 
-class TestSdpBmStart:
+class TestSharedPairs:
+    """On one instance, EIG-H and SDP-BM share one solve of H's top pairs."""
+
+    @pytest.mark.parametrize("eig_h_first", [True, False])
     @pytest.mark.parametrize("k, p, lam, seed, shifts", [
         (1, (0.6,), 0.8, 21, False),
         (2, (0.4, 0.3), 0.8, 22, False),
@@ -330,24 +356,36 @@ class TestSdpBmStart:
         # setup II at eta = 0.9, gamma = 0.05: the ascent takes its shift
         (2, (0.075, 0.025), 1.0, 115, True),
     ])
-    def test_eig_h_start_gives_the_same_estimate(self, k, p, lam, seed, shifts):
+    def test_shared_pairs_give_the_same_estimates(self, k, p, lam, seed, shifts, eig_h_first,
+                                                  monkeypatch):
         _, g = mixture_instance(100, p, lam, seed, k=k)
-        own = sdp_bm_ksync(g, k, seed)
-        shared = sdp_bm_ksync(g, k, seed, start=spectral_ksync(g, k))
-        assert (own.meta["shifted_at"] is not None) == shifts
-        assert shared.theta_hat.tobytes() == own.theta_hat.tobytes()
-        assert shared.meta == own.meta
+        own = {sync.EIG_H: spectral_ksync(g, k), sync.SDP_BM: sdp_bm_ksync(g, k, seed)}
+        instance = sync._Instance(g)
+        solved = []
+        top_k = linalg._top_k
 
-    def test_start_of_another_k_rejected(self):
-        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
-        with pytest.raises(ValueError, match="start must hold 2 eigenpairs of length 60"):
-            sdp_bm_ksync(g, 2, start=spectral_ksync(g, 1))
+        def counting(H, *args, **kwargs):
+            solved.append(H is instance.H)
+            return top_k(H, *args, **kwargs)
 
-    @pytest.mark.parametrize("solver", [sync.EIG_H, sync.EIG_R])
-    def test_start_rejected_by_the_spectral_solvers(self, solver):
-        _, g = mixture_instance(60, (0.4, 0.3), 0.8, 5)
-        with pytest.raises(ValueError, match=f"only SDP-BM takes a start, not '{solver}'"):
-            sync.solve(g, 2, solver, start=spectral_ksync(g, 2))
+        monkeypatch.setattr(linalg, "_top_k", counting)
+        order = (sync.EIG_H, sync.SDP_BM) if eig_h_first else (sync.SDP_BM, sync.EIG_H)
+        shared = {solver: sync.solve(instance, k, solver, seed) for solver in order}
+        # one solve of H's top pairs, and the shift's solve of -H if taken
+        assert solved == [True] + [False] * shifts
+        assert (own[sync.SDP_BM].meta["shifted_at"] is not None) == shifts
+        for solver, est in shared.items():
+            assert est.theta_hat.tobytes() == own[solver].theta_hat.tobytes()
+            assert est.eigenvectors.tobytes() == own[solver].eigenvectors.tobytes()
+            assert est.meta == own[solver].meta
+
+    def test_eig_h_above_n_raises_after_sdp_bm(self):
+        # SDP-BM clips k to n and solves n pairs; EIG-H asks for k of them
+        g = MeasurementGraph(n=2, ii=[0], jj=[1], theta=[1.25])
+        instance = sync._Instance(g)
+        assert sdp_bm_ksync(instance, 3).meta["rank"] == 2
+        with pytest.raises(ValueError, match="k must satisfy 1 <= k <= 2, got 3"):
+            spectral_ksync(instance, 3)
 
 
 class TestExtraction:
