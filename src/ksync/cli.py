@@ -27,6 +27,7 @@ from .disentangle import (
 )
 from .genmodel import MixtureParams, theory_bounds
 from .harness import (
+    _KINDS,
     MODES,
     ConfigError,
     ExperimentConfig,
@@ -45,83 +46,61 @@ _HISTORY_HEADER = ("iteration", "group", "matched_corr", "gamma_median", "gamma_
                    "n_good", "n_bad", "disconnected", "krylov_steps", "eig_residual_max")
 
 
-def _float_list(text):
-    return tuple(float(x) for x in text.split(","))
+# each config field's kind in harness._KINDS, whose last column parses a flag's text
+_FIELD_KINDS = {f.name: f.type.partition(" | ")[0] for f in dataclasses.fields(ExperimentConfig)}
 
+_HELP = {
+    "seed": "master RNG seed",
+    "p": "comma-separated probabilities",
+    "threads": "worker threads: the sweep's whole CPU budget, since BLAS runs "
+               "single-threaded inside sweeps",
+}
 
-def _name_list(text):
-    return tuple(s.strip() for s in text.split(","))
+_SWEEP_FIELDS = ("out", "threads", "mode", "p", "lambda_grid", "eta_grid", "gamma", "lam",
+                 "trials_angles", "trials_graphs", "solvers")
 
-
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+# subcommand: (its help, --out's help, the config fields it takes as flags
+# besides seed, n and k)
+_SUBCOMMANDS = {
+    "simulate": ("one instance end-to-end", "write the sampled graph here",
+                 ("out", "p", "lam", "solvers")),
+    "sweep": ("Monte-Carlo sweep (setup1 or setup2)", "CSV path (default sweep.csv)",
+              _SWEEP_FIELDS),
+    "compare": ("multi-solver setup2 sweep", "CSV path (default sweep.csv)", _SWEEP_FIELDS),
+    "disentangle": ("iterative graph disentangling", "prefix of the history and subgraph files",
+                    ("out", "p", "lam", "iterations")),
+    "grp": ("two-configuration graph realization", "prefix of the embedding files",
+            ("out", "sigma", "radius", "p1", "p2", "iterations")),
+    "theory": ("print the theoretical bound report", None, ("p", "lam", "delta", "mu", "epsilon")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand; a flag is the config field of its name, of the field's kind."""
     parser = argparse.ArgumentParser(
         prog="ksync",
         description="Heterogeneous angular synchronization experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, out_help, fields) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        return p
-
-    sim = common(sub.add_parser("simulate", help="one instance end-to-end"))
-    sim.add_argument("--out", default=None, help="write the sampled graph here")
-    sim.add_argument("--p", type=_float_list, default=None, help="comma-separated probabilities")
-    sim.add_argument("--lam", type=float, default=None)
-    sim.add_argument("--solvers", type=_name_list, default=None)
-
-    for name, help_text in (("sweep", "Monte-Carlo sweep (setup1 or setup2)"),
-                            ("compare", "multi-solver setup2 sweep")):
-        sw = common(sub.add_parser(name, help=help_text))
-        sw.add_argument("--out", default=None, help="CSV path (default sweep.csv)")
-        sw.add_argument("--threads", type=int, default=None,
-                        help="worker threads: the sweep's whole CPU budget, since BLAS "
-                             "runs single-threaded inside sweeps")
-        sw.add_argument("--mode", default=None, choices=MODES)
-        sw.add_argument("--p", type=_float_list, default=None)
-        sw.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list, default=None)
-        sw.add_argument("--eta-grid", dest="eta_grid", type=_float_list, default=None)
-        sw.add_argument("--gamma", type=float, default=None)
-        sw.add_argument("--lam", type=float, default=None)
-        sw.add_argument("--trials-angles", dest="trials_angles", type=int, default=None)
-        sw.add_argument("--trials-graphs", dest="trials_graphs", type=int, default=None)
-        sw.add_argument("--solvers", type=_name_list, default=None)
-        sw.add_argument("--plot", default=None, help="also write an SVG chart here")
-
-    dis = common(sub.add_parser("disentangle", help="iterative graph disentangling"))
-    dis.add_argument("--out", default=None, help="prefix of the history and subgraph files")
-    dis.add_argument("--p", type=_float_list, default=None)
-    dis.add_argument("--lam", type=float, default=None)
-    dis.add_argument("--iterations", type=int, default=None)
-    dis.add_argument("--solver", dest="solvers", type=lambda s: (s,), default=None,
-                     help="EIG-H or EIG-R")
-
-    grp = common(sub.add_parser("grp", help="two-configuration graph realization"))
-    grp.add_argument("--out", default=None, help="prefix of the embedding files")
-    grp.add_argument("--sigma", type=float, default=None)
-    grp.add_argument("--radius", type=float, default=None)
-    grp.add_argument("--p1", type=float, default=None)
-    grp.add_argument("--p2", type=float, default=None)
-    grp.add_argument("--iterations", type=int, default=None)
-
-    theo = common(sub.add_parser("theory", help="print the theoretical bound report"))
-    theo.add_argument("--p", type=_float_list, default=None)
-    theo.add_argument("--lam", type=float, default=None)
-    theo.add_argument("--delta", type=float, default=None)
-    theo.add_argument("--mu", type=float, default=None)
-    theo.add_argument("--epsilon", type=float, default=None)
+        for name in ("seed", "n", "k", *fields):
+            p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                           type=_KINDS[_FIELD_KINDS[name]][-1],
+                           choices=MODES if name == "mode" else None,
+                           help=out_help if name == "out" else _HELP.get(name))
+        if command in ("sweep", "compare"):
+            p.add_argument("--plot", default=None, help="also write an SVG chart here")
+        if command == "disentangle":
+            p.add_argument("--solver", dest="solvers", type=lambda s: (s,), default=None,
+                           help="EIG-H or EIG-R")
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
     overrides = {key: val for key, val in vars(args).items()
-                 if key in _CONFIG_FIELDS and val is not None}
+                 if key in _FIELD_KINDS and val is not None}
     if args.command == "compare":
         overrides.setdefault("mode", "compare")
         overrides.setdefault("solvers", SOLVERS)
@@ -245,7 +224,7 @@ def main(argv=None) -> int:
         errors = validate_config(cfg, args.command)
     except ConfigError as exc:
         errors = exc.errors
-    except (TypeError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (TypeError, ValueError, OverflowError, OSError) as exc:  # JSONDecodeError: ValueError
         errors = [str(exc)]
     if errors:
         for err in errors:

@@ -266,14 +266,15 @@ def save_graph(g: MeasurementGraph, path, k: int | None = None) -> None:
     """Write a graph as text: header "n m k", then "i j theta label" lines.
 
     Indices are 1-based; labels are 1..k for groups, 0 for outliers, -1 when
-    unknown.  ``k`` defaults to the largest group label present (0 if none)
-    and may not lie below it.
+    unknown.  ``k`` defaults to the largest group label present (0 if none);
+    an explicit ``k`` must be an integer no lower than it.
     """
     labels = g.labels
     top = int(labels.max()) if labels is not None and labels.size else 0
     if k is None:
         k = top
-    elif k < top:
+    check_integer("k", k)
+    if k < top:
         raise ValueError(f"k = {k} is below the graph's largest label {top}")
     lab = labels if labels is not None else np.full(g.m, UNKNOWN, dtype=np.int64)
     edges = (f"{i + 1} {j + 1} {float(t)!r} {int(l)}\n"

@@ -66,7 +66,7 @@ class DisentangleConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.solver not in (EIG_H, EIG_R):
-            raise ValueError("solver must be EIG-H or EIG-R")
+            raise ValueError(f"solver must be EIG-H or EIG-R, got {self.solver!r}")
         if self.bad_fractions is not None:
             bf = tuple(float(x) for x in self.bad_fractions)
             if len(bf) != self.k or any(not 0.0 <= f < 1.0 for f in bf):

@@ -30,14 +30,27 @@ from .core import (
 _SQRT2 = math.sqrt(2.0)
 
 
+def _check_seed(seed, key) -> None:
+    check_integer("seed", seed)
+    for x in key:
+        check_integer("seed key", x)
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for (seed, key); distinct keys never collide."""
+    """Deterministic generator for (seed, key); distinct keys never collide.
+
+    The seed and every key entry must be integers: a seed of 1.5 is refused,
+    not run as seed 1.
+    """
+    _check_seed(seed, key)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(x) for x in key))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def child_seed(seed: int, *key: int) -> int:
-    """Derive an independent 64-bit child seed from a master seed and key."""
+    """Derive an independent 64-bit child seed from a master seed and key,
+    both integers as in :func:`substream`."""
+    _check_seed(seed, key)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(x) for x in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -97,6 +110,8 @@ class MixtureParams:
 
 def sample_angles(n: int, k: int, seed: int) -> AngleGroups:
     """k*n i.i.d. uniform angles on [0, 2*pi), deterministic per seed."""
+    check_integer("n", n)
+    check_integer("k", k)
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
     rng = substream(seed)
@@ -187,6 +202,7 @@ def sample_ba_mixture(params: MixtureParams, m: int, groups: AngleGroups) -> Mea
     if params.lam != 1.0:
         raise ValueError(f"the Barabasi-Albert sampler ignores lambda, so lam must be 1, "
                          f"got {params.lam!r}")
+    check_integer("m", m)
     if not 1 <= m < params.n:
         raise ValueError("attachment count m must satisfy 1 <= m < n")
     rng = substream(params.seed)

@@ -129,6 +129,7 @@ def make_two_configurations(
     centroid.  Rejects congruent outputs, degenerate shears and a grid of
     prime n, whose points would all lie on one row.
     """
+    check_integer("n", n)
     if n < 4:
         raise ValueError("n must be at least 4")
     shear = np.asarray(shear, dtype=float)

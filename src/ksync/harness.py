@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from .core import correlation
+from .disentangle import DisentangleConfig
 from .genmodel import (
     MixtureParams,
     child_seed,
@@ -57,36 +58,50 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-# JSON kind per field annotation: accepted types, the name in messages and
-# the kind of each list entry; bool is an int subclass in Python, so it is
-# rejected separately
-_JSON_KINDS = {
-    "int": ((int,), "an integer", None),
-    "float": ((int, float), "a number", None),
-    "str": ((str,), "a string", None),
-    "tuple[float, ...]": ((list,), "a list of numbers", "float"),
-    "tuple[str, ...]": ((list,), "a list of strings", "str"),
+def _float_list(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+def _name_list(text):
+    return tuple(s.strip() for s in text.split(","))
+
+
+# kind per field annotation, the one declaration of how a setting is read:
+# the types a value may have (never bool, which Python makes an int), the
+# kind's name in messages, the kind of each list entry, and the parser of a
+# flag's text, which also gives a scalar of the kind its plain Python value
+_KINDS = {
+    "int": ((int, np.integer), "an integer", None, int),
+    "float": ((int, float, np.integer, np.floating), "a number", None, float),
+    "str": ((str,), "a string", None, str),
+    "tuple[float, ...]": ((list, tuple), "a list of numbers", "float", _float_list),
+    "tuple[str, ...]": ((list, tuple), "a list of strings", "str", _name_list),
 }
 
 
 def _fits(value, kind: str) -> bool:
-    types, _, item = _JSON_KINDS[kind]
+    types, _, item, _ = _KINDS[kind]
     return (not isinstance(value, bool) and isinstance(value, types)
             and (item is None or all(_fits(x, item) for x in value)))
 
 
-def _type_errors(cls, data: dict) -> list:
-    """One message per JSON value whose type its config field cannot take."""
+def _plain(value, kind: str):
+    """``value``, which fits ``kind``, as plain Python: a tuple for a list, and int,
+    float or str for a scalar, so a setting reads the same from either front end."""
+    _, _, item, parse = _KINDS[kind]
+    return tuple(_plain(x, item) for x in value) if item else parse(value)
+
+
+def _type_errors(cfg) -> list:
+    """One message per field of ``cfg`` whose value is not of the field's kind."""
     errors = []
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
         base, _, optional = f.type.partition(" | ")
         if value is None and optional:
             continue
         if not _fits(value, base):
-            kind = _JSON_KINDS[base][1] + (" or null" if optional else "")
+            kind = _KINDS[base][1] + (" or null" if optional else "")
             errors.append(f"config key {f.name!r} must be {kind}, got {value!r}")
     return errors
 
@@ -97,7 +112,9 @@ class ExperimentConfig:
 
     setup1 sweeps the edge density over ``lambda_grid`` at an explicit ``p``;
     setup2 (and compare) sweep the noise level over ``eta_grid`` at fixed
-    density ``lam``, deriving p from the consecutive gap ``gamma``.
+    density ``lam``, deriving p from the consecutive gap ``gamma``.  Building
+    one checks every field's kind and raises one ConfigError listing each
+    value of the wrong kind; values are stored as plain Python.
     """
 
     mode: str = "setup1"
@@ -126,11 +143,13 @@ class ExperimentConfig:
     epsilon: float = 0.5
 
     def __post_init__(self):
-        if self.p is not None:
-            object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        object.__setattr__(self, "lambda_grid", tuple(float(x) for x in self.lambda_grid))
-        object.__setattr__(self, "eta_grid", tuple(float(x) for x in self.eta_grid))
-        object.__setattr__(self, "solvers", tuple(self.solvers))
+        errors = _type_errors(self)
+        if errors:
+            raise ConfigError(errors)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, _plain(value, f.type.partition(" | ")[0]))
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
@@ -141,9 +160,6 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError([f"unknown config key {key!r}" for key in sorted(unknown)])
-        errors = _type_errors(cls, data)
-        if errors:
-            raise ConfigError(errors)
         if overrides:
             data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
@@ -158,12 +174,13 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
     A rule on a value the library reads is stated once, by the function that
     reads it, and reported here in its words, one problem per owner:
     ``child_seed`` for the seed of every command that samples (all but
-    theory), grp's ``make_two_configurations`` and ``check_patch_settings``,
-    ``MixtureParams`` for the instance's p, and ``theory_bounds`` for delta,
-    mu, epsilon and a point whose bounds come out NaN (asked once all else is
-    valid).  The command's own rules stay here, setup2's eta_grid and gamma
-    among them: a setup2 sweep skips the grid points that its library rules
-    reject.
+    theory), ``DisentangleConfig`` for the iterations and solvers[0] of
+    disentangle and grp, grp's ``make_two_configurations`` and
+    ``check_patch_settings``, ``MixtureParams`` for the instance's p, and
+    ``theory_bounds`` for delta, mu, epsilon and a point whose bounds come
+    out NaN (asked once all else is valid).  The command's own rules stay
+    here, setup2's eta_grid and gamma among them: a setup2 sweep skips the
+    grid points that its library rules reject.
     """
     sweep = command in ("sweep", "compare")
     errors = []
@@ -178,14 +195,14 @@ def validate_config(cfg: ExperimentConfig, command: str) -> list:
     if command != "theory":
         check(child_seed, cfg.seed, prefix="invalid seed: ")
     if command in ("disentangle", "grp"):
+        # DisentangleConfig's rules on the rounds and on their solver, solvers[0],
+        # asked apart so that only the solver's message names it; k's rule is below
         first = cfg.solvers[0] if cfg.solvers else None
-        if first not in (EIG_H, EIG_R):
-            errors.append(f"disentangling needs solvers[0] in ({EIG_H}, {EIG_R}), got {first!r}")
+        check(lambda: DisentangleConfig(k=2, iterations=cfg.iterations))
+        check(lambda: DisentangleConfig(k=2, solver=first), prefix="solvers[0]: ")
         if len(cfg.solvers) > 1:
             errors.append(f"{command} re-solves with one solver, so solvers must hold exactly "
                           f"one entry, got {len(cfg.solvers)}")
-        if cfg.iterations < 1:
-            errors.append("iterations must be at least 1")
     if command == "grp":
         if cfg.k != 2:
             errors.append(f"grp recovers two configurations, so k must be 2 (got {cfg.k})")

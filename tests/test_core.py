@@ -303,6 +303,18 @@ class TestGraphFile:
         save_graph(g, path, k=3)
         assert load_graph(path)[1] == 3
 
+    @pytest.mark.parametrize("k", [3.0, True, "3"])
+    def test_save_rejects_k_that_is_not_an_integer(self, k, tmp_path):
+        # a header of "3 2 3.0" would not load back
+        g = MeasurementGraph(n=3, ii=[0, 1], jj=[1, 2], theta=[1.0, 2.0], labels=[3, 0])
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError) as exc:
+            save_graph(g, path, k=k)
+        assert str(exc.value) == f"k must be an integer, got {k!r}"
+        assert not path.exists()
+        save_graph(g, path, k=np.int64(3))
+        assert load_graph(path)[1] == 3
+
     def test_unknown_labels_round_trip_to_none(self, tmp_path):
         g = MeasurementGraph(n=3, ii=[0], jj=[1], theta=[1.0])
         path = tmp_path / "g.txt"

@@ -51,7 +51,7 @@ def mixture(n, p, lam, seed, k=None):
     (lambda g, truth: DisentangleConfig(k=2.0), "k must be an integer, got 2.0"),
     (lambda g, truth: DisentangleConfig(k=True), "k must be an integer, got True"),
     (lambda g, truth: DisentangleConfig(k=2, iterations=2.5), "iterations must be an integer, got 2.5"),
-    (lambda g, truth: DisentangleConfig(k=2, solver="SDP-BM"), "solver must be EIG-H or EIG-R"),
+    (lambda g, truth: DisentangleConfig(k=2, solver="SDP-BM"), "solver must be EIG-H or EIG-R, got 'SDP-BM'"),
     (lambda g, truth: DisentangleConfig(k=2, bad_fractions=(0.1, 1.0)),
      "bad_fractions must be k values in [0, 1)"),
     (lambda g, truth: iterate_disentangle(

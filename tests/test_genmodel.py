@@ -91,8 +91,18 @@ class TestMixtureParams:
     (lambda: MixtureParams(n=10, k=True, lam=1.0, p=(0.5,)), "k must be an integer, got True"),
     (lambda: rank2_eigenvalues(10, 1.0, 0.3, 0.2, 1.5), "inner must lie in [0, 1]"),
     (lambda: rank2_eigenvalues(10, 1.0, 0.3, 0.2, -0.1), "inner must lie in [0, 1]"),
+    # a seed, count or key that is not an integer is refused, not run as its int()
+    (lambda: substream(1.5), "seed must be an integer, got 1.5"),
+    (lambda: substream(1, 2, 0.5), "seed key must be an integer, got 0.5"),
+    (lambda: child_seed(True), "seed must be an integer, got True"),
+    (lambda: child_seed(1, 3.0), "seed key must be an integer, got 3.0"),
+    (lambda: sample_angles(10.5, 2, 1), "n must be an integer, got 10.5"),
+    (lambda: sample_angles(10, 2.0, 1), "k must be an integer, got 2.0"),
+    (lambda: sample_angles(10, 2, 1.5), "seed must be an integer, got 1.5"),
 ], ids=["negative-p", "nan-p1", "nan-p2", "inf-p", "angles-n", "angles-k", "params-n",
-        "params-k", "float-n", "float-k", "bool-k", "inner-above-1", "inner-below-0"])
+        "params-k", "float-n", "float-k", "bool-k", "inner-above-1", "inner-below-0",
+        "substream-seed", "substream-key", "child-seed-bool", "child-seed-key",
+        "angles-float-n", "angles-float-k", "angles-float-seed"])
 def test_invalid_values_rejected(call, message):
     with pytest.raises(ValueError) as exc:
         call()
@@ -196,6 +206,14 @@ class TestSampleBaMixture:
             sample_ba_mixture(params, 0, groups)
         with pytest.raises(ValueError):
             sample_ba_mixture(params, 10, groups)
+
+    @pytest.mark.parametrize("m", [True, 2.5, 2.0])
+    def test_attachment_count_must_be_an_integer(self, m):
+        # True would run as m=1, and 2.5 fail deep inside numpy
+        params = MixtureParams(n=10, k=1, lam=1.0, p=(0.8,), seed=0)
+        with pytest.raises(ValueError) as exc:
+            sample_ba_mixture(params, m, sample_angles(10, 1, 0))
+        assert str(exc.value) == f"m must be an integer, got {m!r}"
 
 
 class TestExpectedMeasurementMatrix:

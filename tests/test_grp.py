@@ -82,6 +82,8 @@ _MIN_OVERLAP = "min_overlap must be at least 3 and finite"
 
 @pytest.mark.parametrize("call, message", [
     (lambda pc: make_two_configurations(3), "n must be at least 4"),
+    (lambda pc: make_two_configurations(16.0), "n must be an integer, got 16.0"),
+    (lambda pc: make_two_configurations(16, seed=0.5), "seed must be an integer, got 0.5"),
     (lambda pc: make_two_configurations(16, generator="hexagonal"),
      "unknown generator 'hexagonal'"),
     (lambda pc: build_patches(pc, sigma=-0.2), _SIGMA),
@@ -114,7 +116,7 @@ _MIN_OVERLAP = "min_overlap must be at least 3 and finite"
     (lambda pc: PointCloudPair(X=pc.X[:, :1], Y=pc.Y[:, :1]),
      "X and Y must be equal n x 2 arrays"),
     (lambda pc: PointCloudPair(X=pc.X, Y=pc.Y[:-1]), "X and Y must be equal n x 2 arrays"),
-], ids=["n", "generator", "negative-sigma", "nan-sigma", "inf-sigma", "zero-radius",
+], ids=["n", "float-n", "float-seed", "generator", "negative-sigma", "nan-sigma", "inf-sigma", "zero-radius",
         "nan-radius", "inf-radius", "nan-p1", "negative-p2", "min-overlap", "nan-min-overlap",
         "inf-min-overlap", "string-min-overlap", "none-min-overlap", "string-radius",
         "bool-sigma", "first-of-three", "first-of-two", "recover-k", "recover-graph-size",

@@ -388,7 +388,8 @@ class TestValidateConfig:
         ("disentangle", {"p": None}, "explicit p vector"),
         ("theory", {"delta": 1.0}, "delta must lie in [0, 1)"),
         ("grp", {"k": 3}, "k must be 2"),
-        ("grp", {"solvers": ("SDP-BM",)}, "disentangling needs solvers[0]"),
+        ("grp", {"solvers": ("SDP-BM",)},
+         "solvers[0]: solver must be EIG-H or EIG-R, got 'SDP-BM'"),
         ("simulate", {"solvers": ("SDP-BM",)}, None),
         # Barabasi-Albert graphs ignore lambda, so every sampled lambda must be 1
         ("simulate", {"ba_attachment": 3}, None),
@@ -580,6 +581,112 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n": 100.5}, "config key 'n' must be an integer, got 100.5"),
+        ({"threads": 1.5}, "config key 'threads' must be an integer, got 1.5"),
+        ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+        ({"trials_angles": True}, "config key 'trials_angles' must be an integer, got True"),
+        ({"lam": "0.5"}, "config key 'lam' must be a number, got '0.5'"),
+        ({"solvers": "EIG-H"}, "config key 'solvers' must be a list of strings, got 'EIG-H'"),
+        ({"p": np.array([0.5, 0.3])},
+         "config key 'p' must be a list of numbers or null, got array([0.5, 0.3])"),
+    ], ids=["float-n", "float-threads", "float-seed", "bool-trials", "string-lam",
+            "string-solvers", "array-p"])
+    def test_python_config_checked_like_json(self, overrides, message):
+        # unchecked, n=100.5 would run as a sweep of skipped points and seed 1.5 as seed 1
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{"mode": "setup2", "p": None, **overrides})
+        assert exc.value.errors == [message]
+
+    def test_every_kind_problem_listed_at_once(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(n=100.5, seed=1.5, out=3)
+        assert [e.split()[2] for e in exc.value.errors] == ["'n'", "'seed'", "'out'"]
+
+    def test_numpy_scalars_and_tuples_become_python_values(self):
+        cfg = ExperimentConfig(n=np.int64(20), k=np.int32(2), lam=np.float32(0.5),
+                               p=[np.float64(0.5), 0.3], lambda_grid=(1, 0.5),
+                               solvers=[np.str_("EIG-R")], ba_attachment=np.int64(3))
+        assert (cfg.n, cfg.k, cfg.lam, cfg.ba_attachment) == (20, 2, 0.5, 3)
+        assert [type(v) for v in (cfg.n, cfg.k, cfg.lam, cfg.ba_attachment)] == [int, int,
+                                                                                 float, int]
+        assert cfg.p == (0.5, 0.3) and cfg.lambda_grid == (1.0, 0.5)
+        assert cfg.solvers == ("EIG-R",) and type(cfg.solvers[0]) is str
+        assert cfg == ExperimentConfig(n=20, k=2, lam=0.5, p=(0.5, 0.3),
+                                       lambda_grid=(1.0, 0.5), solvers=("EIG-R",),
+                                       ba_attachment=3)
+        json_text(dataclasses.asdict(cfg))
+
+
+# every subcommand's flags as (option string, dest), all defaulting to None;
+# scripts and the README examples name them, so they stay as they are
+_COMMON_FLAGS = [("--config", "config"), ("--seed", "seed"), ("--n", "n"), ("--k", "k")]
+_SWEEP_FLAGS = _COMMON_FLAGS + [
+    ("--out", "out"), ("--threads", "threads"), ("--mode", "mode"), ("--p", "p"),
+    ("--lambda-grid", "lambda_grid"), ("--eta-grid", "eta_grid"), ("--gamma", "gamma"),
+    ("--lam", "lam"), ("--trials-angles", "trials_angles"), ("--trials-graphs", "trials_graphs"),
+    ("--solvers", "solvers"), ("--plot", "plot")]
+_PARSER_FLAGS = {
+    "simulate": _COMMON_FLAGS + [("--out", "out"), ("--p", "p"), ("--lam", "lam"),
+                                 ("--solvers", "solvers")],
+    "sweep": _SWEEP_FLAGS,
+    "compare": _SWEEP_FLAGS,
+    "disentangle": _COMMON_FLAGS + [("--out", "out"), ("--p", "p"), ("--lam", "lam"),
+                                    ("--iterations", "iterations"), ("--solver", "solvers")],
+    "grp": _COMMON_FLAGS + [("--out", "out"), ("--sigma", "sigma"), ("--radius", "radius"),
+                            ("--p1", "p1"), ("--p2", "p2"), ("--iterations", "iterations")],
+    "theory": _COMMON_FLAGS + [("--p", "p"), ("--lam", "lam"), ("--delta", "delta"),
+                               ("--mu", "mu"), ("--epsilon", "epsilon")],
+}
+
+# per flag: a text for it, and the same value as a JSON config gives it
+_FLAG_VALUES = {
+    "--seed": ("7", 7), "--n": ("30", 30), "--k": ("3", 3), "--out": ("o.csv", "o.csv"),
+    "--threads": ("2", 2), "--mode": ("setup2", "setup2"), "--p": ("0.4,0.3", [0.4, 0.3]),
+    "--lambda-grid": ("0.1,1", [0.1, 1]), "--eta-grid": ("0.3", [0.3]),
+    "--gamma": ("0.02", 0.02), "--lam": ("0.5", 0.5), "--trials-angles": ("3", 3),
+    "--trials-graphs": ("4", 4), "--solvers": ("EIG-R, SDP-BM", ["EIG-R", "SDP-BM"]),
+    "--iterations": ("5", 5), "--solver": ("EIG-R", ["EIG-R"]), "--sigma": ("0.1", 0.1),
+    "--radius": ("3", 3), "--p1": ("0.6", 0.6), "--p2": ("0.3", 0.3),
+    "--delta": ("0.1", 0.1), "--mu": ("0.5", 0.5), "--epsilon": ("0.25", 0.25),
+}
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+class TestFrontEnds:
+    """A flag is the config field of its name: same kind, same value as in JSON."""
+
+    @pytest.mark.parametrize("command", list(_PARSER_FLAGS))
+    def test_flags_keep_their_strings_dests_defaults_and_choices(self, command):
+        actions = [a for a in _subparsers()[command]._actions if a.dest != "help"]
+        assert [(*a.option_strings, a.dest) for a in actions] == _PARSER_FLAGS[command]
+        assert all(a.default is None for a in actions)
+        choices = {a.dest: a.choices for a in actions if a.choices is not None}
+        modes = {"mode": ("setup1", "setup2", "compare")}
+        assert choices == (modes if command in ("sweep", "compare") else {})
+
+    @pytest.mark.parametrize("command", list(_PARSER_FLAGS))
+    def test_each_flag_gives_the_config_its_json_value_gives(self, command, tmp_path):
+        path = tmp_path / "cfg.json"
+        parse = cli._build_parser().parse_args
+        bare = cli._config_from_args(parse([command]))
+        for action in _subparsers()[command]._actions:
+            if action.dest not in {f.name for f in dataclasses.fields(ExperimentConfig)}:
+                continue
+            flag = action.option_strings[0]
+            text, value = _FLAG_VALUES[flag]
+            path.write_text(json.dumps({action.dest: value}))
+            from_json = getattr(ExperimentConfig.from_json(path), action.dest)
+            from_flag = cli._config_from_args(parse([command, flag, text]))
+            # the flag sets its field to the JSON value, of the same Python type
+            # (so the same text in every output), and touches no other field
+            assert repr(from_flag) == repr(dataclasses.replace(bare, **{action.dest: from_json}))
+            assert getattr(from_flag, action.dest) != getattr(bare, action.dest), flag
+
 
 # small runs of every subcommand and the files each writes; at n=150 and
 # n=144 multi-threaded BLAS rounds differently from one thread
@@ -696,7 +803,9 @@ class TestCli:
         code = cli_main(command + ["--config", str(config), "--n", "24", "--k", "2",
                                    "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "config error: disentangling needs solvers[0]" in capsys.readouterr().err
+        first = repr(solvers[0]) if solvers else "None"
+        assert (f"config error: solvers[0]: solver must be EIG-H or EIG-R, got {first}"
+                in capsys.readouterr().err)
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_setup1_ba_sweep_exit_two(self, tmp_path, capsys):
@@ -813,6 +922,9 @@ class TestCli:
          "radius must be positive and finite"),
         (["grp", "--n", "64", "--iterations", "2", "--sigma", "nan"], {},
          "sigma must be non-negative and finite"),
+        # a JSON integer no float can hold, where a number goes
+        (["theory", "--n", "20", "--k", "2", "--p", "0.5,0.3"], {"lam": 10 ** 400},
+         "int too large to convert to float"),
         # every command but theory samples from the seed
         (["simulate", "--n", "50", "--k", "2", "--p", "0.4,0.3", "--lam", "1.0", "--seed", "-1"],
          {}, "invalid seed: expected non-negative integer"),
@@ -835,7 +947,7 @@ class TestCli:
             "grp-two-solvers", "disentangle-two-solvers", "sweep-repeated-solver",
             "sweep-lambda-zero", "simulate-nan-p", "simulate-k1-nan-p", "disentangle-nan-p",
             "setup2-nan-gamma", "grp-nan-p1", "grp-nan-radius", "grp-nan-sigma",
-            "simulate-negative-seed", "sweep-negative-seed", "compare-negative-seed",
+            "theory-huge-int-lam", "simulate-negative-seed", "sweep-negative-seed", "compare-negative-seed",
             "disentangle-negative-seed", "grp-negative-seed"])
     def test_unhonourable_config_exit_two(self, argv, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"

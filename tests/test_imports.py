@@ -1,9 +1,10 @@
 """The package imports only the standard library and numpy, builds random
 generators only in its two seed helpers and each eigensolver operator only in
 its makers (linalg's, and sync's one for the dense matrix), calls the
-unchecked Lanczos solve only from top_k_eig and SDP-BM's shift, exports what
-README documents, README's library example runs as written, and README's CLI
-examples pass the CLI's config check.
+unchecked Lanczos solve only from top_k_eig and SDP-BM's shift, types every
+CLI flag from harness's kind table, exports what README documents, README's
+library example runs as written, and README's CLI examples pass the CLI's
+config check.
 
 A scipy import alone adds 20-33 MB of resident memory to a run, so a new
 dependency must be a deliberate choice, not a stray import.
@@ -109,6 +110,22 @@ TOP_K_CALLERS = {"_top_k": {("linalg.py", "top_k_eig"), ("sync.py", "sdp_bm_ksyn
 
 def test_lanczos_solves_go_through_top_k_eig():
     assert _callers(TOP_K_CALLERS) == TOP_K_CALLERS
+
+
+# the kinds a flag must not name itself: each flag takes its config field's
+# kind from harness._KINDS, so a setting's kind is declared once; --solver's
+# one-name wrapper is a lambda, not one of these
+FLAG_KINDS = {"int", "float", "str", "_float_list", "_name_list"}
+
+
+def test_cli_flags_take_their_kind_from_the_kind_table():
+    path = Path(cli.__file__)
+    found = [f"cli.py:{node.lineno}: type={kw.value.id}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+             for kw in node.keywords
+             if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id in FLAG_KINDS]
+    assert not found
 
 
 README = Path(ksync.__file__).parents[2] / "README.md"
