@@ -28,6 +28,7 @@ from .disentangle import (
 from .genmodel import MixtureParams, theory_bounds
 from .harness import (
     _KINDS,
+    _read_config,
     MODES,
     ConfigError,
     ExperimentConfig,
@@ -99,14 +100,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {key: val for key, val in vars(args).items()
-                 if key in _FIELD_KINDS and val is not None}
+    """The config file's settings, overridden by the flags given.  compare
+    rejects a file of another mode and runs every solver unless told otherwise."""
+    data = _read_config(args.config) if args.config else {}
     if args.command == "compare":
-        overrides.setdefault("mode", "compare")
-        overrides.setdefault("solvers", SOLVERS)
-    if args.config:
-        return ExperimentConfig.from_json(args.config, overrides)
-    return ExperimentConfig(**overrides)
+        if data.get("mode", "compare") != "compare":
+            raise ConfigError([f"compare runs mode 'compare', but the config file sets "
+                               f"mode {data['mode']!r}"])
+        data = {"mode": "compare", "solvers": SOLVERS, **data}
+    data.update((key, val) for key, val in vars(args).items()
+                if key in _FIELD_KINDS and val is not None)
+    return ExperimentConfig(**data)
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:

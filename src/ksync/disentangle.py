@@ -177,9 +177,13 @@ def _sync_subgraph(g: MeasurementGraph, H: linalg._EdgeOperator, mask: np.ndarra
         return theta, vector, True, {"krylov_steps": 0, "eig_residual_max": float("nan"),
                                      "ties": ()}
     comp, disconnected = _largest_component(g.n, g.ii[edges], g.jj[edges])
-    index = np.full(g.n, -1, dtype=np.int64)
-    index[comp] = np.arange(comp.size)
-    sub = H.restrict(mask & (index[g.ii] >= 0), index, comp.size)
+    if comp.size == g.n:
+        # the component spans the graph: no edge to drop, no node to relabel
+        sub = H.restrict(mask, None, g.n)
+    else:
+        index = np.full(g.n, -1, dtype=np.int64)
+        index[comp] = np.arange(comp.size)
+        sub = H.restrict(mask & (index[g.ii] >= 0), index, comp.size)
     start = None
     if prev is not None:
         prev_vector, prev_theta = prev

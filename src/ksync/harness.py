@@ -153,16 +153,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError([f"config file must hold a JSON object, not {type(data).__name__}"])
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError([f"unknown config key {key!r}" for key in sorted(unknown)])
+        data = _read_config(path)
         if overrides:
             data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
+
+
+def _read_config(path) -> dict:
+    """The settings a JSON config file holds, unchecked but for unknown keys."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError([f"config file must hold a JSON object, not {type(data).__name__}"])
+    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigError([f"unknown config key {key!r}" for key in sorted(unknown)])
+    return data
 
 
 def validate_config(cfg: ExperimentConfig, command: str) -> list:

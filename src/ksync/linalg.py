@@ -7,10 +7,14 @@ private :class:`_EdgeOperator`, a graph's unit-diagonal measurement operator
 as a Hermitian edge list whose products cost O(m) per vector instead of
 O(n^2); a group's edge list is a restriction of its graph's, which is
 sorted and exponentiated once per ``iterate_disentangle`` or
-``asap_recover`` call.  Lanczos reaches either only through ``Q @ H`` and
-``H @ X``.  :func:`degree_normalized_eig` hands :func:`top_k_eig` the
-private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2} on either kind, which
-scales the products with H by D^{-1/2} instead of forming a second matrix.
+``asap_recover`` call.  A restriction that keeps every node (``index=None``)
+relabels none, and a product on an operator whose every node has an entry
+adds its column sums to Q in place of scattering them into a copy; both
+give the same bytes as the general path.  Lanczos reaches either only
+through ``Q @ H`` and ``H @ X``.  :func:`degree_normalized_eig` hands
+:func:`top_k_eig` the private :class:`_ScaledOperator` D^{-1/2} H D^{-1/2}
+on either kind, which scales the products with H by D^{-1/2} instead of
+forming a second matrix.
 Both are valid by construction, so neither is checked.  A dense matrix is
 checked by one blocked scan, :func:`_hermitian_scan`, which also gives
 :func:`degree_normalized_eig` its row sums.  :func:`top_k_eig` returns
@@ -40,6 +44,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import math
 import threading
 
 import numpy as np
@@ -165,7 +170,10 @@ class _EdgeOperator:
     :meth:`restrict`, which gathers a group's operator from the graph's
     without sorting again, make one.  ``Q @ H`` and ``H @ X`` take one
     gather, one multiply and one segmented sum per product, O(m) per row of
-    Q, against O(n^2) dense.
+    Q, against O(n^2) dense.  When every node has an entry (a connected
+    component, or a graph with no isolated node) the segmented sums are the
+    columns in order and are added to Q directly; only an operator with an
+    empty column copies Q and scatters the sums into it.
     """
 
     # numpy defers Q @ H to __rmatmul__ instead of converting the operator
@@ -178,6 +186,8 @@ class _EdgeOperator:
         # first entry of each destination's run, and that destination
         self._starts = np.flatnonzero(np.diff(dst, prepend=-1))
         self._columns = dst[self._starts]
+        # the destinations are sorted and distinct, so n of them are 0..n-1
+        self._covered = self._columns.size == n
 
     @staticmethod
     def of_graph(g: MeasurementGraph) -> "_EdgeOperator":
@@ -191,23 +201,35 @@ class _EdgeOperator:
                              np.tile(np.arange(g.m), 2)[order],
                              np.concatenate([values, values.conj()])[order])
 
-    def restrict(self, mask: np.ndarray, index: np.ndarray, size: int) -> "_EdgeOperator":
+    def restrict(self, mask: np.ndarray, index: np.ndarray | None, size: int
+                 ) -> "_EdgeOperator":
         """The operator of the edges with ``mask[edge]`` set, its nodes relabelled
         by ``index`` (increasing on the ``size`` kept nodes, -1 elsewhere; a kept
-        edge has both ends kept).  Entries keep their order, so src, dst and
-        values match :meth:`of_graph` on those edges; ``edge`` keeps these ids."""
+        edge has both ends kept).  ``index=None`` keeps every node unrelabelled,
+        so ``size`` is n and no relabelling gather is made.  Entries keep their
+        order, so src, dst and values match :meth:`of_graph` on those edges;
+        ``edge`` keeps these ids."""
         kept = np.flatnonzero(mask[self.edge])
-        return _EdgeOperator(size, index[self.src[kept]], index[self.dst[kept]],
-                             self.edge[kept], self.values[kept])
+        src, dst = self.src[kept], self.dst[kept]
+        if index is not None:
+            src, dst = index[src], index[dst]
+        return _EdgeOperator(size, src, dst, self.edge[kept], self.values[kept])
 
     def __rmatmul__(self, Q):
         """Q @ H for a vector or a stack of row vectors Q."""
         Q = np.asarray(Q, dtype=complex)
-        out = Q.copy()  # the unit diagonal's term
-        if self.values.size:
-            terms = np.take(Q, self.src, axis=-1)
-            terms *= self.values
-            out[..., self._columns] += np.add.reduceat(terms, self._starts, axis=-1)
+        if not self.values.size:
+            return Q.copy()  # the unit diagonal alone
+        terms = np.take(Q, self.src, axis=-1)
+        terms *= self.values
+        sums = np.add.reduceat(terms, self._starts, axis=-1)
+        if self._covered:
+            # the sums are columns 0..n-1 in order, so adding Q (the unit
+            # diagonal's term) to them adds what a copy of Q would get
+            sums += Q
+            return sums
+        out = Q.copy()
+        out[..., self._columns] += sums
         return out
 
     def __matmul__(self, X):
@@ -319,6 +341,12 @@ def _project_out(B: np.ndarray, F: np.ndarray) -> np.ndarray:
     return F - (B @ F.conj().T).conj().T @ B
 
 
+def _norm(f: np.ndarray) -> float:
+    """||f|| of a complex vector, computed as ``np.linalg.norm`` computes it
+    (sqrt(f.real . f.real + f.imag . f.imag)) without the wrapper's checks."""
+    return math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag))
+
+
 def _append_rows(Q: np.ndarray, m: int, F: np.ndarray, rng, floor: float) -> int:
     """Extend the orthonormal rows Q[:m] by the span of the rows of F.
 
@@ -332,17 +360,19 @@ def _append_rows(Q: np.ndarray, m: int, F: np.ndarray, rng, floor: float) -> int
     n = Q.shape[1]
     first = m
     for f in F[: n - m]:
-        before = np.linalg.norm(f)
-        f = _project_out(Q[first:m], _project_out(Q[first:m], f))
-        after = np.linalg.norm(f)
+        after = before = _norm(f)
+        # the first row has no earlier row to be orthogonalized against
+        if m > first:
+            f = _project_out(Q[first:m], _project_out(Q[first:m], f))
+            after = _norm(f)
         if after < 0.7 * before:
             f = _project_out(Q[:m], _project_out(Q[:m], f))
-            after = np.linalg.norm(f)
+            after = _norm(f)
         if after <= floor:
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             f = _project_out(Q[:m], _project_out(Q[:m], f))
-            after = np.linalg.norm(f)
-        Q[m] = f / after
+            after = _norm(f)
+        np.divide(f, after, out=Q[m])
         m += 1
     return m
 

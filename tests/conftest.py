@@ -28,3 +28,11 @@ def dense_matrix(H):
     M[H.src, H.dst] = H.values
     M[np.diag_indices(H.shape[0])] = 1.0
     return M
+
+
+def operator_fields(E):
+    """The shape, every array (as dtype and bytes) and the coverage flag of a
+    ``linalg._EdgeOperator``, so that two operators compare equal field by field."""
+    arrays = {name: (getattr(E, name).dtype, getattr(E, name).tobytes())
+              for name in ("src", "dst", "edge", "values", "_starts", "_columns")}
+    return {"shape": E.shape, "_covered": E._covered, **arrays}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_matrix
+from conftest import dense_matrix, operator_fields
 from ksync import disentangle, grp, linalg
 from ksync.core import (
     AngleGroups,
@@ -490,6 +490,31 @@ class TestSyncSubgraph:
         assert np.array_equal(starts[0][:, 0], np.exp(1j * groups.theta[0][comp]))
         res = _residuals(theta, g.ii[mask], g.jj[mask], g.theta[mask])
         assert res.max() <= 1e-8 and np.count_nonzero(vector) == comp.size
+
+    @pytest.mark.parametrize("spans", [False, True], ids=["relabelled", "spanning"])
+    def test_solved_operator_is_the_components_restriction(self, spans, monkeypatch):
+        groups, g = mixture(60, (0.6, 0.3), 1.0, 3)
+        # unless the group spans the graph, its last five nodes have no edge in it
+        mask = (g.labels == 1) & (spans | (g.jj < g.n - 5))
+        solved = []
+        spectral = disentangle._spectral
+
+        def spy(sub, k, solver, start=None, tol=linalg.DEFAULT_TOL):
+            solved.append(sub)
+            return spectral(sub, k, solver, start=start, tol=tol)
+
+        monkeypatch.setattr(disentangle, "_spectral", spy)
+        H = graph_operator(g)
+        _, _, disconnected, _ = _sync_subgraph(g, H, mask, EIG_H)
+        nodes = np.union1d(g.ii[mask], g.jj[mask])
+        assert not disconnected and nodes.size == (g.n if spans else g.n - 5)
+        if spans:
+            want = H.restrict(mask, np.arange(g.n), g.n)
+        else:
+            index = np.full(g.n, -1)
+            index[nodes] = np.arange(nodes.size)
+            want = H.restrict(mask & (index[g.ii] >= 0) & (index[g.jj] >= 0), index, nodes.size)
+        assert operator_fields(solved[0]) == operator_fields(want)
 
     def test_initial_estimate_with_a_zero_eigenvector_runs(self):
         # as SDP-BM reports a rank-deficient Gram matrix: the zero row has

@@ -819,6 +819,32 @@ class TestCli:
         assert "config error: setup1 sweeps lambda_grid" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("config, flags, solvers", [
+        ({"solvers": ["EIG-H"]}, [], ["EIG-H"]),
+        ({"mode": "compare", "solvers": ["EIG-R", "EIG-H"]}, [], ["EIG-R", "EIG-H"]),
+        ({"solvers": ["EIG-H"]}, ["--solvers", "EIG-R"], ["EIG-R"]),
+        ({}, [], list(SOLVERS)),
+    ], ids=["file-solvers", "file-mode-and-solvers", "flag-over-file", "defaults"])
+    def test_compare_keeps_the_files_solvers(self, config, flags, solvers, tmp_path):
+        path, out = tmp_path / "cfg.json", tmp_path / "c.csv"
+        path.write_text(json.dumps({"n": 40, "k": 2, "eta_grid": [0.2], "lam": 0.5,
+                                    "trials_angles": 1, "trials_graphs": 1, **config}))
+        assert cli_main(["compare", "--config", str(path), *flags, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {row[0] for row in rows} == {"compare"}
+        assert [row[1] for row in rows[::2]] == solvers
+
+    def test_compare_rejects_a_file_of_another_mode(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "setup2", "solvers": ["EIG-H"], "n": 40, "k": 2,
+                                    "eta_grid": [0.2], "lam": 0.5, "trials_angles": 1,
+                                    "trials_graphs": 1}))
+        code = cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert ("config error: compare runs mode 'compare', but the config file sets "
+                "mode 'setup2'" in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("command, config, message", [
         (["disentangle", "--p", "0.5,0.3", "--lam", "0.5", "--iterations", "0"], {},
          "iterations must be at least 1"),

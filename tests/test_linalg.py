@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_matrix
+from conftest import dense_matrix, operator_fields
 from ksync import linalg
 from ksync.core import (
     TWO_PI,
@@ -614,6 +614,71 @@ class TestWarmStart:
             eig(H, 2, start=start)
 
 
+def _append_rows_projecting_every_row(Q, m, F, rng, floor):
+    """``linalg._append_rows`` as it was written first: every row, the first of
+    its block included, projected twice against the rows appended before it."""
+    n = Q.shape[1]
+    first = m
+    for f in F[: n - m]:
+        before = np.linalg.norm(f)
+        f = linalg._project_out(Q[first:m], linalg._project_out(Q[first:m], f))
+        after = np.linalg.norm(f)
+        if after < 0.7 * before:
+            f = linalg._project_out(Q[:m], linalg._project_out(Q[:m], f))
+            after = np.linalg.norm(f)
+        if after <= floor:
+            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            f = linalg._project_out(Q[:m], linalg._project_out(Q[:m], f))
+            after = np.linalg.norm(f)
+        Q[m] = f / after
+        m += 1
+    return m
+
+
+class TestAppendRows:
+    N = 30
+
+    def _basis(self, m):
+        """m orthonormal conjugated rows in a 12 x N array, and a random generator."""
+        rng = substream(43)
+        Q = np.empty((12, self.N), dtype=complex)
+        F = rng.standard_normal((m, self.N)) + 1j * rng.standard_normal((m, self.N))
+        return Q, linalg._append_rows(Q, 0, F, rng, 0.0)
+
+    @pytest.mark.parametrize("case", ["warm-first-row", "random-block", "zero-row"])
+    def test_rows_match_the_two_projection_form(self, case):
+        rng = substream(44)
+        if case == "warm-first-row":
+            # a start block: a warm vector on top of random rows, no basis yet
+            Q, m = self._basis(0)
+            F = rng.standard_normal((3, self.N)) + 1j * rng.standard_normal((3, self.N))
+            F[0] = np.exp(1j * rng.random(self.N))
+        else:
+            Q, m = self._basis(4)
+            F = rng.standard_normal((3, self.N)) + 1j * rng.standard_normal((3, self.N))
+            if case == "zero-row":
+                F[1] = 0.0
+            F = linalg._project_out(Q[:m], linalg._project_out(Q[:m], F))
+        want_Q, got_Q = Q.copy(), Q.copy()
+        want_rng, got_rng = substream(45), substream(45)
+        want = _append_rows_projecting_every_row(want_Q, m, F, want_rng, 1e-12)
+        got = linalg._append_rows(got_Q, m, F, got_rng, 1e-12)
+        assert got == want == m + 3
+        assert np.array_equal(got_Q[:got].view(float), want_Q[:want].view(float))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # the zero row is the only one replaced by a random draw
+        assert (got_rng.bit_generator.state != substream(45).bit_generator.state) == (
+            case == "zero-row")
+
+    def test_norm_is_numpys(self):
+        rng = substream(46)
+        rows = rng.standard_normal((20, 57)) + 1j * rng.standard_normal((20, 57))
+        rows[3] = 0.0
+        rows[4] *= 1e-160
+        for f in (*rows, rows[:, 5], rng.standard_normal(1) + 0j):
+            assert linalg._norm(f) == np.linalg.norm(f)
+
+
 def edge_operator_and_matrix(g):
     """The graph's unit-diagonal measurement operator as a ``linalg._EdgeOperator``
     and as the dense oracle."""
@@ -665,6 +730,47 @@ class TestEdgeOperator:
                            ("values", got.values, want.values)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert np.array_equal(got.edge, edges[want.edge])
+
+    @staticmethod
+    def _scatter_product(E, Q):
+        """Q @ E the general way: a copy of Q plus the column sums scattered in."""
+        out = Q.copy()
+        terms = np.take(Q, E.src, axis=-1)
+        terms *= E.values
+        out[..., E._columns] += np.add.reduceat(terms, E._starts, axis=-1)
+        return out
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["graph", "component"])
+    def test_covered_product_is_the_scatter_bit_for_bit(self, restricted):
+        g = _shuffled_mixture(40, 37, isolated=0)
+        E = linalg._EdgeOperator.of_graph(g)
+        if restricted:
+            E = E.restrict(substream(38).random(g.m) < 0.7, None, g.n)
+        assert E._covered
+        rng = substream(39)
+        Q = rng.standard_normal((3, g.n)) + 1j * rng.standard_normal((3, g.n))
+        for rows in (Q, Q[1]):
+            got, want = rows @ E, self._scatter_product(E, rows)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(float), want.view(float))
+
+    def test_isolated_node_takes_the_scatter(self):
+        g = _shuffled_mixture(40, 31)
+        E = linalg._EdgeOperator.of_graph(g)
+        assert not E._covered
+        rng = substream(40)
+        Q = rng.standard_normal((2, g.n)) + 1j * rng.standard_normal((2, g.n))
+        H = dense_matrix(E)
+        assert np.abs(Q @ E - Q @ H).max() <= 1e-14 * np.abs(H).sum(axis=1).max() * np.abs(Q).max()
+        assert np.array_equal((Q @ E).view(float), self._scatter_product(E, Q).view(float))
+
+    @pytest.mark.parametrize("share", [0.0, 0.4, 1.0])
+    def test_restriction_without_index_keeps_the_labels(self, share):
+        g = _shuffled_mixture(40, 41)
+        E = linalg._EdgeOperator.of_graph(g)
+        mask = substream(42).random(g.m) < share
+        assert (operator_fields(E.restrict(mask, None, g.n))
+                == operator_fields(E.restrict(mask, np.arange(g.n), g.n)))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_eigenpairs_match_the_dense_solve(self, k):
